@@ -13,9 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.optimize import nnls
-
 from .bitset import from_mask, to_mask
 from .errors import LoopsPresent, SingularSample
 from .geometry import Cone, cone_contains, irredundant_rays
@@ -238,6 +235,8 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
         raise ValueError("logarithm base must exceed 1")
     if realization.matroid.loops():
         raise LoopsPresent("amoeba sampling needs a loop-free realization")
+    import numpy as np  # only the amoeba path needs numpy and scipy
+
     rng = random.Random(seed)
     matrix = np.array([[float(x) for x in row] for row in realization.matrix])
     d, n = matrix.shape
@@ -260,6 +259,9 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
 
 def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
     """Distance of each negated sample point from the Bergman support."""
+    import numpy as np
+    from scipy.optimize import nnls
+
     cones = []
     for cone in fan.coarse_cones:
         if cone.rays:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .linalg import rank as matrix_rank
@@ -62,22 +61,27 @@ class SimplicialComplex:
 
 
 def boundary_matrix(lower: list[frozenset], upper: list[frozenset],
-                    vertex_order: dict) -> list[list[Fraction]]:
-    """Matrix of the simplicial boundary map from ``upper`` to ``lower``."""
+                    vertex_order: dict) -> list[dict[int, int]]:
+    """Matrix of the simplicial boundary map from ``upper`` to ``lower``.
+
+    Sparse: row ``i`` maps the index of each face of ``upper`` that has
+    ``lower[i]`` as a facet to its sign, ±1.
+    """
     index = {f: i for i, f in enumerate(lower)}
-    rows = [[Fraction(0)] * len(upper) for _ in range(len(lower))]
+    rows: list[dict[int, int]] = [{} for _ in lower]
     for j, face in enumerate(upper):
         elems = sorted(face, key=lambda v: vertex_order[v])
-        for i, v in enumerate(elems):
+        for i in range(len(elems)):
             sub = frozenset(elems[:i] + elems[i + 1:])
-            rows[index[sub]][j] += Fraction(-1) ** i
+            rows[index[sub]][j] = -1 if i % 2 else 1
     return rows
 
 
 def reduced_homology_ranks(complex_: SimplicialComplex) -> tuple[list[int], int]:
     """Reduced rational Betti numbers and the reduced Euler characteristic.
 
-    Ranks come from exact Gaussian elimination on the boundary matrices.
+    Ranks come from exact integer elimination on the sparse boundary
+    matrices.
     """
     levels = complex_.faces_by_dim()
     if not levels:

@@ -12,11 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from sympy import Matrix as SympyMatrix
-from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
-
 from .errors import DimensionMismatch
-from .linalg import content, frac, lp_feasible, nullspace, rank, rref
+from .linalg import (content, frac, lp_feasible, nullspace, rank, rref,
+                     smith_normal_form)
 
 
 # -- quotient lattice Z^n / Z·(1,...,1) ---------------------------------------
@@ -149,16 +147,6 @@ class Fan:
                             bad.append((i, j))
                             break
         return bad
-
-
-def smith_normal_form(matrix) -> tuple[int, ...]:
-    """Invariant factors of an integer matrix (absolute values, in order)."""
-    rows = [[int(x) for x in row] for row in matrix]
-    if not rows or not rows[0]:
-        return ()
-    snf = _sympy_snf(SympyMatrix(rows))
-    diag = [abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols))]
-    return tuple(d for d in diag if d != 0)
 
 
 def cone_unimodular(cone: Cone, n: int) -> bool:

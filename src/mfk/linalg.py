@@ -1,12 +1,23 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one integer elimination kernel.
 
-Small dense matrices only; everything is lists of :class:`~fractions.Fraction`.
+Matrix entries may be ints, Fractions or ``'p/q'`` strings.  Each row is
+scaled to integers by the lcm of its denominators and kept sparse, as
+``{column: nonzero int}``; :func:`_echelon` eliminates such rows with
+fraction-free integer row operations, dividing every new row by the gcd of
+its entries.  Rationals reappear only at the end, when ``rref`` divides each
+pivot row by its pivot, so every entry that ``rref``, ``nullspace`` and
+``solve`` return is an exact :class:`~fractions.Fraction`.  ``rank`` needs
+no division at all and also takes sparse rows (order-complex boundary
+matrices).  Smith normal form needs unimodular steps, which the kernel's
+gcd-normalised rows are not, so it has its own extended-gcd reduction in
+integers.  Only ``lp_feasible``'s simplex still computes in Fractions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -24,35 +35,111 @@ def frac_matrix(rows) -> list[list[Fraction]]:
     return [[frac(x) for x in row] for row in rows]
 
 
+# -- the integer elimination kernel ---------------------------------------------
+
+
+def _integer_row(row) -> dict[int, int]:
+    """Sparse integer multiple of a row: ``{column: entry}``, zeros dropped.
+
+    A row is a sequence of exact rationals or a mapping column -> entry.
+    """
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = []
+    denom = 1
+    for j, x in items:
+        if not isinstance(x, (int, Fraction)):
+            x = frac(x)
+        if x:
+            if x.denominator != 1:
+                denom = lcm(denom, x.denominator)
+            entries.append((j, x))
+    return {j: x.numerator * (denom // x.denominator) for j, x in entries}
+
+
+def _primitive_row(row: dict[int, int]) -> dict[int, int]:
+    """Divide an integer row by the gcd of its entries."""
+    g = 0
+    for x in row.values():
+        g = gcd(g, x)
+        if g == 1:
+            return row
+    return {j: x // g for j, x in row.items()}
+
+
+def _echelon(rows, reduced: bool = False) -> dict[int, dict[int, int]]:
+    """Row echelon form of sparse integer rows, keyed by pivot column.
+
+    Each row is reduced against the pivot rows found so far, always at its
+    leading column, with the fraction-free step ``b·row - a·pivot``
+    (``a``, ``b`` the two leading entries over their gcd); a row left
+    nonzero becomes the pivot row of its leading column.  With ``reduced``,
+    every pivot column is then cleared from the other pivot rows, the last
+    pivot first, so dividing each row by its pivot gives the RREF.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = _primitive_row(row)
+                break
+            row = _cancel(row, pivot, lead)
+    if reduced:
+        for col in sorted(pivots, reverse=True):
+            pivot = pivots[col]
+            for lead, row in pivots.items():
+                if lead < col and col in row:
+                    pivots[lead] = _cancel(row, pivot, col)
+    return pivots
+
+
+def _cancel(row: dict[int, int], pivot: dict[int, int],
+            col: int) -> dict[int, int]:
+    """Primitive integer combination of ``row`` and ``pivot`` with no ``col``."""
+    a, b = row[col], pivot[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = dict(row) if b == 1 else {j: b * x for j, x in row.items()}
+    for j, x in pivot.items():
+        y = out.get(j, 0) - a * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return _primitive_row(out)
+
+
+# -- the rational interface --------------------------------------------------------
+
+
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    The result has as many rows as ``matrix``, zero rows last.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = _echelon([_integer_row(row) for row in matrix], reduced=True)
+    cols = sorted(pivots)
+    zero = Fraction(0)
+    out = []
+    for c in cols:
+        row = pivots[c]
+        lead = row[c]
+        dense = [zero] * ncols
+        for j, x in row.items():
+            dense[j] = Fraction(x, lead)
+        out.append(dense)
+    out.extend([zero] * ncols for _ in range(len(matrix) - len(cols)))
+    return out, cols
 
 
 def rank(matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(matrix)[1])
+    """Rank of a matrix; rows are sequences or sparse mappings column -> entry.
+
+    Only counts pivots, so the echelon form is not reduced.
+    """
+    return len(_echelon([_integer_row(row) for row in matrix]))
 
 
 def nullspace(matrix) -> list[list[Fraction]]:
@@ -75,19 +162,89 @@ def nullspace(matrix) -> list[list[Fraction]]:
 def solve(matrix, rhs) -> list[Fraction] | None:
     """One solution of Mx = b, or None if inconsistent."""
     if not matrix:
-        return [] if all(x == 0 for x in rhs) else None
+        return [] if all(frac(x) == 0 for x in rhs) else None
     ncols = len(matrix[0])
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    for i in range(len(red)):
-        if all(red[i][c] == 0 for c in range(ncols)) and red[i][ncols] != 0:
-            return None
+    red, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
     for i, p in enumerate(pivots):
-        if p == ncols:
-            return None
         x[p] = red[i][ncols]
     return x
+
+
+# -- Smith normal form --------------------------------------------------------------
+
+
+def smith_normal_form(matrix) -> tuple[int, ...]:
+    """Invariant factors of an integer matrix (absolute values, in order).
+
+    Pure integer arithmetic: the smallest entry is moved to the corner, its
+    row and column are cleared with unimodular (extended-gcd) row and column
+    operations, a row is folded into the corner's until the corner divides
+    every remaining entry, and the rest is reduced the same way.
+    """
+    rest = [[int(x) for x in row] for row in matrix]
+    factors = []
+    while True:
+        entries = [(abs(x), i, j) for i, row in enumerate(rest)
+                   for j, x in enumerate(row) if x]
+        if not entries:
+            return tuple(factors)
+        _, i, j = min(entries)
+        rest[0], rest[i] = rest[i], rest[0]
+        cols = [[row[c] for row in rest] for c in range(len(rest[0]))]
+        cols[0], cols[j] = cols[j], cols[0]
+        while True:
+            _clear_first(cols)  # the corner's row
+            rows = [list(r) for r in zip(*cols)]
+            _clear_first(rows)  # the corner's column
+            if not any(rows[0][1:]):
+                corner = rows[0][0]
+                bad = next((r for r in rows[1:]
+                            if any(x % corner for x in r)), None)
+                if bad is None:
+                    break
+                rows[0] = [a + b for a, b in zip(rows[0], bad)]
+            cols = [list(c) for c in zip(*rows)]
+        factors.append(abs(corner))
+        rest = [row[1:] for row in rows[1:]]
+        if not rest or not rest[0]:
+            return tuple(factors)
+
+
+def _clear_first(lines) -> None:
+    """Make ``lines[k][0]`` zero for every k >= 1, unimodularly.
+
+    Each step replaces (lines[0], lines[k]) by an integer combination of
+    determinant 1 that leaves gcd(lines[0][0], lines[k][0]) in lines[0][0].
+    """
+    head = lines[0]
+    for k in range(1, len(lines)):
+        line = lines[k]
+        a, b = head[0], line[0]
+        if b == 0:
+            continue
+        if b % a == 0:
+            q = b // a
+            lines[k] = [y - q * x for x, y in zip(head, line)]
+            continue
+        g, s, t = _xgcd(a, b)
+        a, b = a // g, b // g
+        head, lines[k] = ([s * x + t * y for x, y in zip(head, line)],
+                          [a * y - b * x for x, y in zip(head, line)])
+    lines[0] = head
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s·a + t·b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def matvec(matrix, vec):

@@ -275,7 +275,8 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     """
     mat = frac_matrix(rows)
     ncols = len(mat[0]) if mat else 0
-    d = matrix_rank(mat)
+    red, pivots = rref(mat)
+    d = len(pivots)
     cols = [[mat[i][j] for i in range(len(mat))] for j in range(ncols)]
     base_masks = []
     for combo in combinations(range(ncols), d):
@@ -284,8 +285,7 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
             base_masks.append(to_mask(c + 1 for c in combo))
     matroid = Matroid(ncols, base_masks or [0], _validated=True)
     if len(mat) != d:
-        red, _ = rref(mat)
-        mat = [row for row in red if any(x != 0 for x in row)]
+        mat = red[:d]
     realization = LinearRealization(
         matrix=tuple(tuple(row) for row in mat), matroid=matroid)
     return matroid, realization

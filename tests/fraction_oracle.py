@@ -1,0 +1,81 @@
+"""Dense Fraction Gauss–Jordan elimination: the differential oracle for
+``mfk.linalg``.
+
+This is the elimination ``mfk.linalg`` used before its integer kernel,
+kept only to check that kernel.  Every entry is coerced to a ``Fraction``
+first, so the oracle is exact on ints, Fractions and ``'p/q'`` strings.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _fractions(matrix) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in matrix]
+
+
+def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rref, pivot column indices)."""
+    m = _fractions(matrix)
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def rank(matrix) -> int:
+    if not matrix or not matrix[0]:
+        return 0
+    return len(rref(matrix)[1])
+
+
+def nullspace(matrix) -> list[list[Fraction]]:
+    """Basis of the right kernel {x : Mx = 0}."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    red, pivots = rref(matrix)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(v)
+    return basis
+
+
+def solve(matrix, rhs) -> list[Fraction] | None:
+    """One solution of Mx = b, or None if inconsistent."""
+    if not matrix:
+        return [] if all(Fraction(x) == 0 for x in rhs) else None
+    ncols = len(matrix[0])
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    red, pivots = rref(aug)
+    for i in range(len(red)):
+        if all(red[i][c] == 0 for c in range(ncols)) and red[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        if p == ncols:
+            return None
+        x[p] = red[i][ncols]
+    return x

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mfk
 from mfk.cli import JobSpec, build_parser, main, run
 
 
@@ -183,3 +185,14 @@ def test_lattice_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mu_top"] == 3
     assert payload["betti_proper_part"] == [3]
+
+
+def test_cli_import_leaves_numeric_stacks_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mfk.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, mfk.cli; print(sorted(m for m in "
+            "('numpy', 'scipy', 'sympy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

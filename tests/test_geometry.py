@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,38 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
     assert smith_normal_form([[2, 0], [0, 4]]) == (2, 4)
     assert smith_normal_form([[1, 0], [1, 1]]) == (1, 1)
+
+
+def _det(m) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _determinantal_factors(m) -> tuple[int, ...]:
+    """Invariant factors d_k / d_(k-1), d_k the gcd of the k x k minors."""
+    factors, previous = [], 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        d = 0
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                d = gcd(d, _det([[m[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return tuple(factors)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-8, 8) | st.just(0), min_size=cols, max_size=cols),
+    min_size=1, max_size=4)))
+def test_smith_normal_form_matches_determinantal_divisors(matrix):
+    assert smith_normal_form(matrix) == _determinantal_factors(matrix)
 
 
 def test_quotient_rep_canonical():

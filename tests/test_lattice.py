@@ -1,9 +1,12 @@
+import json
 from itertools import combinations
 
 import pytest
 
 from mfk.bitset import from_mask
+from mfk.cli import main
 from mfk.complexes import SimplicialComplex, reduced_homology_ranks
+from mfk.corpus import corpus
 from mfk.errors import EmptyInterval, LoopsPresent
 from mfk.lattice import (FlatLattice, flats, interval_product_check,
                          irreducible_flats, moebius, order_complex)
@@ -189,6 +192,19 @@ def test_homology_matches_mu_in_top_dim(braid_k4, braid_k4_lattice):
     mu = moebius(braid_k4.matroid, braid_k4_lattice).mu_top
     d = braid_k4.matroid.rank_d
     assert betti[d - 2] == mu == 6
+    assert all(b == 0 for i, b in enumerate(betti) if i != d - 2)
+
+
+@pytest.mark.parametrize("name", ["uniform_4_7", "uniform_4_8", "boolean_5",
+                                  "braidK5"])
+def test_lattice_homology_is_folkman_on_larger_lattices(name, capsys):
+    # Folkman: the proper part's reduced homology sits in degree r - 2, rank |mu|
+    assert main(["lattice", "--corpus", name]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    d = corpus(name).matroid.rank_d
+    betti = payload["betti_proper_part"]
+    assert len(betti) == d - 1
+    assert betti[d - 2] == abs(payload["mu_top"]) > 0
     assert all(b == 0 for i, b in enumerate(betti) if i != d - 2)
 
 
