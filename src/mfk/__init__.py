@@ -5,11 +5,10 @@ from .matroid import (ComponentPartition, LinearRealization, Matroid,
 from .lattice import (FlatLattice, MoebiusTable, flats, interval_product_check,
                       irreducible_flats, moebius, order_complex)
 from .complexes import SimplicialComplex, reduced_homology_ranks
-from .geometry import (Cone, Fan, FaceLattice, QuotientVector,
-                       RationalPolytope, cone_contains, cone_subset,
-                       cone_unimodular, convex_hull, face_lattice,
-                       minkowski_sum, quotient_ray, quotient_rep,
-                       smith_normal_form)
+from .geometry import (Cone, Fan, FaceLattice, RationalPolytope,
+                       cone_contains, cone_subset, cone_unimodular,
+                       convex_hull, face_lattice, minkowski_sum,
+                       quotient_ray, quotient_rep, smith_normal_form)
 from .polytope import (ConstancyChain, Degeneration, FacetDescription,
                        constancy_chain, degeneration, dual_reflection_check,
                        face_matroid, facets, polytope)

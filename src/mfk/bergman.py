@@ -15,16 +15,11 @@ from fractions import Fraction
 
 from .bitset import from_mask, to_mask
 from .errors import LoopsPresent, SingularSample
-from .geometry import Cone, cone_contains, irredundant_rays
+from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
-from .linalg import frac, nullspace, rank as matrix_rank
+from .linalg import frac, nullspace, primitive_integer, rank as matrix_rank
 from .matroid import LinearRealization, Matroid, from_matrix
 from .polytope import constancy_chain
-
-
-def _flat_vector(n: int, flat) -> tuple[int, ...]:
-    mask = to_mask(flat)
-    return tuple(1 if mask & (1 << (i - 1)) else 0 for i in range(1, n + 1))
 
 
 def bergman_membership(matroid: Matroid, w) -> bool:
@@ -38,44 +33,46 @@ def bergman_membership(matroid: Matroid, w) -> bool:
     return all(matroid.closure_mask(m) == m for m in chain.masks())
 
 
+def _basis_weights(matroid: Matroid, w) -> dict[int, int]:
+    """Weight of every basis under w, in integers.
+
+    w is first scaled to a primitive integer vector; a positive scaling
+    leaves the set of w-maximal bases unchanged.
+    """
+    ints = primitive_integer(w, sign_first_positive=False)
+    return {b: sum(ints[i] for i in range(matroid.n) if b & (1 << i))
+            for b in matroid.base_masks}
+
+
 @dataclass(frozen=True)
-class BergmanFan:
+class BergmanFan(Fan):
     """Fine flag cones grouped into the coarse Bergman fan.
 
     ``fine_chains[i]`` is a maximal chain of proper flats; ``groups[g]``
     lists the fine indices whose interior weights share one degeneration
-    base-set ``group_bases[g]``; ``coarse_cones[g]`` carries the
-    irredundant ray generators of the union.
+    base-set ``group_bases[g]``; ``cones[g]`` carries the irredundant ray
+    generators of the union, the coarse cone of the group.
     """
 
     matroid: Matroid
     fine_chains: tuple[tuple[frozenset[int], ...], ...]
     groups: tuple[tuple[int, ...], ...]
     group_bases: tuple[tuple[frozenset[int], ...], ...]
-    coarse_cones: tuple[Cone, ...]
-
-    @property
-    def n(self) -> int:
-        return self.matroid.n
-
-    def rays(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({r for c in self.coarse_cones for r in c.rays}))
 
     def contains(self, w) -> bool:
         return bergman_membership(self.matroid, w)
 
+    def cone_contains(self, i: int, w) -> bool:
+        return self.coarse_contains(i, w)
+
     def coarse_contains(self, group_index: int, w) -> bool:
         """Closed-cone membership: the group's bases are all w-maximal."""
-        weights = [frac(x) for x in w]
-        cost = {}
-        for b in self.matroid.base_masks:
-            cost[b] = sum(weights[i] for i in range(self.matroid.n)
-                          if b & (1 << i))
+        cost = _basis_weights(self.matroid, w)
         best = max(cost.values())
         return all(cost[to_mask(b)] == best for b in self.group_bases[group_index])
 
     def any_coarse_contains(self, w) -> bool:
-        return any(self.coarse_contains(g, w) for g in range(len(self.groups)))
+        return super().contains(w)
 
 
 def _maximal_proper_flag_masks(lattice: FlatLattice) -> list[tuple[int, ...]]:
@@ -114,8 +111,7 @@ def bergman_fan(matroid: Matroid,
             for i in range(n):
                 if f & (1 << i):
                     w[i] += 1
-        cost = {b: sum(w[i] for i in range(n) if b & (1 << i))
-                for b in matroid.base_masks}
+        cost = _basis_weights(matroid, w)
         best = max(cost.values())
         argmax = tuple(sorted(b for b, c in cost.items() if c == best))
         groups.setdefault(argmax, []).append(idx)
@@ -132,25 +128,11 @@ def bergman_fan(matroid: Matroid,
         group_list.append(members)
         base_list.append(tuple(from_mask(b) for b in bases))
         cones.append(Cone(rays=rays))
-    fan = BergmanFan(matroid=matroid,
-                     fine_chains=tuple(tuple(from_mask(f) for f in flag)
-                                       for flag in flags),
-                     groups=tuple(group_list),
-                     group_bases=tuple(base_list),
-                     coarse_cones=tuple(cones))
-    _convexity_diagnostic(fan)
-    return fan
-
-
-def _convexity_diagnostic(fan: BergmanFan) -> None:
-    """Each group's flag rays must lie in the hull of its reduced rays."""
-    for g, members in enumerate(fan.groups):
-        cone = fan.coarse_cones[g]
-        for i in members:
-            for flat in fan.fine_chains[i]:
-                vec = _flat_vector(fan.n, flat)
-                assert cone_contains(cone, vec), (
-                    f"group {g} is not convex at ray {vec}")
+    return BergmanFan(n=n, cones=tuple(cones), matroid=matroid,
+                      fine_chains=tuple(tuple(from_mask(f) for f in flag)
+                                        for flag in flags),
+                      groups=tuple(group_list),
+                      group_bases=tuple(base_list))
 
 
 # -- initial degenerations ------------------------------------------------------
@@ -263,7 +245,7 @@ def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
     from scipy.optimize import nnls
 
     cones = []
-    for cone in fan.coarse_cones:
+    for cone in fan.cones:
         if cone.rays:
             mat = np.array([[float(x) for x in r] for r in cone.rays]).T
             mat = mat - mat.mean(axis=0, keepdims=True)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .corpus import corpus as corpus_entry, corpus_names
@@ -49,7 +50,6 @@ class JobSpec:
     t: float = 1000.0
     count: int = 100
     seed: int = 0
-    options: dict = field(default_factory=dict)
 
 
 def _load_json(path: str) -> dict:
@@ -222,6 +222,19 @@ def _source_of(args) -> tuple[str, object]:
     return "corpus", args.corpus
 
 
+def _checked(convert, valid, requirement: str):
+    """argparse type: convert the text, then reject values out of range."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfk",
@@ -245,15 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--u", required=True, metavar="W",
                            help="comma-separated weight entries, e.g. 1,0,-2")
         if name == "bergman":
-            p.add_argument("--grid", type=int, metavar="K",
+            p.add_argument("--grid", metavar="K",
+                           type=_checked(int, lambda k: k >= 0,
+                                         "must be an integer >= 0"),
                            help="verify support equality on the grid {-K..K}^n")
         if name == "nested":
             p.add_argument("--building", default="min",
                            help="min, max, or a JSON file of flats")
         if name == "amoeba":
-            p.add_argument("--t", type=float, default=1000.0,
+            p.add_argument("--t", default=1000.0,
+                           type=_checked(float,
+                                         lambda t: math.isfinite(t) and t > 1,
+                                         "must be a finite number > 1"),
                            help="logarithm base")
-            p.add_argument("--count", type=int, default=100,
+            p.add_argument("--count", default=100,
+                           type=_checked(int, lambda k: k >= 1,
+                                         "must be an integer >= 1"),
                            help="number of sampled points")
             p.add_argument("--seed", type=int, default=0,
                            help="random seed")

@@ -58,6 +58,14 @@ class NotFlats(MfkError):
     """Input sets are not all flats of the matroid."""
 
 
+class NotNested(MfkError):
+    """Given flat collection is not a nested set of the building set."""
+
+
+class NotACircuit(MfkError):
+    """Given element set is not a circuit of the realization."""
+
+
 class InvalidBuildingSet(MfkError):
     """Given flat collection is not a building set."""
 

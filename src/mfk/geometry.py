@@ -40,19 +40,9 @@ def quotient_coordinates(vec) -> tuple[int, ...]:
     return tuple(x - ints[-1] for x in ints[:-1])
 
 
-@dataclass(frozen=True)
-class QuotientVector:
-    """A class in Z^n / Z·e, stored by its canonical representative."""
-
-    rep: tuple[int, ...]
-
-    @staticmethod
-    def of(vec) -> "QuotientVector":
-        return QuotientVector(rep=quotient_rep(vec))
-
-    @staticmethod
-    def ray(vec) -> "QuotientVector":
-        return QuotientVector(rep=quotient_ray(vec))
+def _flat_vector(n: int, flat) -> tuple[int, ...]:
+    """Indicator vector in Z^n of a set of 1-based elements."""
+    return tuple(1 if i in flat else 0 for i in range(1, n + 1))
 
 
 # -- cones and fans ------------------------------------------------------------
@@ -70,21 +60,9 @@ class Cone:
                        if any(quotient_rep(v))})
         return Cone(rays=tuple(rays))
 
-    @property
-    def dim_ambient(self) -> int:
-        return len(self.rays[0]) if self.rays else 0
-
-    def is_simplicial(self) -> bool:
-        if not self.rays:
-            return True
-        coords = [list(quotient_coordinates(r)) for r in self.rays]
-        return rank([[Fraction(x) for x in row] for row in coords]) == len(self.rays)
-
 
 def cone_contains(cone: Cone, vec) -> bool:
     """Exact membership: is vec a nonnegative combination of rays modulo e?"""
-    if isinstance(vec, QuotientVector):
-        vec = vec.rep
     target = [frac(x) for x in vec]
     n = len(target)
     if not cone.rays:
@@ -116,7 +94,13 @@ def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Fan:
-    """A fan given by its maximal cones; face closure is left implicit."""
+    """A fan given by its maximal cones; face closure is left implicit.
+
+    ``cone_contains(i, w)`` decides whether the i-th maximal cone contains
+    ``w``.  Here it is the exact LP test; a fan that knows a combinatorial
+    rule for its own cones overrides it, and every fan comparison goes
+    through it.
+    """
 
     n: int
     cones: tuple[Cone, ...]
@@ -124,29 +108,12 @@ class Fan:
     def rays(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({r for c in self.cones for r in c.rays}))
 
+    def cone_contains(self, i: int, vec) -> bool:
+        return cone_contains(self.cones[i], vec)
+
     def contains(self, vec) -> bool:
-        return any(cone_contains(c, vec) for c in self.cones)
-
-    def intersection_diagnostic(self) -> list[tuple[int, int]]:
-        """Pairs of maximal cones whose shared rays look non-facial.
-
-        A listed ray of one cone lying inside another cone without being one
-        of its rays signals a non-face intersection.  Heuristic report only.
-        """
-        bad = []
-        for i, c1 in enumerate(self.cones):
-            for j in range(i + 1, len(self.cones)):
-                c2 = self.cones[j]
-                for r in c1.rays:
-                    if r not in c2.rays and cone_contains(c2, r):
-                        bad.append((i, j))
-                        break
-                else:
-                    for r in c2.rays:
-                        if r not in c1.rays and cone_contains(c1, r):
-                            bad.append((i, j))
-                            break
-        return bad
+        """Support membership: some maximal cone contains vec."""
+        return any(self.cone_contains(i, vec) for i in range(len(self.cones)))
 
 
 def cone_unimodular(cone: Cone, n: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bergman import AmoebaSample, BergmanFan
-from .geometry import FaceLattice, RationalPolytope
+from .geometry import FaceLattice, Fan, RationalPolytope
 from .lattice import FlatLattice
 from .linalg import frac
 from .matroid import LinearRealization, Matroid, from_bases, from_matrix
@@ -128,19 +128,19 @@ def degeneration_from_json(data: dict):
 # -- fans --------------------------------------------------------------------------
 
 
-def _fan_payload(n: int, cones) -> dict:
-    rays = sorted({r for c in cones for r in c.rays})
+def _fan_payload(fan: Fan) -> dict:
+    rays = fan.rays()
     index = {r: i for i, r in enumerate(rays)}
     return {
-        "n": n,
+        "n": fan.n,
         "rays": [list(r) for r in rays],
         "maximal_cones": sorted(sorted(index[r] for r in c.rays)
-                                for c in cones),
+                                for c in fan.cones),
     }
 
 
 def bergman_to_json(fan: BergmanFan) -> dict:
-    data = _fan_payload(fan.n, fan.coarse_cones)
+    data = _fan_payload(fan)
     data["fine_cones"] = [[sorted(f) for f in chain]
                           for chain in fan.fine_chains]
     data["coarse_groups"] = [sorted(g) for g in fan.groups]
@@ -149,7 +149,7 @@ def bergman_to_json(fan: BergmanFan) -> dict:
 
 
 def nested_fan_to_json(fan: NestedFan) -> dict:
-    data = _fan_payload(fan.n, fan.cones)
+    data = _fan_payload(fan)
     data["nested_sets"] = [_sorted_sets(s) for s in fan.nested_sets]
     return data
 

@@ -264,11 +264,9 @@ def primitive_integer(vec, sign_first_positive: bool = True) -> list[int]:
     With ``sign_first_positive`` the first nonzero entry is made positive.
     The zero vector is returned unchanged.
     """
-    fracs = [frac(x) for x in vec]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
+    fracs = [x if isinstance(x, int) else frac(x) for x in vec]
+    denom = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (denom // x.denominator) for x in fracs]
     g = content(ints)
     if g == 0:
         return ints

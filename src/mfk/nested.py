@@ -1,22 +1,25 @@
 """Building sets, nested-set complexes and fans, and fan comparisons.
 
 Flats are frozensets of 1-based elements; a nested set is a frozenset of
-flats validated against its building set.  Fans expose their maximal cones,
-and refinement questions reduce to exact cone membership of generators.
+flats validated against its building set.  Every fan is a ``geometry.Fan``
+that decides membership in its own maximal cones, and refinement questions
+reduce to that membership for ray generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .bitset import from_mask, popcount, to_mask
 from .complexes import SimplicialComplex
 from .errors import (InvalidBuildingSet, NotAChain, NotFlats,
-                     NotLinearExtension)
-from .geometry import Cone, RationalPolytope, cone_contains, convex_hull, \
+                     NotLinearExtension, NotNested)
+from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull, \
     minkowski_sum
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
+from .linalg import frac, rank, solve
 from .matroid import Matroid
 
 from fractions import Fraction
@@ -178,57 +181,34 @@ def nested_complex_reduced(building: BuildingSet) -> SimplicialComplex:
 # -- nested fans ------------------------------------------------------------------
 
 
-def _flat_vector(n: int, flat) -> tuple[int, ...]:
-    mask = to_mask(flat)
-    return tuple(1 if mask & (1 << (i - 1)) else 0 for i in range(1, n + 1))
-
-
 @dataclass(frozen=True, eq=False)
-class NestedFan:
+class NestedFan(Fan):
     """One simplicial cone per maximal nested set, spanned by flat indicators."""
 
     matroid: Matroid
     building: BuildingSet
     nested_sets: tuple[frozenset[frozenset[int]], ...]
-    cones: tuple[Cone, ...]
 
-    @property
-    def n(self) -> int:
-        return self.matroid.n
+    def cone_contains(self, i: int, vec) -> bool:
+        """Exact membership in the i-th cone.
 
-    def rays(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({r for c in self.cones for r in c.rays}))
-
-    def contains(self, vec) -> bool:
-        """Exact support membership.
-
-        Cones are simplicial, so membership is a single linear solve; a
-        support test on the shifted vector prunes most cones first.
+        The cone is simplicial, so membership is a single linear solve.
+        Most cones are ruled out first: modulo the all-ones vector, a point
+        of the cone takes its minimum at every coordinate its rays miss.
         """
-        from .linalg import frac, rank, solve
-        w = [frac(x) for x in vec]
-        low = min(w) if w else 0
-        shifted_support = {i for i, x in enumerate(w) if x != low}
-        for cone in self.cones:
-            union = set()
-            for r in cone.rays:
-                union |= {i for i, x in enumerate(r) if x}
-            if not shifted_support <= union:
-                continue
-            columns = [list(r) for r in cone.rays] + [[1] * len(w)]
-            system = [[frac(columns[j][i]) for j in range(len(columns))]
-                      for i in range(len(w))]
-            if rank(system) < len(columns):
-                # degenerate cone (disconnected matroid); decide by LP
-                if cone_contains(cone, vec):
-                    return True
-                continue
-            solution = solve(system, w)
-            if solution is None:
-                continue
-            if all(solution[j] >= 0 for j in range(len(cone.rays))):
-                return True
-        return False
+        cone = self.cones[i]
+        w = [x if isinstance(x, int) else frac(x) for x in vec]
+        low = min(w, default=0)
+        if not all(any(r[j] for r in cone.rays)
+                   for j, x in enumerate(w) if x != low):
+            return False
+        system = list(zip(*cone.rays, [1] * len(w)))
+        if rank(system) <= len(cone.rays):
+            # degenerate cone (disconnected matroid); decide by LP
+            return super().cone_contains(i, vec)
+        solution = solve(system, w)
+        return (solution is not None
+                and all(solution[j] >= 0 for j in range(len(cone.rays))))
 
 
 def nested_fan(matroid: Matroid, building: BuildingSet) -> NestedFan:
@@ -238,38 +218,36 @@ def nested_fan(matroid: Matroid, building: BuildingSet) -> NestedFan:
     sets = sorted(sets, key=key)
     cones = tuple(Cone.over([_flat_vector(matroid.n, f) for f in s])
                   for s in sets)
-    return NestedFan(matroid=matroid, building=building,
-                     nested_sets=tuple(sets), cones=cones)
+    return NestedFan(n=matroid.n, cones=cones, matroid=matroid,
+                     building=building, nested_sets=tuple(sets))
 
 
 # -- fan comparison ----------------------------------------------------------------
 
 
-def _max_cones(fan) -> tuple[Cone, ...]:
-    if hasattr(fan, "coarse_cones"):
-        return fan.coarse_cones
-    return fan.cones
+def _uncovered_cone(fan_a: Fan, fan_b: Fan) -> Cone | None:
+    """First maximal cone of fan_a inside no single maximal cone of fan_b.
+
+    A cone lies inside another exactly when all its rays do; fan_b decides
+    each (cone, ray) membership once, by its own rule.
+    """
+    inside = cache(fan_b.cone_contains)
+    for cone in fan_a.cones:
+        if not any(all(inside(j, r) for r in cone.rays)
+                   for j in range(len(fan_b.cones))):
+            return cone
+    return None
 
 
-def refines(fan_a, fan_b) -> bool:
+def refines(fan_a: Fan, fan_b: Fan) -> bool:
     """Is every maximal cone of fan_a inside some single cone of fan_b?"""
-    for cone in _max_cones(fan_a):
-        if not any(all(cone_contains(big, r) for r in cone.rays)
-                   for big in _max_cones(fan_b)):
-            return False
-    return True
+    return _uncovered_cone(fan_a, fan_b) is None
 
 
-def _support_contains(fan, vec) -> bool:
-    return any(cone_contains(c, vec) for c in _max_cones(fan))
-
-
-def supports_equal_on_generators(fan_a, fan_b) -> bool:
+def supports_equal_on_generators(fan_a: Fan, fan_b: Fan) -> bool:
     """Symmetric containment of all ray generators in the opposite support."""
-    rays_a = {r for c in _max_cones(fan_a) for r in c.rays}
-    rays_b = {r for c in _max_cones(fan_b) for r in c.rays}
-    return (all(_support_contains(fan_b, r) for r in rays_a)
-            and all(_support_contains(fan_a, r) for r in rays_b))
+    return (all(fan_b.contains(r) for r in fan_a.rays())
+            and all(fan_a.contains(r) for r in fan_b.rays()))
 
 
 @dataclass(frozen=True)
@@ -280,20 +258,21 @@ class FanComparison:
     witness: str | None
 
 
-def compare_fans(fan_a, fan_b) -> FanComparison:
-    ab = refines(fan_a, fan_b)
-    ba = refines(fan_b, fan_a)
+def compare_fans(fan_a: Fan, fan_b: Fan) -> FanComparison:
+    """Refinement both ways; the witness is the first uncovered cone."""
+    uncovered_ab = _uncovered_cone(fan_a, fan_b)
+    uncovered_ba = _uncovered_cone(fan_b, fan_a)
     witness = None
-    if not (ab and ba):
-        direction = "a into b" if not ab else "b into a"
-        bad_fan, other = (fan_a, fan_b) if not ab else (fan_b, fan_a)
-        for cone in _max_cones(bad_fan):
-            if not any(all(cone_contains(big, r) for r in cone.rays)
-                       for big in _max_cones(other)):
-                witness = f"cone with rays {list(cone.rays)} not contained ({direction})"
-                break
-    return FanComparison(refines_ab=ab, refines_ba=ba,
-                         equal=ab and ba, witness=witness)
+    for cone, direction in ((uncovered_ab, "a into b"),
+                            (uncovered_ba, "b into a")):
+        if cone is not None:
+            witness = (f"cone with rays {list(cone.rays)} "
+                       f"not contained ({direction})")
+            break
+    return FanComparison(refines_ab=uncovered_ab is None,
+                         refines_ba=uncovered_ba is None,
+                         equal=uncovered_ab is None and uncovered_ba is None,
+                         witness=witness)
 
 
 @dataclass(frozen=True)
@@ -332,10 +311,10 @@ def fans_equal_condition(matroid: Matroid,
 # -- nested set structure ------------------------------------------------------------
 
 
-def _validate_nested_input(building: BuildingSet, subset) -> list[int]:
-    masks = [to_mask(s) for s in subset]
-    assert is_nested(building, subset), "input is not a nested set"
-    return masks
+def _validate_nested_input(building: BuildingSet, subset) -> None:
+    if not is_nested(building, subset):
+        raise NotNested(f"{sorted(map(sorted, subset))} is not a nested set "
+                        "of the building set")
 
 
 def blocks_partition(building: BuildingSet, nested_set,

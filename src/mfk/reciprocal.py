@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import LoopsPresent
+from .errors import LoopsPresent, NotACircuit
 from .linalg import nullspace, primitive_integer, rank as matrix_rank
 from .matroid import LinearRealization
 
@@ -39,7 +39,8 @@ def circuit_dependency(realization: LinearRealization,
     matrix = [[realization.matrix[r][e - 1] for e in elems]
               for r in range(realization.nrows)]
     kernel = nullspace(matrix)
-    assert len(kernel) == 1, f"{elems} is not a circuit of the realization"
+    if len(kernel) != 1:
+        raise NotACircuit(f"{elems} is not a circuit of the realization")
     ints = primitive_integer(kernel[0])
     return {e: c for e, c in zip(elems, ints)}
 

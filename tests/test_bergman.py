@@ -10,6 +10,7 @@ from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
 from mfk.errors import LoopsPresent
+from mfk.geometry import cone_contains
 from mfk.lattice import moebius, order_complex
 from mfk.linalg import rref
 from mfk.matroid import from_matrix, uniform
@@ -45,7 +46,7 @@ def test_membership_requires_loop_free():
 
 def test_bergman_fan_u24_four_rays(u24):
     fan = bergman_fan(u24.matroid)
-    assert len(fan.coarse_cones) == 4
+    assert len(fan.cones) == 4
     assert fan.rays() == ((0, 0, 0, 1), (0, 0, 1, 0),
                           (0, 1, 0, 0), (1, 0, 0, 0))
 
@@ -53,13 +54,13 @@ def test_bergman_fan_u24_four_rays(u24):
 def test_bergman_fan_dela3_complex(dela3, dela3_lattice):
     fan = bergman_fan(dela3.matroid, dela3_lattice)
     assert len(fan.fine_chains) == 14
-    assert len(fan.coarse_cones) == 9
+    assert len(fan.cones) == 9
     # vertex set: the six facet flats; the e_1 direction and the pair
     # directions are interior to higher cones
     ray_flats = sorted(tuple(sorted(i + 1 for i, x in enumerate(r) if x))
                        for r in fan.rays())
     assert ray_flats == [(1, 2, 4), (1, 3, 5), (2,), (3,), (4,), (5,)]
-    edges = sorted(_flat_pairs(c) for c in fan.coarse_cones)
+    edges = sorted(_flat_pairs(c) for c in fan.cones)
     assert edges == [
         ((1, 2, 4), (1, 3, 5)), ((1, 2, 4), (2,)), ((1, 2, 4), (4,)),
         ((1, 3, 5), (3,)), ((1, 3, 5), (5,)),
@@ -69,12 +70,26 @@ def test_bergman_fan_dela3_complex(dela3, dela3_lattice):
 def test_bergman_fan_uniform_coordinate_cones():
     for d, n in [(2, 4), (3, 5), (2, 5), (4, 5)]:
         fan = bergman_fan(uniform(d, n))
-        assert len(fan.coarse_cones) == len(
+        assert len(fan.cones) == len(
             list(combinations(range(n), d - 1)))
-        for cone in fan.coarse_cones:
+        for cone in fan.cones:
             flats = _flat_pairs(cone)
             assert all(len(f) == 1 for f in flats)
             assert len(flats) == d - 1
+
+
+@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "braidK5",
+                                  "uniform_3_6"])
+def test_flag_rays_lie_in_their_coarse_cone(name):
+    # the irredundant rays of a group span every flag ray of the group
+    fan = bergman_fan(corpus(name).matroid)
+    for g, members in enumerate(fan.groups):
+        for i in members:
+            for flat in fan.fine_chains[i]:
+                vec = tuple(1 if e in flat else 0
+                            for e in range(1, fan.n + 1))
+                assert cone_contains(fan.cones[g], vec), (g, vec)
+                assert fan.coarse_contains(g, vec), (g, vec)
 
 
 def test_bergman_support_equals_coarse_union(u24, dela3):

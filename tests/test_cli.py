@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,43 @@ def test_conflicting_inputs_exit_two():
 def test_missing_command_exit_two():
     result = _run_cli([])
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["bergman", "--corpus", "u24", "--grid", "-1"],
+    ["bergman", "--corpus", "u24", "--grid", "1.5"],
+    ["amoeba", "--corpus", "u23", "--count", "-3"],
+    ["amoeba", "--corpus", "u23", "--count", "0"],
+    ["amoeba", "--corpus", "u23", "--t", "0.5"],
+    ["amoeba", "--corpus", "u23", "--t", "1"],
+    ["amoeba", "--corpus", "u23", "--t", "inf"],
+    ["amoeba", "--corpus", "u23", "--t", "nan"],
+    ["amoeba", "--corpus", "u23", "--t", "x"],
+])
+def test_bad_numeric_flag_exits_two(args):
+    result = _run_cli(args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"argument {args[-2]}" in result.stderr
+
+
+# sha256 of the stdout bytes, recorded before the flags were range-checked
+@pytest.mark.parametrize("args,digest", [
+    (["bergman", "--corpus", "u24"],
+     "d33bae597021e97d376e4ba27d62d9f92e48bdd5c7eaf4505a111bc2e661c845"),
+    (["bergman", "--corpus", "u24", "--grid", "0"],
+     "d33bae597021e97d376e4ba27d62d9f92e48bdd5c7eaf4505a111bc2e661c845"),
+    (["bergman", "--corpus", "delA3", "--grid", "1"],
+     "0b5c15f67f062fb29d5b7e4c802a9d4b2065fe83acb1447f9a35da202039598f"),
+    (["amoeba", "--corpus", "u23", "--count", "1", "--t", "1.5",
+      "--seed", "3"],
+     "0ca5816c96c40d85709c2c1de309f4bc888efbe08f82dc3b9b604003c1854d87"),
+])
+def test_valid_numeric_flags_keep_their_bytes(args, digest):
+    result = _run_cli(args)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_output_file_atomic_write(tmp_path, dela3_matrix_file):

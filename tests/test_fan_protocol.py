@@ -1,0 +1,120 @@
+"""The fan protocol against the generic LP membership oracle.
+
+Every fan decides membership in its own maximal cones (``cone_contains``):
+the Bergman fan by maximal bases, the nested fan by one linear solve.
+``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
+that rule only; here they are checked against references that test each ray
+with ``geometry.cone_contains``, the exact LP.
+"""
+
+from functools import cache
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfk import geometry
+from mfk.bergman import bergman_fan
+from mfk.corpus import corpus
+from mfk.geometry import cone_contains
+from mfk.lattice import FlatLattice
+from mfk.matroid import direct_sum, uniform
+from mfk.nested import (compare_fans, max_building, min_building, nested_fan,
+                        refines, supports_equal_on_generators)
+
+# U_{n,n}, boolean_3/4 and the direct sums are disconnected: their
+# degenerate nested cones go to the LP; in the sums such a cone holds a line
+# but is not the whole space.
+MATROIDS = {
+    **{f"U_{d},{n}": (lambda d=d, n=n: uniform(d, n))
+       for n in range(1, 7) for d in range(1, n + 1)},
+    **{name: (lambda name=name: corpus(name).matroid)
+       for name in ("u24", "delA3", "braidK4", "boolean_3", "boolean_4")},
+    "U_2,3+U_1,1": lambda: direct_sum(uniform(2, 3), uniform(1, 1)),
+    "U_2,3+U_2,3": lambda: direct_sum(uniform(2, 3), uniform(2, 3)),
+}
+
+
+def _fans(matroid):
+    lattice = FlatLattice(matroid)
+    return {"min": nested_fan(matroid, min_building(lattice)),
+            "max": nested_fan(matroid, max_building(lattice)),
+            "bergman": bergman_fan(matroid, lattice)}
+
+
+def _lp_oracle(fan):
+    """(i, w) -> is w in the i-th cone of fan, by LP; each pair asked once."""
+    return cache(lambda i, w: cone_contains(fan.cones[i], w))
+
+
+def _lp_uncovered(fan_a, fan_b, inside_b):
+    """First cone of fan_a in no single cone of fan_b."""
+    for cone in fan_a.cones:
+        if not any(all(inside_b(j, r) for r in cone.rays)
+                   for j in range(len(fan_b.cones))):
+            return cone
+    return None
+
+
+def _lp_covers_rays(fan_a, fan_b, inside_b):
+    """Does the support of fan_b contain every ray of fan_a?"""
+    return all(any(inside_b(j, r) for j in range(len(fan_b.cones)))
+               for r in fan_a.rays())
+
+
+@pytest.mark.parametrize("name", list(MATROIDS))
+def test_protocol_matches_lp_oracle(name):
+    fans = _fans(MATROIDS[name]())
+    oracle = {key: _lp_oracle(fan) for key, fan in fans.items()}
+    for key_a, key_b in permutations(fans, 2):
+        fan_a, fan_b = fans[key_a], fans[key_b]
+        bad_ab = _lp_uncovered(fan_a, fan_b, oracle[key_b])
+        bad_ba = _lp_uncovered(fan_b, fan_a, oracle[key_a])
+        assert refines(fan_a, fan_b) == (bad_ab is None), (key_a, key_b)
+        cmp = compare_fans(fan_a, fan_b)
+        assert (cmp.refines_ab, cmp.refines_ba, cmp.equal) == (
+            bad_ab is None, bad_ba is None, bad_ab is None and bad_ba is None)
+        if bad_ab is not None:
+            expected = (f"cone with rays {list(bad_ab.rays)} "
+                        "not contained (a into b)")
+        elif bad_ba is not None:
+            expected = (f"cone with rays {list(bad_ba.rays)} "
+                        "not contained (b into a)")
+        else:
+            expected = None
+        assert cmp.witness == expected, (key_a, key_b)
+        assert supports_equal_on_generators(fan_a, fan_b) == (
+            _lp_covers_rays(fan_a, fan_b, oracle[key_b])
+            and _lp_covers_rays(fan_b, fan_a, oracle[key_a]))
+
+
+@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "U_3,6"])
+def test_connected_comparison_solves_no_lp(name, monkeypatch):
+    fans = _fans(MATROIDS[name]())  # bergman_fan itself still uses the LP
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("fan comparison called the LP")
+
+    monkeypatch.setattr(geometry, "lp_feasible", no_lp)
+    for fan_a, fan_b in permutations(fans.values(), 2):
+        compare_fans(fan_a, fan_b)
+        supports_equal_on_generators(fan_a, fan_b)
+
+
+@cache
+def _cached_fans(name):
+    return tuple(_fans(MATROIDS[name]()).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["U_2,3", "U_2,5", "U_3,5", "u24", "delA3", "braidK4",
+                        "boolean_3", "U_2,3+U_1,1", "U_2,3+U_2,3"]),
+       st.data())
+def test_cone_rules_match_lp_on_random_weights(name, data):
+    fans = _cached_fans(name)
+    n = fans[0].n
+    w = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for fan in fans:
+        for i, cone in enumerate(fan.cones):
+            assert fan.cone_contains(i, w) == cone_contains(cone, w), (i, w)

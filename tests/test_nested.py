@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
+
+import mfk
 
 from mfk.bergman import bergman_fan, bergman_membership
 from mfk.errors import (InvalidBuildingSet, NotAChain, NotFlats,
@@ -270,6 +275,40 @@ def test_blocks_rejects_bad_extension(dela3_lattice):
         blocks_partition(gmin, s, extension=[s[2], s[1], s[0]])
     with pytest.raises(NotLinearExtension):
         blocks_partition(gmin, s, extension=[s[0], s[1]])
+
+
+_VALIDATION_PROBE = """
+from mfk.corpus import corpus
+from mfk.errors import MfkError
+from mfk.lattice import FlatLattice
+from mfk.nested import blocks_partition, min_building, nested_chain_helpers
+from mfk.reciprocal import circuit_dependency
+building = min_building(FlatLattice(corpus("delA3").matroid))
+not_nested = [frozenset({1}), frozenset({2})]  # join {1,2,4} is a member
+u24 = corpus("u24").realization
+for call in (lambda: blocks_partition(building, not_nested),
+             lambda: nested_chain_helpers(building, not_nested),
+             lambda: circuit_dependency(u24, {1, 2}),
+             lambda: circuit_dependency(u24, {1, 2, 3, 4})):
+    try:
+        call()
+    except MfkError as err:
+        print(type(err).__name__)
+    else:
+        print("accepted")
+"""
+
+
+def test_input_validation_holds_under_optimize():
+    # python -O strips assert statements; validation must not rely on them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mfk.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", _VALIDATION_PROBE],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["NotNested", "NotNested",
+                                   "NotACircuit", "NotACircuit"]
 
 
 def test_nested_chain_helpers(dela3_lattice):
