@@ -17,9 +17,9 @@ from .bitset import from_mask, to_mask
 from .errors import LoopsPresent, SingularSample
 from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
-from .linalg import frac, nullspace, primitive_integer, rank as matrix_rank
+from .linalg import frac, nullspace, rank as matrix_rank
 from .matroid import LinearRealization, Matroid, from_matrix
-from .polytope import constancy_chain
+from .polytope import constancy_chain, degeneration, heaviest_bases
 
 
 def bergman_membership(matroid: Matroid, w) -> bool:
@@ -31,17 +31,6 @@ def bergman_membership(matroid: Matroid, w) -> bool:
         raise LoopsPresent("Bergman membership needs a loop-free matroid")
     chain = constancy_chain([-frac(x) for x in w])
     return all(matroid.closure_mask(m) == m for m in chain.masks())
-
-
-def _basis_weights(matroid: Matroid, w) -> dict[int, int]:
-    """Weight of every basis under w, in integers.
-
-    w is first scaled to a primitive integer vector; a positive scaling
-    leaves the set of w-maximal bases unchanged.
-    """
-    ints = primitive_integer(w, sign_first_positive=False)
-    return {b: sum(ints[i] for i in range(matroid.n) if b & (1 << i))
-            for b in matroid.base_masks}
 
 
 @dataclass(frozen=True)
@@ -67,9 +56,9 @@ class BergmanFan(Fan):
 
     def coarse_contains(self, group_index: int, w) -> bool:
         """Closed-cone membership: the group's bases are all w-maximal."""
-        cost = _basis_weights(self.matroid, w)
-        best = max(cost.values())
-        return all(cost[to_mask(b)] == best for b in self.group_bases[group_index])
+        heaviest = heaviest_bases(self.matroid, w)
+        return all(to_mask(b) in heaviest
+                   for b in self.group_bases[group_index])
 
     def any_coarse_contains(self, w) -> bool:
         return super().contains(w)
@@ -111,10 +100,8 @@ def bergman_fan(matroid: Matroid,
             for i in range(n):
                 if f & (1 << i):
                     w[i] += 1
-        cost = _basis_weights(matroid, w)
-        best = max(cost.values())
-        argmax = tuple(sorted(b for b, c in cost.items() if c == best))
-        groups.setdefault(argmax, []).append(idx)
+        heaviest = tuple(sorted(heaviest_bases(matroid, w)))
+        groups.setdefault(heaviest, []).append(idx)
 
     order = sorted(groups, key=lambda bs: (len(groups[bs]), bs))
     group_list: list[tuple[int, ...]] = []
@@ -188,7 +175,6 @@ def initial_subspace(realization: LinearRealization, u) -> LinearRealization:
 
 def check_prop_grob(realization: LinearRealization, u) -> bool:
     """Degeneration matroid equals the matroid of the initial subspace."""
-    from .polytope import degeneration
     limit = initial_subspace(realization, u)
     expected = degeneration(realization.matroid, [frac(x) for x in u]).matroid_u
     return limit.matroid == expected

@@ -95,6 +95,4 @@ def reduced_homology_ranks(complex_: SimplicialComplex) -> tuple[list[int], int]
         ranks.append(matrix_rank(mat))
     ranks.append(0)
     betti = [dims[k] - ranks[k] - ranks[k + 1] for k in range(len(levels))]
-    euler = complex_.reduced_euler_characteristic()
-    assert euler == sum((-1) ** k * b for k, b in enumerate(betti))
-    return betti, euler
+    return betti, sum((-1) ** k * dims[k] for k in range(len(dims))) - 1

@@ -8,7 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import UnknownName
-from .matroid import LinearRealization, Matroid, from_matrix
+from .matroid import (LinearRealization, Matroid, from_matrix,
+                      incidence_matrix, uniform)
 
 
 @dataclass(frozen=True)
@@ -19,16 +20,19 @@ class CorpusEntry:
     realization: LinearRealization | None
 
 
-def _graph_matrix(vertex_count: int, edges) -> list[list[Fraction]]:
-    matrix = [[Fraction(0)] * len(edges) for _ in range(vertex_count)]
-    for idx, (u, v) in enumerate(edges):
-        matrix[u - 1][idx] = Fraction(1)
-        matrix[v - 1][idx] = Fraction(-1)
-    return matrix
+def _vandermonde_entry(name: str, description: str, d: int,
+                       n: int) -> CorpusEntry:
+    """U_{d,n} with the Vandermonde matrix on the nodes 1..n.
 
-
-def _vandermonde(d: int, n: int) -> list[list[Fraction]]:
-    return [[Fraction(j) ** i for j in range(1, n + 1)] for i in range(d)]
+    Any d of its columns are independent, the nodes being distinct, so the
+    column matroid is uniform(d, n) without a rank computation.
+    """
+    matroid = uniform(d, n)
+    matrix = tuple(tuple(Fraction(j) ** i for j in range(1, n + 1))
+                   for i in range(d))
+    return CorpusEntry(name=name, description=description, matroid=matroid,
+                       realization=LinearRealization(matrix=matrix,
+                                                     matroid=matroid))
 
 
 _FIXED = {
@@ -43,7 +47,7 @@ _FIXED = {
 
 def _complete_graph_entry(vertices: int, name: str) -> CorpusEntry:
     edges = list(combinations(range(1, vertices + 1), 2))
-    matroid, realization = from_matrix(_graph_matrix(vertices, edges))
+    matroid, realization = from_matrix(incidence_matrix(vertices, edges))
     return CorpusEntry(name=name,
                        description=f"braid arrangement of K_{vertices}",
                        matroid=matroid, realization=realization)
@@ -65,18 +69,14 @@ def corpus(name: str) -> CorpusEntry:
         n = int(m.group(1))
         if n < 1:
             raise UnknownName(name)
-        matroid, realization = from_matrix(_vandermonde(n, n))
-        return CorpusEntry(name=name, description=f"coordinate matroid on [{n}]",
-                           matroid=matroid, realization=realization)
+        return _vandermonde_entry(name, f"coordinate matroid on [{n}]", n, n)
     m = re.fullmatch(r"uniform_(\d+)_(\d+)", name)
     if m:
         d, n = int(m.group(1)), int(m.group(2))
         if not 1 <= d <= n:
             raise UnknownName(name)
-        matroid, realization = from_matrix(_vandermonde(d, n))
-        return CorpusEntry(name=name,
-                           description=f"generic arrangement U_{{{d},{n}}}",
-                           matroid=matroid, realization=realization)
+        return _vandermonde_entry(
+            name, f"generic arrangement U_{{{d},{n}}}", d, n)
     raise UnknownName(name)
 
 

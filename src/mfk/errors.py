@@ -58,6 +58,10 @@ class NotFlats(MfkError):
     """Input sets are not all flats of the matroid."""
 
 
+class NoMinimalSupport(MfkError):
+    """No element of a flat has a support family inside every other's."""
+
+
 class NotNested(MfkError):
     """Given flat collection is not a nested set of the building set."""
 

@@ -21,8 +21,12 @@ from .linalg import (content, frac, lp_feasible, nullspace, rank, rref,
 
 
 def quotient_rep(vec) -> tuple[int, ...]:
-    """Canonical class representative: minimum coordinate zero."""
-    ints = [int(x) for x in vec]
+    """Canonical class representative: minimum coordinate zero.
+
+    Coordinates must be integers (ints or integral rationals); any other
+    entry raises ValueError.
+    """
+    ints = [x if isinstance(x, int) else _integer(x) for x in vec]
     m = min(ints)
     return tuple(x - m for x in ints)
 
@@ -32,6 +36,13 @@ def quotient_ray(vec) -> tuple[int, ...]:
     rep = quotient_rep(vec)
     g = content(rep)
     return rep if g in (0, 1) else tuple(x // g for x in rep)
+
+
+def _integer(x) -> int:
+    value = Fraction(x)
+    if value.denominator != 1:
+        raise ValueError(f"coordinate {x!r} is not an integer")
+    return value.numerator
 
 
 def quotient_coordinates(vec) -> tuple[int, ...]:
@@ -66,7 +77,7 @@ def cone_contains(cone: Cone, vec) -> bool:
     target = [frac(x) for x in vec]
     n = len(target)
     if not cone.rays:
-        return not any(quotient_rep(vec))
+        return len(set(target)) <= 1
     a_eq = [[frac(r[i]) for r in cone.rays] + [Fraction(1)]
             for i in range(n)]
     return lp_feasible(a_eq, target, num_nonneg=len(cone.rays)) is not None

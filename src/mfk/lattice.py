@@ -22,8 +22,6 @@ class FlatLattice:
         self.matroid = matroid
         by_rank: list[list[int]] = [[matroid.closure_mask(0)]]
         covers: list[tuple[int, int]] = []
-        seen = {by_rank[0][0]}
-        top = full_mask(matroid.n)
         for p in range(matroid.rank_d):
             level: set[int] = set()
             for flat in by_rank[p]:
@@ -35,8 +33,6 @@ class FlatLattice:
                     level.add(cover)
                     covers.append((flat, cover))
             by_rank.append(sorted(level))
-            seen |= level
-        assert matroid.rank_d == 0 or by_rank[-1] == [top]
         self.by_rank: tuple[tuple[int, ...], ...] = tuple(
             tuple(level) for level in by_rank)
         self.flat_masks: tuple[int, ...] = tuple(
@@ -88,9 +84,6 @@ class FlatLattice:
         for flat in self.flat_masks:
             below = [g for g in self.flat_masks if g & ~flat == 0 and g != flat]
             mu[flat] = 1 if not below else -sum(mu[g] for g in below)
-        for flat, value in mu.items():
-            sign = -1 if self._rank_of[flat] % 2 else 1
-            assert value * sign > 0, "Moebius alternation failed"
         return mu
 
     def moebius_mask(self, flat: int) -> int:

@@ -291,18 +291,23 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     return matroid, realization
 
 
-def from_graph(vertex_count: int, edge_list) -> Matroid:
-    """Graphic matroid: element i is the i-th edge, bases are maximal forests.
-
-    Computed from the signed incidence matrix over the rationals.
-    """
+def incidence_matrix(vertex_count: int, edge_list) -> list[list[Fraction]]:
+    """Signed incidence matrix: edge (u, v) is the column e_u - e_v."""
     matrix = [[Fraction(0)] * len(edge_list) for _ in range(vertex_count)]
     for idx, (u, v) in enumerate(edge_list):
         if not (1 <= u <= vertex_count and 1 <= v <= vertex_count) or u == v:
             raise ParameterOutOfRange(f"bad edge {(u, v)}")
         matrix[u - 1][idx] = Fraction(1)
         matrix[v - 1][idx] = Fraction(-1)
-    matroid, _ = from_matrix(matrix)
+    return matrix
+
+
+def from_graph(vertex_count: int, edge_list) -> Matroid:
+    """Graphic matroid: element i is the i-th edge, bases are maximal forests.
+
+    Computed from the signed incidence matrix over the rationals.
+    """
+    matroid, _ = from_matrix(incidence_matrix(vertex_count, edge_list))
     return matroid
 
 

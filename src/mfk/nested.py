@@ -14,8 +14,8 @@ from itertools import combinations
 
 from .bitset import from_mask, popcount, to_mask
 from .complexes import SimplicialComplex
-from .errors import (InvalidBuildingSet, NotAChain, NotFlats,
-                     NotLinearExtension, NotNested)
+from .errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
+                     NotAChain, NotFlats, NotLinearExtension, NotNested)
 from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull, \
     minkowski_sum
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
@@ -56,13 +56,18 @@ def building_set_counterexample(lattice: FlatLattice, members):
     for flat in lattice.flat_masks:
         if flat == bottom:
             continue
-        inside = [g for g in member_masks if g & ~flat == 0]
-        maximal = [g for g in inside
-                   if not any(h != g and g & ~h == 0 for h in inside)]
+        maximal = _maximal_members_below(member_masks, flat)
         if not interval_product_check(lattice, from_mask(flat),
                                       [from_mask(g) for g in maximal]):
             return from_mask(flat)
     return None
+
+
+def _maximal_members_below(member_masks, flat: int) -> list[int]:
+    """Building members inside the flat that lie in no other such member."""
+    inside = [g for g in member_masks if g & ~flat == 0]
+    return [g for g in inside
+            if not any(h != g and g & ~h == 0 for h in inside)]
 
 
 def is_building_set(lattice: FlatLattice, members) -> bool:
@@ -99,22 +104,34 @@ def _incomparable(a: int, b: int) -> bool:
     return a & ~b != 0 and b & ~a != 0
 
 
+def _extends(lattice: FlatLattice, member_masks, chosen, new: int) -> bool:
+    """Does ``new`` keep the nested set ``chosen`` nested?
+
+    It does when no antichain made of ``new`` and members of ``chosen``
+    joins to a building member.  A set is nested exactly when each of its
+    elements extends the elements before it.
+    """
+    incomp = [m for m in chosen if _incomparable(m, new)]
+    for size in range(1, len(incomp) + 1):
+        for combo in combinations(incomp, size):
+            if not all(_incomparable(a, b)
+                       for a, b in combinations(combo, 2)):
+                continue
+            join = new
+            for m in combo:
+                join = lattice.join_mask(join, m)
+            if join in member_masks:
+                return False
+    return True
+
+
 def is_nested(building: BuildingSet, subset) -> bool:
     """Antichains of size at least two must join outside the building set."""
-    lattice = building.lattice
     member_masks = set(building.member_masks())
     masks = [to_mask(s) for s in subset]
-    if any(m not in member_masks for m in masks):
-        return False
-    for size in range(2, len(masks) + 1):
-        for combo in combinations(masks, size):
-            if all(_incomparable(a, b) for a, b in combinations(combo, 2)):
-                join = 0
-                for m in combo:
-                    join = lattice.join_mask(join, m)
-                if join in member_masks:
-                    return False
-    return True
+    return (all(m in member_masks for m in masks)
+            and all(_extends(building.lattice, member_masks, masks[:k], m)
+                    for k, m in enumerate(masks)))
 
 
 def all_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
@@ -124,25 +141,11 @@ def all_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
     ordered = [to_mask(m) for m in building.sorted_members()]
     out: list[frozenset[frozenset[int]]] = []
 
-    def extend_ok(chosen, new):
-        incomp = [m for m in chosen if _incomparable(m, new)]
-        for size in range(1, len(incomp) + 1):
-            for combo in combinations(incomp, size):
-                if not all(_incomparable(a, b)
-                           for a, b in combinations(combo, 2)):
-                    continue
-                join = new
-                for m in combo:
-                    join = lattice.join_mask(join, m)
-                if join in member_masks:
-                    return False
-        return True
-
     def grow(chosen, start):
         out.append(frozenset(from_mask(m) for m in chosen))
         for k in range(start, len(ordered)):
             cand = ordered[k]
-            if extend_ok(chosen, cand):
+            if _extends(lattice, member_masks, chosen, cand):
                 chosen.append(cand)
                 grow(chosen, k + 1)
                 chosen.pop()
@@ -158,16 +161,18 @@ def maximal_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]
 
 
 def nested_complex(building: BuildingSet) -> SimplicialComplex:
-    """The simplicial complex of nested sets on the building set."""
+    """The simplicial complex of nested sets on the building set.
+
+    A single loop is refused: its full flat is the bottom flat, so it is
+    the one connected matroid whose full flat lies in no nested set.
+    """
+    matroid = building.lattice.matroid
+    if matroid.n == 1 and matroid.rank_d == 0:
+        raise LoopsPresent("the full flat of a single loop is its bottom "
+                           "flat and lies in no nested set")
     facets = maximal_nested_sets(building)
     vertices = tuple(building.sorted_members())
-    complex_ = SimplicialComplex.from_faces(vertices, facets)
-    matroid = building.lattice.matroid
-    if matroid.n and matroid.is_connected():
-        top = matroid.ground
-        assert all(top in f for f in complex_.facets), \
-            "the full flat must sit in every maximal nested set"
-    return complex_
+    return SimplicialComplex.from_faces(vertices, facets)
 
 
 def nested_complex_reduced(building: BuildingSet) -> SimplicialComplex:
@@ -343,9 +348,7 @@ def blocks_partition(building: BuildingSet, nested_set,
     join = 0
     for m in masks:
         new_join = lattice.join_mask(join, m)
-        block = new_join & ~join
-        assert block, "difference blocks of a linear extension are nonempty"
-        blocks.append(from_mask(block))
+        blocks.append(from_mask(new_join & ~join))
         join = new_join
     return blocks
 
@@ -369,7 +372,9 @@ def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
         si = [x for x in nested_set if i in x]
         si.sort(key=len)
         for a, b in zip(si, si[1:]):
-            assert a < b, f"S_{i} is not a chain"
+            if not a < b:
+                raise NotAChain(f"S_{i} is not a chain: {sorted(a)} and "
+                                f"{sorted(b)} both contain {i}")
         if si:
             support[i] = si
     minima = {i: si[0] for i, si in support.items()}
@@ -380,8 +385,9 @@ def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
             continue
         families = {i: frozenset(support.get(i, [])) for i in flat}
         i0 = min(flat, key=lambda i: (len(families[i]), i))
-        assert all(families[i0] <= families[i] for i in flat), \
-            f"no unique minimal support family inside {sorted(flat)}"
+        if not all(families[i0] <= families[i] for i in flat):
+            raise NoMinimalSupport(
+                f"no unique minimal support family inside {sorted(flat)}")
         min_index[flat] = i0
     return NestedChainData(chains=support, minima=minima,
                            min_support_index=min_index)
@@ -404,23 +410,21 @@ def chain_to_nested(building: BuildingSet, chain):
     member_masks = set(building.member_masks())
     extension: list[int] = []
     for fmask in masks:
-        inside = [g for g in member_masks if g & ~fmask == 0]
-        maximal = sorted((g for g in inside
-                          if not any(h != g and g & ~h == 0 for h in inside)),
+        maximal = sorted(_maximal_members_below(member_masks, fmask),
                          key=lambda m: (popcount(m), sorted(from_mask(m))))
         for g in maximal:
             if g not in extension:
                 extension.append(g)
-    nested = frozenset(from_mask(g) for g in extension)
-    assert is_nested(building, nested)
     join = 0
-    prefix_joins = []
+    prefix_joins = set()
     for g in extension:
         join = lattice.join_mask(join, g)
-        prefix_joins.append(join)
-    for fmask in masks:
-        assert fmask in prefix_joins, "prefix joins must recover the chain"
-    return nested, tuple(from_mask(g) for g in extension)
+        prefix_joins.add(join)
+    if not prefix_joins.issuperset(masks):
+        raise InvalidBuildingSet("the prefix joins of the building members "
+                                 "below the chain miss one of its flats")
+    return (frozenset(from_mask(g) for g in extension),
+            tuple(from_mask(g) for g in extension))
 
 
 # -- weight polytopes -----------------------------------------------------------------

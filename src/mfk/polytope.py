@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import from_mask, full_mask, popcount, to_mask
-from .errors import Disconnected, LoopsPresent, NotAFace
+from .errors import Disconnected, DimensionMismatch, LoopsPresent, NotAFace
 from .geometry import RationalPolytope, convex_hull, face_lattice
 from .lattice import FlatLattice
-from .linalg import frac
+from .linalg import frac, primitive_integer
 from .matroid import Matroid, from_bases
 
 
@@ -26,11 +26,7 @@ def indicator_vertex(n: int, base: frozenset[int]) -> tuple[Fraction, ...]:
 
 def polytope(matroid: Matroid) -> RationalPolytope:
     """Convex hull of the indicator vectors of the bases."""
-    points = [indicator_vertex(matroid.n, b) for b in matroid.bases]
-    hull = convex_hull(points)
-    assert hull.dim == matroid.n - matroid.components().kappa
-    assert len(hull.vertices) == len(matroid.base_masks)
-    return hull
+    return convex_hull(indicator_vertex(matroid.n, b) for b in matroid.bases)
 
 
 @dataclass(frozen=True)
@@ -64,47 +60,39 @@ class Degeneration:
     loop_free: bool
 
 
-def _restriction_bases(matroid: Matroid, flat_mask: int) -> list[int]:
-    r = matroid.rank_mask(flat_mask)
-    return sorted({b & flat_mask for b in matroid.base_masks
-                   if popcount(b & flat_mask) == r})
+def heaviest_bases(matroid: Matroid, w) -> set[int]:
+    """Masks of the bases of largest total weight under w.
+
+    w is first scaled to a primitive integer vector; a positive scaling
+    leaves the set of w-maximal bases unchanged.
+    """
+    ints = primitive_integer(w, sign_first_positive=False)
+    cost = {}
+    for b in matroid.base_masks:
+        total = 0
+        for i in range(matroid.n):
+            if b >> i & 1:
+                total += ints[i]
+        cost[b] = total
+    best = max(cost.values())
+    return {b for b, c in cost.items() if c == best}
 
 
 def degeneration(matroid: Matroid, u) -> Degeneration:
-    """Degeneration along the constancy chain of ``u``.
-
-    Built as the direct sum of the interval minors of the chain; the result
-    is cross-checked against the bases minimizing ``u`` on the polytope.
-    """
-    chain = constancy_chain(list(u) or [0] * matroid.n)
+    """The bases of minimal ``u``-weight, with the constancy chain of ``u``."""
+    u = list(u) or [0] * matroid.n
+    if len(u) != matroid.n:
+        raise DimensionMismatch(
+            f"weight has {len(u)} entries, the matroid {matroid.n} elements")
     if matroid.n == 0:
         return Degeneration(matroid_u=matroid,
                             chain=ConstancyChain(sets=(frozenset(),)),
                             loop_free=True)
-    block_bases: list[list[int]] = []
-    prev_mask = 0
-    anchor = 0
-    for sset in chain.sets:
-        mask = to_mask(sset)
-        level = [b for b in _restriction_bases(matroid, mask)
-                 if b & prev_mask == anchor]
-        block_bases.append(sorted({b & ~prev_mask for b in level}))
-        anchor = level[0]
-        prev_mask = mask
-    unions = [0]
-    for blocks in block_bases:
-        unions = [u0 | b for u0 in unions for b in blocks]
-    weights = [frac(x) for x in u]
-    costs = {b: sum(w for w, e in zip(weights, range(1, matroid.n + 1))
-                    if b & (1 << (e - 1))) for b in matroid.base_masks}
-    best = min(costs.values())
-    argmin = sorted(b for b, c in costs.items() if c == best)
-    assert sorted(set(unions)) == argmin, "minor composition disagrees with face"
-    matroid_u = Matroid(matroid.n, argmin, _validated=True)
-    loop_free = not matroid_u.loops()
-    chain_flats = all(matroid.closure_mask(m) == m for m in chain.masks())
-    assert loop_free == chain_flats
-    return Degeneration(matroid_u=matroid_u, chain=chain, loop_free=loop_free)
+    matroid_u = Matroid(matroid.n, heaviest_bases(matroid,
+                                                  [-frac(x) for x in u]),
+                        _validated=True)
+    return Degeneration(matroid_u=matroid_u, chain=constancy_chain(u),
+                        loop_free=not matroid_u.loops())
 
 
 @dataclass(frozen=True)

@@ -234,3 +234,22 @@ def test_lp_feasible_exact_fractions():
     sol = lp_feasible(a, b, num_nonneg=2)
     assert sol is not None
     assert a[0][0] * sol[0] + a[0][1] * sol[1] == b[0]
+
+
+def test_zero_cone_holds_exactly_the_constant_vectors():
+    zero = Cone(rays=())
+    assert not cone_contains(zero, (Fraction(1, 2), 0, 0))
+    assert not cone_contains(zero, (1, 0, 0))
+    assert cone_contains(zero, (Fraction(1, 2),) * 3)
+    assert cone_contains(zero, (-2, -2, -2))
+    assert Fan(n=3, cones=(zero,)).contains((Fraction(3, 2), 0, 0)) is False
+
+
+def test_quotient_rep_refuses_fractional_coordinates():
+    for vec in [(Fraction(1, 2), 0, 0), (Fraction(3, 2), 0, 0), ("1/3", 1)]:
+        with pytest.raises(ValueError):
+            quotient_rep(vec)
+        with pytest.raises(ValueError):
+            quotient_ray(vec)
+    assert quotient_rep((Fraction(4, 2), 1, 3)) == (1, 0, 2)
+    assert quotient_ray((Fraction(6, 1), 2, Fraction(4))) == (2, 0, 1)

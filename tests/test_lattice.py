@@ -96,11 +96,21 @@ def test_moebius_matches_characteristic_polynomial(dela3, u24, braid_k4):
         assert moebius(m, lattice).mu_top == (-1) ** d * total
 
 
-def test_moebius_sign_alternation(dela3_lattice):
-    lat = dela3_lattice
-    for f in lat.flat_masks:
-        r = lat.rank_in_lattice(f)
-        assert lat.moebius_mask(f) * (-1) ** r > 0
+_CORPUS_LATTICES = ["u23", "u24", "delA3", "braidK4", "braidK5", "boolean_3",
+                    "boolean_4", "uniform_2_5", "uniform_3_6"]
+
+
+def test_moebius_sign_alternation():
+    # Rota: mu(0, X) is nonzero with sign (-1)^rank(X); the lattice's one
+    # flat of top rank is the ground set
+    matroids = [corpus(name).matroid for name in _CORPUS_LATTICES]
+    matroids += [uniform(d, n) for n in range(1, 7) for d in range(1, n + 1)]
+    for m in matroids:
+        lat = FlatLattice(m)
+        assert lat.by_rank[-1] == (lat.top,) == ((1 << m.n) - 1,)
+        for f in lat.flat_masks:
+            r = lat.rank_in_lattice(f)
+            assert lat.moebius_mask(f) * (-1) ** r > 0
 
 
 def test_irreducible_flats_dela3(dela3, dela3_lattice):
@@ -229,3 +239,13 @@ def test_direct_sum_lattice_sizes():
     a = len(flats(m1).flat_masks)
     b = len(flats(m2).flat_masks)
     assert len(combined.flat_masks) == a * b
+
+
+@pytest.mark.parametrize("name", _CORPUS_LATTICES)
+def test_reduced_euler_is_alternating_betti_sum(name):
+    m = corpus(name).matroid
+    lattice = FlatLattice(m)
+    c = order_complex(lattice, set(), m.ground)
+    betti, euler = reduced_homology_ranks(c)
+    assert euler == sum((-1) ** k * b for k, b in enumerate(betti))
+    assert euler == c.reduced_euler_characteristic()

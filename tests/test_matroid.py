@@ -9,7 +9,7 @@ from mfk.errors import (CardinalityMismatch, ExchangeViolation,
                         ParameterOutOfRange)
 from mfk.linalg import nullspace
 from mfk.matroid import (direct_sum, from_bases, from_graph, from_matrix,
-                         uniform)
+                         incidence_matrix, uniform)
 
 
 def test_from_bases_uniform24():
@@ -314,3 +314,11 @@ def test_matrix_matroid_rank_equals_column_rank(entries):
     m, real = from_matrix(entries)
     assert m.rank_d == len(real.matrix) or not any(
         x != 0 for row in entries for x in row)
+
+
+def test_incidence_matrix_columns_and_edge_validation():
+    matrix = incidence_matrix(3, [(1, 2), (3, 1)])
+    assert matrix == [[1, -1], [-1, 0], [0, 1]]
+    for bad in [(1, 1), (0, 2), (2, 4)]:
+        with pytest.raises(ParameterOutOfRange):
+            from_graph(3, [(1, 2), bad])

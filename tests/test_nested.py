@@ -8,13 +8,13 @@ import pytest
 import mfk
 
 from mfk.bergman import bergman_fan, bergman_membership
-from mfk.errors import (InvalidBuildingSet, NotAChain, NotFlats,
-                        NotLinearExtension)
+from mfk.errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
+                        NotAChain, NotFlats, NotLinearExtension)
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
 from mfk.lattice import FlatLattice, flats
-from mfk.matroid import uniform
-from mfk.nested import (blocks_partition, building_set,
+from mfk.matroid import from_matrix, uniform
+from mfk.nested import (all_nested_sets, blocks_partition, building_set,
                         building_set_counterexample, chain_to_nested,
                         compare_fans, dcp_normal_refinement_check,
                         dcp_weight_polytope, fans_equal_condition,
@@ -133,11 +133,16 @@ def test_dela3_reduced_nested_complex_is_figure_graph(dela3, dela3_lattice):
     assert _pairs(ne0) == expected_edges
 
 
-def test_nested_complex_cone_over_reduced(dela3, dela3_lattice):
-    gmin = min_building(dela3_lattice)
-    ne = nested_complex(gmin)
-    top = dela3.matroid.ground
-    assert all(top in facet for facet in ne.facets)
+def test_nested_complex_cone_over_reduced(dela3, dela3_lattice,
+                                          braid_k4_lattice):
+    # the full flat of a connected matroid lies in every maximal nested set
+    lattices = [dela3_lattice, braid_k4_lattice]
+    lattices += [flats(uniform(d, n)) for d, n in [(1, 1), (2, 4), (3, 5)]]
+    for lattice in lattices:
+        top = lattice.matroid.ground
+        for building in (min_building(lattice), max_building(lattice)):
+            ne = nested_complex(building)
+            assert all(top in facet for facet in ne.facets)
 
 
 # -- nested fans -----------------------------------------------------------------
@@ -374,32 +379,37 @@ def test_chain_to_nested_errors(dela3_lattice):
         chain_to_nested(gmin, [{1, 2}, {1, 2, 3, 4, 5}])
 
 
-def test_chains_to_nested_round_trip_all_maximal(dela3_lattice):
-    # every maximal chain of flats comes from a nested set whose prefix
-    # joins recover it
-    lattice = dela3_lattice
-    gmin = min_building(lattice)
+def test_chains_to_nested_round_trip_all_maximal(dela3_lattice,
+                                                braid_k4_lattice):
+    # every maximal chain of flats, and each of its tails, comes from a
+    # nested set whose prefix joins recover it
     from mfk.bitset import from_mask
-    chains = []
+    for lattice in (dela3_lattice, braid_k4_lattice):
+        chains = []
 
-    def grow(chain, level):
-        if level == lattice.matroid.rank_d + 1:
-            chains.append([from_mask(f) for f in chain[1:]])
-            return
-        for f in lattice.by_rank[level]:
-            if chain[-1] & ~f == 0:
-                grow(chain + [f], level + 1)
+        def grow(chain, level):
+            if level == lattice.matroid.rank_d + 1:
+                chains.append([from_mask(f) for f in chain[1:]])
+                return
+            for f in lattice.by_rank[level]:
+                if chain[-1] & ~f == 0:
+                    grow(chain + [f], level + 1)
 
-    grow([lattice.bottom], 1)
-    for chain in chains:
-        nested, extension = chain_to_nested(gmin, chain)
-        join = set()
-        joins = []
-        for x in extension:
-            join = lattice.matroid.closure(join | x)
-            joins.append(join)
-        for flat in chain:
-            assert set(flat) in joins
+        grow([lattice.bottom], 1)
+        for building in (min_building(lattice), max_building(lattice)):
+            for chain in chains:
+                for start in range(len(chain)):
+                    tail = chain[start:]
+                    nested, extension = chain_to_nested(building, tail)
+                    assert is_nested(building, nested)
+                    assert set(extension) == nested
+                    join = set()
+                    joins = []
+                    for x in extension:
+                        join = lattice.matroid.closure(join | x)
+                        joins.append(join)
+                    for flat in tail:
+                        assert set(flat) in joins
 
 
 # -- weight polytopes ------------------------------------------------------------------
@@ -431,3 +441,91 @@ def test_dcp_refinement_dela3(dela3, dela3_lattice):
 def test_dcp_refinement_braid(braid_k4, braid_k4_lattice):
     gmin = min_building(braid_k4_lattice)
     assert dcp_normal_refinement_check(braid_k4.matroid, gmin)
+
+
+# -- properties the helpers rely on -------------------------------------------------
+
+
+def test_nested_complex_refuses_a_single_loop():
+    loop, _ = from_matrix([[0]])
+    with pytest.raises(LoopsPresent):
+        nested_complex(max_building(flats(loop)))
+
+
+def test_blocks_partition_every_nested_set(dela3_lattice, braid_k4_lattice):
+    # the blocks of any linear extension are nonempty and partition the join
+    for lattice in (dela3_lattice, braid_k4_lattice):
+        for building in (min_building(lattice), max_building(lattice)):
+            for nested in all_nested_sets(building):
+                blocks = blocks_partition(building, nested)
+                assert all(blocks)
+                union = set()
+                for block in blocks:
+                    assert not union & block
+                    union |= block
+                join = lattice.matroid.closure(set().union(*nested))
+                assert union == join
+
+
+def test_nested_chain_helpers_on_every_maximal_nested_set(dela3_lattice,
+                                                          braid_k4_lattice):
+    for lattice in (dela3_lattice, braid_k4_lattice):
+        n = lattice.matroid.n
+        for building in (min_building(lattice), max_building(lattice)):
+            for nested in maximal_nested_sets(building):
+                chains = {i: sorted((x for x in nested if i in x), key=len)
+                          for i in range(1, n + 1)}
+                chains = {i: c for i, c in chains.items() if c}
+                assert all(a < b for c in chains.values()
+                           for a, b in zip(c, c[1:]))
+                index, unique = {}, True
+                for level in lattice.flats()[1:]:
+                    for flat in level:
+                        families = {i: set(chains.get(i, [])) for i in flat}
+                        lowest = [i for i in sorted(flat)
+                                  if all(families[i] <= families[j]
+                                         for j in flat)]
+                        # the minimal support of a building member is unique
+                        assert lowest or flat not in building.members
+                        unique = unique and bool(lowest)
+                        if lowest:
+                            index[flat] = lowest[0]
+                if not unique:
+                    with pytest.raises(NoMinimalSupport):
+                        nested_chain_helpers(building, nested)
+                    continue
+                data = nested_chain_helpers(building, nested)
+                assert data.chains == chains
+                assert data.minima == {i: c[0] for i, c in chains.items()}
+                assert data.min_support_index == index
+
+
+def test_nested_chain_helpers_refuses_crossing_supports():
+    # with a loop, two incomparable nested flats share it, so S_3 branches
+    m, _ = from_matrix([[1, 0, 0], [0, 1, 0]])
+    lattice = flats(m)
+    building = building_set(lattice, [_f(1, 3), _f(2, 3)])
+    with pytest.raises(NotAChain):
+        nested_chain_helpers(building, [_f(1, 3), _f(2, 3)])
+
+
+def test_chain_to_nested_refuses_a_building_set_that_misses_the_chain():
+    # with a loop no flat of positive rank has a connected restriction, so
+    # min_building is empty, not a building set, and generates no chain
+    m, _ = from_matrix([[1, 0, 1, 0], [0, 1, 1, 0]])
+    building = min_building(flats(m))
+    with pytest.raises(InvalidBuildingSet):
+        chain_to_nested(building, [_f(1, 4), _f(1, 2, 3, 4)])
+
+
+def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
+    # is_nested and all_nested_sets share one extension rule; every subset
+    # of at most three members is nested exactly when it is enumerated
+    for lattice in (dela3_lattice, braid_k4_lattice):
+        building = min_building(lattice)
+        enumerated = set(all_nested_sets(building))
+        members = building.sorted_members()
+        for size in range(4):
+            for subset in combinations(members, size):
+                assert is_nested(building, subset) == \
+                    (frozenset(subset) in enumerated)

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
-from mfk.errors import Disconnected, LoopsPresent, NotAFace
+from mfk.corpus import corpus
+from mfk.errors import (DimensionMismatch, Disconnected, LoopsPresent,
+                        NotAFace)
 from mfk.geometry import face_lattice
 from mfk.matroid import from_matrix, uniform
 from mfk.polytope import (constancy_chain, degeneration, dual_reflection_check,
@@ -31,10 +33,13 @@ def test_polytope_boolean_point():
 
 def test_polytope_dimension_formula(dela3, braid_k4):
     from mfk.matroid import direct_sum
-    for m in (dela3.matroid, braid_k4.matroid,
-              direct_sum(uniform(2, 3), uniform(1, 2))):
+    with_loop, _ = from_matrix([[1, 0, 1, 1], [0, 0, 1, -1]])
+    for m in (dela3.matroid, braid_k4.matroid, uniform(2, 5), uniform(3, 3),
+              direct_sum(uniform(2, 3), uniform(1, 2)), with_loop):
         p = polytope(m)
         assert p.dim == m.n - m.components().kappa
+        assert sorted(p.vertices) == sorted(indicator_vertex(m.n, b)
+                                            for b in m.bases)
 
 
 def test_polytope_dim_additive_over_sums():
@@ -210,3 +215,67 @@ def test_dual_reflection_corpus(dela3, u24, braid_k4):
     for m in (dela3.matroid, u24.matroid, braid_k4.matroid,
               uniform(3, 3), uniform(2, 5)):
         assert dual_reflection_check(m)
+
+
+def _interval_minor_sum(m, chain):
+    """Bases of the direct sum of the interval minors of a chain of sets.
+
+    Block k is (M|S_k)/S_{k-1}; a basis of the sum extends a basis of M|S_k
+    that already meets S_{k-1} in the chosen basis of M|S_{k-1}.
+    """
+    def restriction_bases(mask):
+        r = m.rank_mask(mask)
+        return sorted({b & mask for b in m.base_masks
+                       if bin(b & mask).count("1") == r})
+
+    block_bases = []
+    prev_mask = anchor = 0
+    for mask in chain.masks():
+        level = [b for b in restriction_bases(mask) if b & prev_mask == anchor]
+        block_bases.append(sorted({b & ~prev_mask for b in level}))
+        anchor = level[0]
+        prev_mask = mask
+    unions = {0}
+    for blocks in block_bases:
+        unions = {u | b for u in unions for b in blocks}
+    return sorted(unions)
+
+
+_FRACTION_WEIGHTS = [
+    [Fraction(1, 2), Fraction(-3, 4), Fraction(0), Fraction(5, 3),
+     Fraction(2, 7), Fraction(-1, 3)],
+    [Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 2),
+     Fraction(1, 3), Fraction(0)],
+    [Fraction(-7, 5), Fraction(7, 10), Fraction(7, 10), Fraction(0),
+     Fraction(-7, 5), Fraction(7, 10)],
+]
+
+
+@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4"])
+def test_degeneration_is_direct_sum_of_interval_minors(name):
+    # the degeneration is the face of minimal u-weight; Feichtner-Sturmfels
+    # describe the same matroid as the sum of the minors along the chain
+    m = corpus(name).matroid
+    weights = list(product((-1, 0, 1), repeat=m.n))
+    weights += [w[:m.n] for w in _FRACTION_WEIGHTS]
+    for w in weights:
+        deg = degeneration(m, w)
+        assert list(deg.matroid_u.base_masks) == \
+            _interval_minor_sum(m, deg.chain), w
+        chain_flats = all(m.closure_mask(s) == s for s in deg.chain.masks())
+        assert deg.loop_free == chain_flats == (not deg.matroid_u.loops())
+
+
+def test_degeneration_refuses_a_weight_of_the_wrong_length(u24):
+    for w in ([1, 0], [1, 0, 0, 0, 0]):
+        with pytest.raises(DimensionMismatch):
+            degeneration(u24.matroid, w)
+
+
+def test_degeneration_of_scaled_weight_is_unchanged(dela3):
+    m = dela3.matroid
+    for w in _FRACTION_WEIGHTS:
+        w = w[:m.n]
+        scaled = [3 * x / 7 for x in w]
+        assert (degeneration(m, scaled).matroid_u
+                == degeneration(m, w).matroid_u)
