@@ -18,7 +18,7 @@ from itertools import product
 
 from .corpus import corpus as corpus_entry, corpus_names
 from .bergman import amoeba_sample, bergman_fan, support_deviations
-from .errors import MfkError
+from .errors import InvalidInput, MfkError, UnwritableOutput
 from .jsonio import (amoeba_to_json, bergman_to_json, circuits_to_json,
                      comparison_to_json, degeneration_to_json, facets_to_json,
                      graph_from_json, lattice_to_json, matrix_from_json,
@@ -52,19 +52,31 @@ class JobSpec:
     seed: int = 0
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _read(path: str, parse):
+    """Parse a JSON input file; any fault of the file raises InvalidInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as err:
+        raise InvalidInput(f"cannot read {path}: {err.strerror}") from None
+    except ValueError as err:
+        raise InvalidInput(f"{path} is not valid JSON: {err}") from None
+    try:
+        return parse(data)
+    except (KeyError, IndexError, TypeError, ValueError,
+            ZeroDivisionError) as err:
+        raise InvalidInput(f"{path} is malformed: "
+                           f"{type(err).__name__}: {err}") from None
 
 
 def _resolve_input(job: JobSpec) -> tuple[Matroid, LinearRealization | None]:
     kind, value = job.source_kind, job.source_value
     if kind == "matrix":
-        return matrix_from_json(_load_json(value))
+        return _read(value, matrix_from_json)
     if kind == "bases":
-        return matroid_from_json(_load_json(value)), None
+        return _read(value, matroid_from_json), None
     if kind == "graph":
-        vertices, edges = graph_from_json(_load_json(value))
+        vertices, edges = _read(value, graph_from_json)
         matroid = from_graph(vertices, edges)
         return matroid, None
     if kind == "uniform":
@@ -88,8 +100,8 @@ def _building_for(job: JobSpec, lattice: FlatLattice):
         return min_building(lattice)
     if job.building == "max":
         return max_building(lattice)
-    flats = _load_json(job.building)
-    return building_set(lattice, [frozenset(f) for f in flats])
+    return _read(job.building, lambda flats: building_set(
+        lattice, [frozenset(f) for f in flats]))
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
@@ -98,7 +110,11 @@ def run(job: JobSpec) -> tuple[int, dict]:
         artifact = _dispatch(job)
         return 0, artifact
     except MfkError as err:
-        return 1, {"error": type(err).__name__, "message": str(err)}
+        return 1, _error_artifact(err)
+
+
+def _error_artifact(err: MfkError) -> dict:
+    return {"error": type(err).__name__, "message": str(err)}
 
 
 def _dispatch(job: JobSpec) -> dict:
@@ -183,15 +199,18 @@ def _emit(artifact: dict, output: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as err:
+        raise UnwritableOutput(
+            f"cannot write {output}: {err.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
@@ -227,12 +246,16 @@ def _checked(convert, valid, requirement: str):
     def parse(text):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             value = None
         if value is None or not valid(value):
             raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
         return value
     return parse
+
+
+def _weight(text: str) -> list:
+    return [frac(x) for x in text.split(",")] if text else []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_input_arguments(p)
         if name == "degenerate":
             p.add_argument("--u", required=True, metavar="W",
+                           type=_checked(_weight, lambda w: True,
+                                         "must be comma-separated rationals"),
                            help="comma-separated weight entries, e.g. 1,0,-2")
         if name == "bergman":
             p.add_argument("--grid", metavar="K",
@@ -289,25 +314,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "corpus":
-        names = corpus_names()
-        _emit({"corpus": names}, args.output)
-        return 0
-
-    job = JobSpec(
-        computation=args.command,
-        source_kind=_source_of(args)[0],
-        source_value=_source_of(args)[1],
-        output=args.output,
-        grid=getattr(args, "grid", None),
-        weight=([frac(x) for x in args.u.split(",")]
-                if getattr(args, "u", None) else None),
-        building=getattr(args, "building", "min"),
-        t=getattr(args, "t", 1000.0),
-        count=getattr(args, "count", 100),
-        seed=getattr(args, "seed", 0),
-    )
-    status, artifact = run(job)
-    _emit(artifact, job.output)
+        status, artifact = 0, {"corpus": corpus_names()}
+    else:
+        status, artifact = run(JobSpec(
+            computation=args.command,
+            source_kind=_source_of(args)[0],
+            source_value=_source_of(args)[1],
+            output=args.output,
+            grid=getattr(args, "grid", None),
+            weight=getattr(args, "u", None),
+            building=getattr(args, "building", "min"),
+            t=getattr(args, "t", 1000.0),
+            count=getattr(args, "count", 100),
+            seed=getattr(args, "seed", 0),
+        ))
+    try:
+        _emit(artifact, args.output)
+    except UnwritableOutput as err:
+        _emit(_error_artifact(err), None)
+        return 1
     return status
 
 

@@ -78,5 +78,13 @@ class UnknownName(MfkError):
     """No corpus entry under the requested name."""
 
 
+class InvalidInput(MfkError):
+    """An input file is missing, unreadable or not of the expected form."""
+
+
+class UnwritableOutput(MfkError):
+    """The artifact cannot be written to the requested output path."""
+
+
 class SingularSample(MfkError):
     """Sampling repeatedly hit the hyperplane union."""

@@ -1,8 +1,9 @@
 """Exact rational polytopes, cones in Z^n modulo the all-ones vector, fans.
 
-The convex hull is brute force over candidate supporting hyperplanes, which
-is fine at the intended scale (a few dozen vertices); there is no incremental
-double-description machinery here.
+The convex hull is brute force over candidate supporting hyperplanes, with
+one LP per point; it serves ``nested.dcp_weight_polytope`` and is the test
+oracle of the matroid polytope, which ``polytope.polytope`` builds from the
+facet classification instead.
 """
 
 from __future__ import annotations

@@ -22,7 +22,12 @@ DEFAULT_MAX_N = 20
 
 
 def _max_ground() -> int:
-    return int(os.environ.get("MFK_MAX_N", DEFAULT_MAX_N))
+    raw = os.environ.get("MFK_MAX_N", DEFAULT_MAX_N)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"MFK_MAX_N must be an integer, got {raw!r}") from None
 
 
 class Matroid:

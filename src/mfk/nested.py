@@ -9,7 +9,7 @@ reduce to that membership for ray generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from .bitset import from_mask, popcount, to_mask
@@ -19,7 +19,7 @@ from .errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
 from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull, \
     minkowski_sum
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
-from .linalg import frac, rank, solve
+from .linalg import frac, solve
 from .matroid import Matroid
 
 from fractions import Fraction
@@ -194,12 +194,31 @@ class NestedFan(Fan):
     building: BuildingSet
     nested_sets: tuple[frozenset[frozenset[int]], ...]
 
-    def cone_contains(self, i: int, vec) -> bool:
-        """Exact membership in the i-th cone.
+    @cached_property
+    def _free_rays(self) -> frozenset[tuple[int, ...]]:
+        """Rays whose coefficients are free in every cone, if any.
 
-        The cone is simplicial, so membership is a single linear solve.
-        Most cones are ruled out first: modulo the all-ones vector, a point
-        of the cone takes its minimum at every coordinate its rays miss.
+        A building set without the full flat has its maximal members in
+        every maximal nested set.  When their indicators sum to the
+        all-ones vector (no loops), each cone modulo that vector is a
+        simplicial cone plus the span of these indicators.
+        """
+        top = self.building.lattice.top
+        masks = set(self.building.member_masks())
+        vectors = [_flat_vector(self.n, from_mask(g))
+                   for g in _maximal_members_below(masks, top)]
+        if top in masks or [sum(c) for c in zip(*vectors)] != [1] * self.n:
+            return frozenset()
+        return frozenset(vectors)
+
+    def cone_contains(self, i: int, vec) -> bool:
+        """Exact membership in the i-th cone, by one linear solve.
+
+        The rays, with the all-ones column unless ``_free_rays`` spans it,
+        are linearly independent; the coefficients must be nonnegative on
+        every ray that is not free.  Most cones are ruled out first: modulo
+        the all-ones vector, a point of the cone takes its minimum at every
+        coordinate its rays miss.
         """
         cone = self.cones[i]
         w = [x if isinstance(x, int) else frac(x) for x in vec]
@@ -207,13 +226,12 @@ class NestedFan(Fan):
         if not all(any(r[j] for r in cone.rays)
                    for j, x in enumerate(w) if x != low):
             return False
-        system = list(zip(*cone.rays, [1] * len(w)))
-        if rank(system) <= len(cone.rays):
-            # degenerate cone (disconnected matroid); decide by LP
-            return super().cone_contains(i, vec)
-        solution = solve(system, w)
+        free = self._free_rays
+        columns = list(cone.rays) if free else [*cone.rays, (1,) * len(w)]
+        solution = solve(list(zip(*columns)), w)
         return (solution is not None
-                and all(solution[j] >= 0 for j in range(len(cone.rays))))
+                and all(c >= 0 for c, r in zip(solution, cone.rays)
+                        if r not in free))
 
 
 def nested_fan(matroid: Matroid, building: BuildingSet) -> NestedFan:

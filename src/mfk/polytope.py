@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bitset import from_mask, full_mask, popcount, to_mask
 from .errors import Disconnected, DimensionMismatch, LoopsPresent, NotAFace
-from .geometry import RationalPolytope, convex_hull, face_lattice
+from .geometry import RationalPolytope, _primitive_inequality
 from .lattice import FlatLattice
 from .linalg import frac, primitive_integer
 from .matroid import Matroid, from_bases
@@ -25,8 +25,34 @@ def indicator_vertex(n: int, base: frozenset[int]) -> tuple[Fraction, ...]:
 
 
 def polytope(matroid: Matroid) -> RationalPolytope:
-    """Convex hull of the indicator vectors of the bases."""
-    return convex_hull(indicator_vertex(matroid.n, b) for b in matroid.bases)
+    """The matroid polytope: the bases as vertices, the facets by ``facets``.
+
+    P_M is the product of the polytopes of the connected components (a loop
+    or a coloop is a one-point factor), so its dimension is n minus the
+    number of components and each facet is a facet of one factor.  A
+    factor's outer normal is projected onto the direction space, where the
+    coordinates of every component sum to zero, and made primitive; the
+    offset is its maximum over the vertices.
+    """
+    n, bases = matroid.n, matroid.bases
+    vertices = tuple(sorted(indicator_vertex(n, b) for b in bases))
+    blocks = matroid.components().blocks
+    inequalities = []
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        elems = sorted(block)
+        for facet in facets(matroid.restriction(block)):
+            # the outer normal minus its block mean, times the block size
+            total = sum(facet.inner_normal)
+            normal = [0] * n
+            for e, x in zip(elems, facet.inner_normal):
+                normal[e - 1] = total - len(elems) * x
+            offset = max(sum(normal[i - 1] for i in b) for b in bases)
+            inequalities.append(_primitive_inequality(normal, offset))
+    return RationalPolytope(vertices=vertices,
+                            facets=tuple(sorted(inequalities)),
+                            dim=n - len(blocks))
 
 
 @dataclass(frozen=True)
@@ -152,15 +178,18 @@ def facets(matroid: Matroid,
 
 
 def face_matroid(matroid: Matroid, vertex_bases) -> Matroid:
-    """Matroid whose bases are the vertices of a face of the polytope."""
+    """Matroid whose bases are the vertices of a face of the polytope.
+
+    A nonempty vertex set is a face exactly when it is the set of vertices
+    on every facet that contains it (all vertices when no facet does).
+    """
     wanted = {frozenset(b) for b in vertex_bases}
-    hull = polytope(matroid)
-    lat = face_lattice(hull)
-    vertex_to_base = {v: frozenset(i + 1 for i, x in enumerate(v) if x == 1)
-                      for v in hull.vertices}
-    face_sets = {frozenset(vertex_to_base[hull.vertices[i]] for i in fs)
-                 for level in lat.faces_by_dim for fs in level}
-    if wanted not in face_sets:
+    closure = set(matroid.bases)
+    for normal, offset in polytope(matroid).facets:
+        on = {b for b in closure if sum(normal[i - 1] for i in b) == offset}
+        if wanted <= on:
+            closure = on
+    if not wanted or wanted != closure:
         raise NotAFace(f"{sorted(map(sorted, wanted))} is not a face")
     return from_bases(matroid.n, wanted)
 

@@ -10,10 +10,11 @@ from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
 from mfk.errors import LoopsPresent
-from mfk.geometry import cone_contains
-from mfk.lattice import moebius, order_complex
+from mfk.geometry import _flat_vector, cone_contains
+from mfk.lattice import FlatLattice, moebius, order_complex
 from mfk.linalg import rref
 from mfk.matroid import from_matrix, uniform
+from mfk.polytope import facets
 
 
 def _flat_pairs(cone):
@@ -195,3 +196,26 @@ def test_amoeba_requires_loop_free():
     m, real = from_matrix([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(LoopsPresent):
         amoeba_sample(real, 1e3, 10, seed=0)
+
+
+_CONNECTED = {
+    **{f"U{d},{n}": (lambda d=d, n=n: uniform(d, n))
+       for n in range(1, 7) for d in range(1, n + 1) if d < n or n == 1},
+    **{name: (lambda name=name: corpus(name).matroid)
+       for name in ("u23", "u24", "delA3", "braidK4", "braidK5")},
+}
+
+
+@pytest.mark.parametrize("name", list(_CONNECTED))
+def test_coarse_rays_are_the_flacets_of_the_flags(name):
+    # on a connected matroid each coarse cone is spanned by the flacets
+    # (flats F with M|F and M/F connected) among its group's flags
+    m = _CONNECTED[name]()
+    assert m.is_connected()
+    lattice = FlatLattice(m)
+    fan = bergman_fan(m, lattice)
+    flacets = {f.flat for f in facets(m, lattice) if f.kind == "interior"}
+    for cone, group in zip(fan.cones, fan.groups):
+        expected = {_flat_vector(m.n, flat) for i in group
+                    for flat in fan.fine_chains[i] if flat in flacets}
+        assert cone.rays == tuple(sorted(expected))

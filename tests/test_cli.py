@@ -10,9 +10,10 @@ import mfk
 from mfk.cli import JobSpec, build_parser, main, run
 
 
-def _run_cli(args, cwd=None):
+def _run_cli(args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "mfk.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=env and {**os.environ, **env})
 
 
 @pytest.fixture()
@@ -165,6 +166,8 @@ def test_missing_command_exit_two():
     ["amoeba", "--corpus", "u23", "--t", "inf"],
     ["amoeba", "--corpus", "u23", "--t", "nan"],
     ["amoeba", "--corpus", "u23", "--t", "x"],
+    ["degenerate", "--corpus", "u24", "--u", "1,x,0,0"],
+    ["degenerate", "--corpus", "u24", "--u", "1/0,0,0,0"],
 ])
 def test_bad_numeric_flag_exits_two(args):
     result = _run_cli(args)
@@ -172,6 +175,50 @@ def test_bad_numeric_flag_exits_two(args):
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert f"argument {args[-2]}" in result.stderr
+
+
+# (files written into DIR, arguments, environment, error)
+_FAULTS = {
+    "matrix without keys": (
+        {"in.json": "{}"}, ["matroid", "--matrix", "DIR/in.json"], None,
+        "InvalidInput"),
+    "matrix of the wrong shape": (
+        {"in.json": '{"rows": 1, "cols": 2, "entries": [["1"]]}'},
+        ["matroid", "--matrix", "DIR/in.json"], None, "InvalidInput"),
+    "malformed JSON": (
+        {"in.json": '{"n": 2,'}, ["matroid", "--bases", "DIR/in.json"], None,
+        "InvalidInput"),
+    "bases of strings": (
+        {"in.json": '{"n": 2, "bases": [["a"]]}'},
+        ["matroid", "--bases", "DIR/in.json"], None, "InvalidInput"),
+    "missing file": (
+        {}, ["matroid", "--graph", "DIR/absent.json"], None, "InvalidInput"),
+    "building set of non-elements": (
+        {"b.json": "[[0]]"},
+        ["nested", "--corpus", "u24", "--building", "DIR/b.json"], None,
+        "InvalidInput"),
+    "output into a missing directory": (
+        {}, ["matroid", "--corpus", "u24", "--output", "DIR/absent/out.json"],
+        None, "UnwritableOutput"),
+    "non-integer MFK_MAX_N": (
+        {}, ["matroid", "--uniform", "2", "4"], {"MFK_MAX_N": "abc"},
+        "ParameterOutOfRange"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAULTS))
+def test_input_and_output_faults_exit_one_with_error_json(case, tmp_path):
+    files, args, env, error = _FAULTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    result = _run_cli([a.replace("DIR", str(tmp_path)) for a in args],
+                      env=env)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    payload = json.loads(result.stdout)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == error
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 # sha256 of the stdout bytes, recorded before the flags were range-checked

@@ -8,7 +8,7 @@ with ``geometry.cone_contains``, the exact LP.
 """
 
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 
 from mfk import geometry
 from mfk.bergman import bergman_fan
+from mfk.bitset import from_mask
 from mfk.corpus import corpus
 from mfk.geometry import cone_contains
 from mfk.lattice import FlatLattice
-from mfk.matroid import direct_sum, uniform
-from mfk.nested import (compare_fans, max_building, min_building, nested_fan,
-                        refines, supports_equal_on_generators)
+from mfk.matroid import direct_sum, from_bases, uniform
+from mfk.nested import (BuildingSet, compare_fans, is_building_set,
+                        max_building, min_building, nested_fan, refines,
+                        supports_equal_on_generators)
 
-# U_{n,n}, boolean_3/4 and the direct sums are disconnected: their
-# degenerate nested cones go to the LP; in the sums such a cone holds a line
-# but is not the whole space.
+# U_{n,n}, boolean_3/4 and the direct sums are disconnected: the cones of
+# their minimal nested fans contain the span of the component indicators;
+# in the sums such a cone holds a line but is not the whole space.
 MATROIDS = {
     **{f"U_{d},{n}": (lambda d=d, n=n: uniform(d, n))
        for n in range(1, 7) for d in range(1, n + 1)},
@@ -89,7 +91,8 @@ def test_protocol_matches_lp_oracle(name):
             and _lp_covers_rays(fan_b, fan_a, oracle[key_a]))
 
 
-@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "U_3,6"])
+@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "U_3,6",
+                                  "boolean_4", "U_2,3+U_1,1"])
 def test_connected_comparison_solves_no_lp(name, monkeypatch):
     fans = _fans(MATROIDS[name]())  # bergman_fan itself still uses the LP
 
@@ -118,3 +121,30 @@ def test_cone_rules_match_lp_on_random_weights(name, data):
     for fan in fans:
         for i, cone in enumerate(fan.cones):
             assert fan.cone_contains(i, w) == cone_contains(cone, w), (i, w)
+
+
+_LOOP = from_bases(1, [[]])
+
+
+@pytest.mark.parametrize("matroid", [
+    direct_sum(direct_sum(uniform(1, 1), uniform(1, 1)), _LOOP),
+    direct_sum(direct_sum(uniform(1, 2), uniform(1, 1)), _LOOP),
+    direct_sum(direct_sum(uniform(2, 2), _LOOP), _LOOP),
+], ids=["U11+U11+loop", "U12+U11+loop", "U22+loop+loop"])
+def test_every_building_set_cone_rule_matches_lp(matroid):
+    # with a loop the maximal members of a building set without the full
+    # flat share the loop, so their indicators do not sum to the all-ones
+    # vector and the cone keeps the all-ones column
+    lattice = FlatLattice(matroid)
+    flats = [from_mask(f) for level in lattice.by_rank[1:] for f in level]
+    grid = list(product(range(-1, 3), repeat=matroid.n))
+    for size in range(1, len(flats) + 1):
+        for members in combinations(flats, size):
+            if not is_building_set(lattice, members):
+                continue
+            fan = nested_fan(matroid, BuildingSet(
+                lattice=lattice, members=frozenset(members)))
+            for i, cone in enumerate(fan.cones):
+                for w in grid:
+                    assert fan.cone_contains(i, w) == \
+                        cone_contains(cone, w), (members, i, w)

@@ -13,7 +13,8 @@ from mfk.errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
 from mfk.lattice import FlatLattice, flats
-from mfk.matroid import from_matrix, uniform
+from mfk.corpus import corpus
+from mfk.matroid import direct_sum, from_matrix, uniform
 from mfk.nested import (all_nested_sets, blocks_partition, building_set,
                         building_set_counterexample, chain_to_nested,
                         compare_fans, dcp_normal_refinement_check,
@@ -529,3 +530,26 @@ def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
             for subset in combinations(members, size):
                 assert is_nested(building, subset) == \
                     (frozenset(subset) in enumerated)
+
+
+# acceptance criterion 05 makes the same check on every U_{d,n} with
+# n <= 6, braidK4 and delA3
+_CONDITION_INPUTS = {
+    **{name: (lambda name=name: corpus(name).matroid)
+       for name in ("u23", "u24", "braidK5", "boolean_3", "boolean_4")},
+    "U23+U11": lambda: direct_sum(uniform(2, 3), uniform(1, 1)),
+    "U23+U23": lambda: direct_sum(uniform(2, 3), uniform(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONDITION_INPUTS))
+def test_fans_equal_condition_matches_the_comparison(name):
+    # Feichtner-Sturmfels: the condition holds exactly when the minimal
+    # nested fan equals the coarse Bergman fan
+    m = _CONDITION_INPUTS[name]()
+    lattice = FlatLattice(m)
+    report = fans_equal_condition(m, lattice)
+    comparison = compare_fans(nested_fan(m, min_building(lattice)),
+                              bergman_fan(m, lattice))
+    assert report.holds == comparison.equal
+    assert (report.witness is None) == report.holds

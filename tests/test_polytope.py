@@ -1,13 +1,19 @@
+import sys
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import mfk.polytope
 from mfk.corpus import corpus
 from mfk.errors import (DimensionMismatch, Disconnected, LoopsPresent,
                         NotAFace)
-from mfk.geometry import face_lattice
-from mfk.matroid import from_matrix, uniform
+from mfk.geometry import convex_hull, face_lattice
+from mfk.jsonio import polytope_to_json
+from mfk.matroid import direct_sum, from_bases, from_matrix, uniform
 from mfk.polytope import (constancy_chain, degeneration, dual_reflection_check,
                           face_matroid, facets, indicator_vertex, polytope)
 
@@ -176,7 +182,7 @@ def test_facets_requires_loop_free():
 def test_facets_agree_with_hull(dela3, u24, braid_k4):
     for m in (dela3.matroid, u24.matroid, braid_k4.matroid, uniform(2, 5)):
         described = facets(m)
-        hull = polytope(m)
+        hull = _hull(m)
         assert len(described) == len(hull.facets)
         vertex_index = {v: i for i, v in enumerate(hull.vertices)}
         hull_facet_sets = set()
@@ -188,6 +194,101 @@ def test_facets_agree_with_hull(dela3, u24, braid_k4):
             indices = frozenset(vertex_index[indicator_vertex(m.n, b)]
                                 for b in d.vertex_bases)
             assert indices in hull_facet_sets
+
+
+@cache
+def _hull(matroid):
+    """The test oracle: the brute-force hull of the basis indicators."""
+    return convex_hull(indicator_vertex(matroid.n, b) for b in matroid.bases)
+
+
+def _artifact(p):
+    return polytope_to_json(p, face_lattice(p))
+
+
+_LOOP = from_bases(1, [[]])
+_SUMS = {
+    "U23+loop": direct_sum(uniform(2, 3), _LOOP),
+    "U23+U11": direct_sum(uniform(2, 3), uniform(1, 1)),
+    "U23+U23": direct_sum(uniform(2, 3), uniform(2, 3)),
+    "U12+U12": direct_sum(uniform(1, 2), uniform(1, 2)),
+    "U12+U11+loop": direct_sum(direct_sum(uniform(1, 2), uniform(1, 1)),
+                               _LOOP),
+}
+_ORACLE_INPUTS = {
+    **{f"U{d},{n}": (lambda d=d, n=n: uniform(d, n))
+       for n in range(1, 7) for d in range(1, n + 1)},
+    **{name: (lambda name=name: corpus(name).matroid)
+       for name in ("u23", "u24", "delA3", "braidK4", "boolean_4")},
+    **{name: (lambda m=m: m) for name, m in _SUMS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_INPUTS))
+def test_polytope_matches_hull_oracle(name):
+    m = _ORACLE_INPUTS[name]()
+    assert _artifact(polytope(m)) == _artifact(_hull(m))
+
+
+_small_matrices = st.integers(1, 3).flatmap(
+    lambda rows: st.integers(1, 6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-1, 1), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_matrices)
+def test_polytope_matches_hull_on_integer_matrices(rows):
+    m, _ = from_matrix(rows)
+    # the hull oracle costs C(#vertices, dim) nullspaces; the uniform
+    # matroids above cover the larger polytopes
+    assume(len(m.base_masks) <= 12)
+    assert _artifact(polytope(m)) == _artifact(_hull(m))
+
+
+def test_polytope_and_face_matroid_use_no_generic_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generic solver was called")
+
+    modules = [m for key, m in sys.modules.items()
+               if key == "mfk" or key.startswith("mfk.")]
+    for name in ("convex_hull", "face_lattice", "lp_feasible"):
+        assert not hasattr(mfk.polytope, name)
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    matroids = [corpus(name).matroid
+                for name in ("u23", "u24", "delA3", "braidK4", "braidK5",
+                             "boolean_3")]
+    for m in matroids + list(_SUMS.values()):
+        p = polytope(m)
+        assert p.dim == m.n - m.components().kappa
+        assert face_matroid(m, m.bases) == m
+        assert face_matroid(m, m.bases[:1]).bases == m.bases[:1]
+        if m.is_connected():
+            described = facets(m)
+            for d in (described[0], described[-1]):
+                assert set(face_matroid(m, d.vertex_bases).bases) == \
+                    set(d.vertex_bases)
+
+
+@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4"])
+def test_face_matroid_accepts_exactly_the_faces(name):
+    m = corpus(name).matroid
+    hull = _hull(m)
+    base_of = {v: frozenset(i + 1 for i, x in enumerate(v) if x == 1)
+               for v in hull.vertices}
+    faces = {frozenset(base_of[hull.vertices[i]] for i in face)
+             for level in face_lattice(hull).faces_by_dim for face in level}
+    for face in faces:
+        assert set(face_matroid(m, face).bases) == face
+    for pair in combinations(m.bases, 2):
+        if frozenset(pair) not in faces:
+            with pytest.raises(NotAFace, match="is not a face"):
+                face_matroid(m, pair)
+    with pytest.raises(NotAFace):
+        face_matroid(m, [])
 
 
 def test_face_matroid_octahedron_facet(u24):
