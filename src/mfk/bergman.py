@@ -12,25 +12,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .bitset import from_mask, to_mask
+from .bitset import from_mask, full_mask, to_mask
 from .errors import LoopsPresent, SingularSample
 from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
 from .linalg import frac, nullspace, rank as matrix_rank
 from .matroid import LinearRealization, Matroid, from_matrix
-from .polytope import constancy_chain, degeneration, heaviest_bases
+from .polytope import degeneration, heaviest_bases, sublevel_masks
 
 
 def bergman_membership(matroid: Matroid, w) -> bool:
     """Does w lie in the Bergman support?
 
-    True exactly when every set in the chain of -w is a flat.
+    True exactly when every set in the chain of -w is a flat (the ground
+    set always is).
     """
     if matroid.loops():
         raise LoopsPresent("Bergman membership needs a loop-free matroid")
-    chain = constancy_chain([-frac(x) for x in w])
-    return all(matroid.closure_mask(m) == m for m in chain.masks())
+    ground = full_mask(matroid.n)
+    negated = [-(x if isinstance(x, int) else frac(x)) for x in w]
+    return all(m == ground or matroid.closure_mask(m) == m
+               for m in sublevel_masks(negated))
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,19 @@ class BergmanFan(Fan):
     def cone_contains(self, i: int, w) -> bool:
         return self.coarse_contains(i, w)
 
+    @cached_property
+    def _group_masks(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(to_mask(b) for b in bases)
+                     for bases in self.group_bases)
+
     def coarse_contains(self, group_index: int, w) -> bool:
         """Closed-cone membership: the group's bases are all w-maximal."""
-        heaviest = heaviest_bases(self.matroid, w)
-        return all(to_mask(b) in heaviest
-                   for b in self.group_bases[group_index])
+        return self._group_masks[group_index] <= heaviest_bases(self.matroid, w)
 
     def any_coarse_contains(self, w) -> bool:
-        return super().contains(w)
+        """Some coarse cone contains w; the w-maximal bases are found once."""
+        heaviest = heaviest_bases(self.matroid, w)
+        return any(group <= heaviest for group in self._group_masks)
 
 
 def _maximal_proper_flag_masks(lattice: FlatLattice) -> list[tuple[int, ...]]:

@@ -17,10 +17,15 @@ class SimplicialComplex:
 
     @staticmethod
     def from_faces(vertices, faces) -> "SimplicialComplex":
-        """Build from an arbitrary face collection, keeping maximal ones."""
+        """Build from an arbitrary face collection, keeping maximal ones.
+
+        No face strictly contains one of the largest size, so only the
+        smaller faces are compared with the others (none in a pure complex).
+        """
         faces = [frozenset(f) for f in faces]
+        top = max(map(len, faces), default=0)
         maximal = [f for f in faces
-                   if not any(f < g for g in faces)]
+                   if len(f) == top or not any(f < g for g in faces)]
         unique = sorted(set(maximal), key=lambda f: (len(f), sorted(map(str, f))))
         return SimplicialComplex(vertices=tuple(vertices),
                                  facets=tuple(unique))

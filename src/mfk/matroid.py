@@ -104,32 +104,38 @@ class Matroid:
         return self.rank_mask(to_mask(subset))
 
     def closure_mask(self, mask: int) -> int:
-        r = self.rank_mask(mask)
-        closed = mask
-        for e in range(self.n):
-            bit = 1 << e
-            if not mask & bit and self.rank_mask(mask | bit) == r:
-                closed |= bit
-        return closed
+        """Closure in one pass over the bases.
+
+        With r = max |B & X| over the bases, an element e outside X raises
+        the rank exactly when some basis meeting X in r elements contains
+        e, so cl(X) is X plus every element outside all such bases.
+        """
+        r, reach = -1, 0
+        for b in self.base_masks:
+            k = (b & mask).bit_count()
+            if k > r:
+                r, reach = k, b
+            elif k == r:
+                reach |= b
+        return mask | (full_mask(self.n) & ~reach)
 
     def closure(self, subset) -> frozenset[int]:
         """Smallest flat containing the subset."""
         return from_mask(self.closure_mask(to_mask(subset)))
 
     def is_independent(self, subset) -> bool:
-        mask = to_mask(subset)
-        return self.rank_mask(mask) == popcount(mask)
+        """Independent sets are the subsets of bases."""
+        return self._in_some_basis(to_mask(subset))
+
+    def _in_some_basis(self, mask: int) -> bool:
+        return any(mask & ~b == 0 for b in self.base_masks)
 
     def loops(self) -> frozenset[int]:
-        loop_mask = full_mask(self.n)
+        """Elements that lie in no basis."""
+        covered = 0
         for b in self.base_masks:
-            loop_mask &= ~b
-        # elements missed by every basis of positive rank are loops; for
-        # rank 0 everything is a loop
-        if self.rank_d == 0:
-            return frozenset(range(1, self.n + 1))
-        return frozenset(e for e in iter_bits(loop_mask)
-                         if self.rank_mask(1 << (e - 1)) == 0)
+            covered |= b
+        return from_mask(full_mask(self.n) & ~covered)
 
     def is_simple(self) -> bool:
         if self.loops():
@@ -178,7 +184,11 @@ class Matroid:
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
-        """Minimal dependent sets; circuits have at most rank+1 elements."""
+        """Minimal dependent sets; circuits have at most rank+1 elements.
+
+        Every (rank+1)-subset is dependent; a smaller one is dependent when
+        no basis contains it.
+        """
         found: list[int] = []
         for size in range(1, self.rank_d + 2):
             for combo in combinations(range(self.n), size):
@@ -187,7 +197,7 @@ class Matroid:
                     mask |= 1 << c
                 if any(c & ~mask == 0 for c in found):
                     continue
-                if self.rank_mask(mask) < size:
+                if size > self.rank_d or not self._in_some_basis(mask):
                     found.append(mask)
         return tuple(sorted(found))
 

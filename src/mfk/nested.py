@@ -381,7 +381,11 @@ class NestedChainData:
 
 
 def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
-    """The sets S_i = {X in S : i in X} as chains, and minimal-support data."""
+    """The sets S_i = {X in S : i in X} as chains, and minimal-support data.
+
+    ``min_support_index`` maps each building member G to the least element
+    i of G whose family S_i lies in every S_j, j in G.
+    """
     lattice = building.lattice
     _validate_nested_input(building, nested_set)
     n = lattice.matroid.n
@@ -396,11 +400,14 @@ def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
         if si:
             support[i] = si
     minima = {i: si[0] for i, si in support.items()}
+    # the minimal support family is unique inside every building member;
+    # other flats may have several
+    members = set(building.member_masks())
     min_index: dict[frozenset[int], int] = {}
     for fmask in lattice.flat_masks:
-        flat = from_mask(fmask)
-        if not flat:
+        if not fmask or fmask not in members:
             continue
+        flat = from_mask(fmask)
         families = {i: frozenset(support.get(i, [])) for i in flat}
         i0 = min(flat, key=lambda i: (len(families[i]), i))
         if not all(families[i0] <= families[i] for i in flat):

@@ -65,16 +65,26 @@ class ConstancyChain:
         return tuple(to_mask(s) for s in self.sets)
 
 
+def sublevel_masks(u) -> list[int]:
+    """Masks of the sublevel sets of a weight, ascending.
+
+    One pass groups the indices by value; integer entries stay ``int``.
+    """
+    blocks: dict = {}
+    for i, x in enumerate(u):
+        if not isinstance(x, int):
+            x = frac(x)
+        blocks[x] = blocks.get(x, 0) | 1 << i
+    masks, cumulative = [], 0
+    for value in sorted(blocks):
+        cumulative |= blocks[value]
+        masks.append(cumulative)
+    return masks
+
+
 def constancy_chain(u) -> ConstancyChain:
     """The unique chain on which the weight is constant per difference block."""
-    weights = [frac(x) for x in u]
-    values = sorted(set(weights))
-    sets = []
-    cumulative: set[int] = set()
-    for value in values:
-        cumulative |= {i + 1 for i, w in enumerate(weights) if w == value}
-        sets.append(frozenset(cumulative))
-    return ConstancyChain(sets=tuple(sets))
+    return ConstancyChain(sets=tuple(from_mask(m) for m in sublevel_masks(u)))
 
 
 @dataclass(frozen=True)
@@ -93,15 +103,17 @@ def heaviest_bases(matroid: Matroid, w) -> set[int]:
     leaves the set of w-maximal bases unchanged.
     """
     ints = primitive_integer(w, sign_first_positive=False)
-    cost = {}
+    best, heaviest = None, set()
     for b in matroid.base_masks:
         total = 0
         for i in range(matroid.n):
             if b >> i & 1:
                 total += ints[i]
-        cost[b] = total
-    best = max(cost.values())
-    return {b for b, c in cost.items() if c == best}
+        if best is None or total > best:
+            best, heaviest = total, {b}
+        elif total == best:
+            heaviest.add(b)
+    return heaviest
 
 
 def degeneration(matroid: Matroid, u) -> Degeneration:

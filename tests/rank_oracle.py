@@ -1,0 +1,52 @@
+"""The rank-oracle queries as ``Matroid`` computed them before their one-pass
+forms: the differential oracle for ``closure_mask``, ``circuit_masks``,
+``is_independent`` and ``loops``.
+
+Every query here goes through ``Matroid.rank_mask``, the maximum of
+``|B & X|`` over all bases, so each answer follows the rank function's
+definition directly: the closure adds every element that keeps the rank,
+and a set is dependent when its rank is below its size.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from mfk.bitset import from_mask, popcount
+
+
+def closure_mask(matroid, mask: int) -> int:
+    """X plus every element e with r(X + e) = r(X): n + 1 rank scans."""
+    r = matroid.rank_mask(mask)
+    closed = mask
+    for e in range(matroid.n):
+        bit = 1 << e
+        if not mask & bit and matroid.rank_mask(mask | bit) == r:
+            closed |= bit
+    return closed
+
+
+def circuit_masks(matroid) -> tuple[int, ...]:
+    """Minimal subsets whose rank is below their size, smallest first."""
+    found: list[int] = []
+    for size in range(1, matroid.rank_d + 2):
+        for combo in combinations(range(matroid.n), size):
+            mask = 0
+            for c in combo:
+                mask |= 1 << c
+            if any(c & ~mask == 0 for c in found):
+                continue
+            if matroid.rank_mask(mask) < size:
+                found.append(mask)
+    return tuple(sorted(found))
+
+
+def is_independent(matroid, mask: int) -> bool:
+    return matroid.rank_mask(mask) == popcount(mask)
+
+
+def loops(matroid) -> frozenset[int]:
+    """Elements of rank zero."""
+    return from_mask(sum(1 << (e - 1) for e in range(1, matroid.n + 1)
+                         if matroid.rank_mask(1 << (e - 1)) == 0))
+

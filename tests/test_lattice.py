@@ -187,6 +187,14 @@ def test_homology_single_simplex_trivial():
     assert euler == 0
 
 
+def test_from_faces_keeps_the_maximal_faces():
+    faces = [{1, 2}, {1, 2, 3}, {3, 4}, {4}, {1, 2, 3}, {5}, set()]
+    c = SimplicialComplex.from_faces((1, 2, 3, 4, 5), faces)
+    assert c.facets == (frozenset({5}), frozenset({3, 4}),
+                        frozenset({1, 2, 3}))
+    assert SimplicialComplex.from_faces((), []).facets == ()
+
+
 def test_euler_matches_mu_on_corpus(dela3, u24, braid_k4):
     for m in (dela3.matroid, u24.matroid, braid_k4.matroid, uniform(3, 5)):
         lattice = FlatLattice(m)

@@ -1,15 +1,16 @@
 import os
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 import mfk
 
+from mfk.bitset import from_mask, to_mask
 from mfk.bergman import bergman_fan, bergman_membership
-from mfk.errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
-                        NotAChain, NotFlats, NotLinearExtension)
+from mfk.errors import (InvalidBuildingSet, LoopsPresent, NotAChain,
+                        NotFlats, NotLinearExtension)
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
 from mfk.lattice import FlatLattice, flats
@@ -479,26 +480,84 @@ def test_nested_chain_helpers_on_every_maximal_nested_set(dela3_lattice,
                 chains = {i: c for i, c in chains.items() if c}
                 assert all(a < b for c in chains.values()
                            for a, b in zip(c, c[1:]))
-                index, unique = {}, True
-                for level in lattice.flats()[1:]:
-                    for flat in level:
-                        families = {i: set(chains.get(i, [])) for i in flat}
-                        lowest = [i for i in sorted(flat)
-                                  if all(families[i] <= families[j]
-                                         for j in flat)]
-                        # the minimal support of a building member is unique
-                        assert lowest or flat not in building.members
-                        unique = unique and bool(lowest)
-                        if lowest:
-                            index[flat] = lowest[0]
-                if not unique:
-                    with pytest.raises(NoMinimalSupport):
-                        nested_chain_helpers(building, nested)
-                    continue
+                index = {}
+                for flat in building.members:
+                    families = {i: set(chains.get(i, [])) for i in flat}
+                    lowest = [i for i in sorted(flat)
+                              if all(families[i] <= families[j]
+                                     for j in flat)]
+                    # the minimal support of a building member is unique
+                    assert lowest
+                    index[flat] = lowest[0]
                 data = nested_chain_helpers(building, nested)
                 assert data.chains == chains
                 assert data.minima == {i: c[0] for i, c in chains.items()}
                 assert data.min_support_index == index
+
+
+def _automorphisms(matroid):
+    """Permutations of range(n) that map the bases onto the bases."""
+    bases = set(matroid.base_masks)
+    for perm in permutations(range(matroid.n)):
+        if all(_permuted(b, perm) in bases for b in bases):
+            yield perm
+
+
+def _permuted(mask, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def _building_sets_up_to_symmetry(lattice):
+    """One building set per orbit of the matroid's automorphisms.
+
+    Every building set contains the irreducible flats, so the candidates
+    are min_building plus any set of other flats of positive rank.
+    """
+    base = min_building(lattice).members
+    others = [from_mask(f) for level in lattice.by_rank[1:] for f in level
+              if from_mask(f) not in base]
+    images = [{f: _permuted(f, p) for f in lattice.flat_masks}
+              for p in _automorphisms(lattice.matroid)]
+    seen = set()
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            members = base | set(extra)
+            masks = [to_mask(f) for f in members]
+            orbit_key = min(tuple(sorted(image[m] for m in masks))
+                            for image in images)
+            if orbit_key in seen or not is_building_set(lattice, members):
+                continue
+            seen.add(orbit_key)
+            yield building_set(lattice, members)
+
+
+_SUPPORT_INPUTS = {
+    "U22": lambda: uniform(2, 2),
+    "U33": lambda: uniform(3, 3),
+    "U24": lambda: uniform(2, 4),
+    "U35": lambda: uniform(3, 5),
+    "delA3": lambda: corpus("delA3").matroid,
+    "braidK4": lambda: corpus("braidK4").matroid,
+    "U23+U11": lambda: direct_sum(uniform(2, 3), uniform(1, 1)),
+    "U12+U12": lambda: direct_sum(uniform(1, 2), uniform(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SUPPORT_INPUTS))
+def test_nested_chain_helpers_accepts_every_nested_set(name):
+    # the minimal support family is unique on building members only; a
+    # flat outside the building set (delA3's {4, 5} under {E, {4}, {5}})
+    # may have several.  Relabelling commutes with nested_chain_helpers,
+    # so one building set per automorphism orbit covers them all.
+    lattice = FlatLattice(_SUPPORT_INPUTS[name]())
+    for building in _building_sets_up_to_symmetry(lattice):
+        for nested in all_nested_sets(building):
+            data = nested_chain_helpers(building, nested)
+            assert set(data.min_support_index) == building.members
+            for flat, i0 in data.min_support_index.items():
+                low = set(data.chains.get(i0, []))
+                assert i0 in flat
+                assert all(low <= set(data.chains.get(j, [])) for j in flat)
 
 
 def test_nested_chain_helpers_refuses_crossing_supports():

@@ -1,0 +1,141 @@
+"""The one-pass rank-oracle queries against their rank-scan definitions.
+
+``rank_oracle`` keeps the queries as the rank function defines them; here
+``closure_mask``, ``circuit_masks``, ``is_independent`` and ``loops`` must
+agree with it on every subset, and the work counts guard the one-pass forms:
+``closure_mask`` and ``circuit_masks`` call ``rank_mask`` never, and the
+Bergman grid check finds the heaviest bases once per grid point.
+"""
+
+import contextlib
+import io
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rank_oracle
+from mfk import bergman, cli
+from mfk.bergman import bergman_fan, bergman_membership
+from mfk.bitset import from_mask
+from mfk.corpus import corpus
+from mfk.matroid import Matroid, direct_sum, from_matrix, uniform
+from mfk.polytope import constancy_chain
+
+_LOOP = Matroid(1, [0])
+_COLOOP = uniform(1, 1)
+
+_MATROIDS = {
+    **{f"U{d},{n}": (lambda d=d, n=n: uniform(d, n))
+       for n in range(1, 7) for d in range(1, n + 1)},
+    **{name: (lambda name=name: corpus(name).matroid)
+       for name in ("u23", "u24", "delA3", "braidK4", "boolean_3")},
+    "loop": lambda: _LOOP,
+    "U23+loop": lambda: direct_sum(uniform(2, 3), _LOOP),
+    "loop+U24+coloop": lambda: direct_sum(direct_sum(_LOOP, uniform(2, 4)),
+                                          _COLOOP),
+    "U12+loop+loop": lambda: direct_sum(uniform(1, 2),
+                                        direct_sum(_LOOP, _LOOP)),
+    "delA3+coloop": lambda: direct_sum(corpus("delA3").matroid, _COLOOP),
+}
+
+
+def _agrees_with_oracle(m):
+    assert m.loops() == rank_oracle.loops(m)
+    assert m.circuit_masks == rank_oracle.circuit_masks(m)
+    for mask in range(1 << m.n):
+        assert m.closure_mask(mask) == rank_oracle.closure_mask(m, mask)
+        assert (m.is_independent(from_mask(mask))
+                == rank_oracle.is_independent(m, mask))
+
+
+@pytest.mark.parametrize("name", list(_MATROIDS))
+def test_rank_queries_match_the_oracle(name):
+    _agrees_with_oracle(_MATROIDS[name]())
+
+
+@st.composite
+def _integer_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=3))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    return draw(st.lists(st.lists(st.integers(min_value=-2, max_value=2),
+                                  min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_matrices())
+def test_rank_queries_match_the_oracle_on_matrices(rows):
+    _agrees_with_oracle(from_matrix(rows)[0])
+
+
+_FANS = {
+    "u24": lambda: corpus("u24").matroid,
+    "delA3": lambda: corpus("delA3").matroid,
+    "U25": lambda: uniform(2, 5),
+    "U23+U11": lambda: direct_sum(uniform(2, 3), _COLOOP),
+}
+
+
+@pytest.mark.parametrize("name", list(_FANS))
+def test_any_coarse_contains_is_the_union_of_the_cones(name):
+    m = _FANS[name]()
+    fan = bergman_fan(m)
+    weights = list(product(range(-1, 2), repeat=m.n))
+    weights += [[Fraction(k, 2) for k in w] for w in weights[::7]]
+    for w in weights:
+        assert fan.any_coarse_contains(w) == any(
+            fan.coarse_contains(i, w) for i in range(len(fan.cones)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), max_size=7))
+def test_constancy_chain_on_ints_matches_fractions(weights):
+    assert (constancy_chain(weights)
+            == constancy_chain([Fraction(x) for x in weights])
+            == constancy_chain([f"{x}/1" for x in weights]))
+
+
+def test_bergman_membership_on_ints_matches_fractions():
+    m = corpus("delA3").matroid
+    for w in product(range(-1, 2), repeat=m.n):
+        assert (bergman_membership(m, w)
+                == bergman_membership(m, [Fraction(x, 3) for x in w]))
+
+
+# -- work counts -------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_closure_and_circuits_make_no_rank_scan(monkeypatch):
+    m = uniform(4, 12)
+    delta = corpus("delA3").matroid
+    calls = _count_calls(monkeypatch, Matroid, "rank_mask")
+    assert len(m.circuit_masks) == 792
+    for mask in range(1 << delta.n):
+        delta.closure_mask(mask)
+    m.closure_mask(0b111)
+    assert calls == []
+
+
+def test_bergman_grid_finds_the_heaviest_bases_once_per_point(monkeypatch):
+    m = corpus("u24").matroid
+    flags = len(bergman_fan(m).fine_chains)
+    calls = _count_calls(monkeypatch, bergman, "heaviest_bases")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["bergman", "--corpus", "u24", "--grid", "2"]) == 0
+    # one call per fine flag to group the flags, then one per grid point
+    assert len(calls) == flags + 5 ** m.n
