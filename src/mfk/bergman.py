@@ -20,7 +20,8 @@ from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
 from .linalg import frac, nullspace, rank as matrix_rank
 from .matroid import LinearRealization, Matroid, from_matrix
-from .polytope import degeneration, heaviest_bases, sublevel_masks
+from .polytope import (degeneration, heaviest_bases, require_weight_length,
+                       sublevel_masks)
 
 
 def bergman_membership(matroid: Matroid, w) -> bool:
@@ -31,6 +32,7 @@ def bergman_membership(matroid: Matroid, w) -> bool:
     """
     if matroid.loops():
         raise LoopsPresent("Bergman membership needs a loop-free matroid")
+    require_weight_length(matroid, w)
     ground = full_mask(matroid.n)
     negated = [-(x if isinstance(x, int) else frac(x)) for x in w]
     return all(m == ground or matroid.closure_mask(m) == m
@@ -73,34 +75,13 @@ class BergmanFan(Fan):
         return any(group <= heaviest for group in self._group_masks)
 
 
-def _maximal_proper_flag_masks(lattice: FlatLattice) -> list[tuple[int, ...]]:
-    """Maximal chains of flats strictly between bottom and top."""
-    d = lattice.matroid.rank_d
-    if d <= 1:
-        return [()]
-    by_rank = lattice.by_rank
-    flags: list[tuple[int, ...]] = []
-
-    def grow(chain, level):
-        if level == d:
-            flags.append(tuple(chain))
-            return
-        for f in by_rank[level]:
-            if chain[-1] & ~f == 0:
-                grow(chain + [f], level + 1)
-
-    for f in by_rank[1]:
-        grow([f], 2)
-    return flags
-
-
 def bergman_fan(matroid: Matroid,
                 lattice: FlatLattice | None = None) -> BergmanFan:
     """Coarse Bergman fan from flag cones grouped by degeneration bases."""
     if matroid.loops():
         raise LoopsPresent("Bergman fan needs a loop-free matroid")
     lattice = lattice or FlatLattice(matroid)
-    flags = _maximal_proper_flag_masks(lattice)
+    flags = lattice.maximal_chains(lattice.bottom, lattice.top)
     n = matroid.n
     groups: dict[tuple[int, ...], list[int]] = {}
     for idx, flag in enumerate(flags):

@@ -33,12 +33,3 @@ def popcount(mask: int) -> int:
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
-
-def submasks(mask: int):
-    """All submasks of ``mask``, including 0 and itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

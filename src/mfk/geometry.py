@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DimensionMismatch
-from .linalg import (content, frac, lp_feasible, nullspace, rank, rref,
+from .linalg import (content, frac, lp_feasible, nullspace, rref,
                      smith_normal_form)
 
 
@@ -244,7 +244,8 @@ class FaceLattice:
 
 
 def face_lattice(polytope: RationalPolytope) -> FaceLattice:
-    """All faces as maximal vertex sets on common facet intersections."""
+    """All faces as maximal vertex sets on common facet intersections,
+    graded by the facets of each face: a vertex has dimension 0."""
     verts = polytope.vertices
     full = frozenset(range(len(verts)))
     if polytope.dim == 0:
@@ -267,16 +268,14 @@ def face_lattice(polytope: RationalPolytope) -> FaceLattice:
         frontier = new
     faces.add(full)
 
-    def affine_dim(index_set):
-        idx = sorted(index_set)
-        base = verts[idx[0]]
-        rows = [[verts[i][c] - base[c] for c in range(len(base))]
-                for i in idx[1:]]
-        return rank(rows) if rows else 0
-
+    # every facet of a face F is F & H for a facet H of the polytope, so
+    # dim F = 1 + the largest dim(F & H) over the proper nonempty F & H
+    dim: dict[frozenset[int], int] = {}
     by_dim: dict[int, list[frozenset[int]]] = {}
-    for f in faces:
-        by_dim.setdefault(affine_dim(f), []).append(f)
+    for f in sorted(faces, key=len):
+        below = [dim[h] for h in (f & g for g in facet_sets) if h and h != f]
+        dim[f] = 1 + max(below, default=-1)
+        by_dim.setdefault(dim[f], []).append(f)
     levels = tuple(tuple(sorted(by_dim.get(d, []), key=sorted))
                    for d in range(polytope.dim + 1))
     return FaceLattice(faces_by_dim=levels,

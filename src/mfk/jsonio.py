@@ -120,11 +120,6 @@ def degeneration_to_json(deg: Degeneration) -> dict:
     }
 
 
-def degeneration_from_json(data: dict):
-    return (matroid_from_json(data["matroid_u"]),
-            [frozenset(s) for s in data["chain"]], bool(data["loop_free"]))
-
-
 # -- fans --------------------------------------------------------------------------
 
 

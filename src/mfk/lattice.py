@@ -21,18 +21,25 @@ class FlatLattice:
     def __init__(self, matroid: Matroid):
         self.matroid = matroid
         by_rank: list[list[int]] = [[matroid.closure_mask(0)]]
-        covers: list[tuple[int, int]] = []
+        upper_covers: dict[int, tuple[int, ...]] = {}
         for p in range(matroid.rank_d):
             level: set[int] = set()
             for flat in by_rank[p]:
+                # the sets cl(F + e) - F partition E - F: one closure per cover
+                covers: list[int] = []
+                seen = flat
                 for e in range(matroid.n):
                     bit = 1 << e
-                    if flat & bit:
+                    if seen & bit:
                         continue
                     cover = matroid.closure_mask(flat | bit)
-                    level.add(cover)
-                    covers.append((flat, cover))
+                    seen |= cover
+                    covers.append(cover)
+                upper_covers[flat] = tuple(sorted(covers))
+                level.update(covers)
             by_rank.append(sorted(level))
+        for flat in by_rank[-1]:
+            upper_covers[flat] = ()
         self.by_rank: tuple[tuple[int, ...], ...] = tuple(
             tuple(level) for level in by_rank)
         self.flat_masks: tuple[int, ...] = tuple(
@@ -40,8 +47,9 @@ class FlatLattice:
         self._flat_set = frozenset(self.flat_masks)
         self._rank_of = {f: p for p, level in enumerate(self.by_rank)
                          for f in level}
-        self.cover_pairs: tuple[tuple[int, int], ...] = tuple(
-            sorted(set(covers)))
+        self._upper_covers = upper_covers
+        self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(
+            (f, g) for f, covers in upper_covers.items() for g in covers))
         self._moebius = self._compute_moebius()
 
     # -- structure ----------------------------------------------------------
@@ -57,9 +65,6 @@ class FlatLattice:
     def is_flat_mask(self, mask: int) -> bool:
         return mask in self._flat_set
 
-    def is_flat(self, subset) -> bool:
-        return self.is_flat_mask(to_mask(subset))
-
     def rank_in_lattice(self, mask: int) -> int:
         return self._rank_of[mask]
 
@@ -73,6 +78,23 @@ class FlatLattice:
         """Flats Z with lower <= Z <= upper, in rank order."""
         return [f for f in self.flat_masks
                 if f & ~upper == 0 and lower & ~f == 0]
+
+    def maximal_chains(self, lower: int, upper: int) -> list[tuple[int, ...]]:
+        """The flats strictly between the ends of each maximal chain of
+        [lower, upper], depth first over the upper covers in ascending order.
+        """
+        chains: list[tuple[int, ...]] = []
+
+        def walk(chain: tuple[int, ...]) -> None:
+            if chain[-1] == upper:
+                chains.append(chain[1:-1])
+                return
+            for g in self._upper_covers[chain[-1]]:
+                if g & ~upper == 0:
+                    walk(chain + (g,))
+
+        walk((lower,))
+        return chains
 
     def flats(self) -> list[list[frozenset[int]]]:
         return [[from_mask(f) for f in level] for level in self.by_rank]
@@ -116,12 +138,17 @@ def moebius(matroid: Matroid, lattice: FlatLattice | None = None) -> MoebiusTabl
 
 def irreducible_flats(matroid: Matroid,
                       lattice: FlatLattice | None = None) -> set[frozenset[int]]:
-    """Flats of positive rank whose restriction is connected."""
+    """Flats of positive rank whose restriction, without loops, is connected.
+
+    Every flat holds the loops (the bottom flat), and a loop is a component
+    of its own, so connectivity is judged on the flat minus the loops.
+    """
     lattice = lattice or FlatLattice(matroid)
     out = set()
     for level in lattice.by_rank[1:]:
         for f in level:
-            if matroid.restriction(from_mask(f)).is_connected():
+            if matroid.restriction(
+                    from_mask(f & ~lattice.bottom)).is_connected():
                 out.add(from_mask(f))
     return out
 
@@ -137,27 +164,11 @@ def order_complex(lattice: FlatLattice, lower, upper) -> SimplicialComplex:
                if f not in (lo, hi)]
     if not between:
         raise EmptyInterval("no flats strictly between the given ends")
-    vertices = tuple(from_mask(f) for f in between)
-
-    def less(a, b):
-        return a != b and a & ~b == 0
-
-    cover = {f: [g for g in between if less(f, g)
-                 and not any(less(f, h) and less(h, g) for h in between)]
-             for f in between}
-    minimal = [f for f in between if not any(less(g, f) for g in between)]
-    maximal_chains: list[frozenset] = []
-
-    def descend(chain):
-        if not cover[chain[-1]]:
-            maximal_chains.append(frozenset(from_mask(f) for f in chain))
-            return
-        for g in cover[chain[-1]]:
-            descend(chain + [g])
-
-    for f in minimal:
-        descend([f])
-    return SimplicialComplex.from_faces(vertices, maximal_chains)
+    vertex = {f: from_mask(f) for f in between}
+    return SimplicialComplex.from_faces(
+        tuple(vertex.values()),
+        (frozenset(vertex[f] for f in chain)
+         for chain in lattice.maximal_chains(lo, hi)))
 
 
 def interval_product_check(lattice: FlatLattice, flat, factors) -> bool:

@@ -96,12 +96,20 @@ class Degeneration:
     loop_free: bool
 
 
+def require_weight_length(matroid: Matroid, w) -> None:
+    """Refuse a weight that does not have one entry per element."""
+    if len(w) != matroid.n:
+        raise DimensionMismatch(
+            f"weight has {len(w)} entries, the matroid {matroid.n} elements")
+
+
 def heaviest_bases(matroid: Matroid, w) -> set[int]:
     """Masks of the bases of largest total weight under w.
 
     w is first scaled to a primitive integer vector; a positive scaling
     leaves the set of w-maximal bases unchanged.
     """
+    require_weight_length(matroid, w)
     ints = primitive_integer(w, sign_first_positive=False)
     best, heaviest = None, set()
     for b in matroid.base_masks:
@@ -119,9 +127,7 @@ def heaviest_bases(matroid: Matroid, w) -> set[int]:
 def degeneration(matroid: Matroid, u) -> Degeneration:
     """The bases of minimal ``u``-weight, with the constancy chain of ``u``."""
     u = list(u) or [0] * matroid.n
-    if len(u) != matroid.n:
-        raise DimensionMismatch(
-            f"weight has {len(u)} entries, the matroid {matroid.n} elements")
+    require_weight_length(matroid, u)
     if matroid.n == 0:
         return Degeneration(matroid_u=matroid,
                             chain=ConstancyChain(sets=(frozenset(),)),

@@ -9,12 +9,12 @@ from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          support_deviations)
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
-from mfk.errors import LoopsPresent
+from mfk.errors import DimensionMismatch, LoopsPresent
 from mfk.geometry import _flat_vector, cone_contains
 from mfk.lattice import FlatLattice, moebius, order_complex
 from mfk.linalg import rref
 from mfk.matroid import from_matrix, uniform
-from mfk.polytope import facets
+from mfk.polytope import facets, heaviest_bases
 
 
 def _flat_pairs(cone):
@@ -37,6 +37,18 @@ def test_membership_u24_rays(u24):
 
 def test_membership_u24_non_flat_chain(u24):
     assert not bergman_membership(u24.matroid, [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("w", [[0, 1], [], [0, 1, 2, 3, 4, 5]])
+def test_weights_of_the_wrong_length_are_refused(u24, w):
+    m = u24.matroid
+    fan = bergman_fan(m)
+    for query in (lambda: bergman_membership(m, w),
+                  lambda: heaviest_bases(m, w),
+                  lambda: fan.coarse_contains(0, w),
+                  lambda: fan.any_coarse_contains(w)):
+        with pytest.raises(DimensionMismatch):
+            query()
 
 
 def test_membership_requires_loop_free():

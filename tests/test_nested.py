@@ -16,9 +16,10 @@ from mfk.geometry import cone_unimodular, smith_normal_form, \
 from mfk.lattice import FlatLattice, flats
 from mfk.corpus import corpus
 from mfk.matroid import direct_sum, from_matrix, uniform
-from mfk.nested import (all_nested_sets, blocks_partition, building_set,
-                        building_set_counterexample, chain_to_nested,
-                        compare_fans, dcp_normal_refinement_check,
+from mfk.nested import (BuildingSet, all_nested_sets, blocks_partition,
+                        building_set, building_set_counterexample,
+                        chain_to_nested, compare_fans,
+                        dcp_normal_refinement_check,
                         dcp_weight_polytope, fans_equal_condition,
                         is_building_set, is_nested, max_building,
                         maximal_nested_sets, min_building,
@@ -570,12 +571,38 @@ def test_nested_chain_helpers_refuses_crossing_supports():
 
 
 def test_chain_to_nested_refuses_a_building_set_that_misses_the_chain():
-    # with a loop no flat of positive rank has a connected restriction, so
-    # min_building is empty, not a building set, and generates no chain
+    # an unvalidated member set that is empty generates no chain
     m, _ = from_matrix([[1, 0, 1, 0], [0, 1, 1, 0]])
-    building = min_building(flats(m))
+    building = BuildingSet(lattice=flats(m), members=frozenset())
     with pytest.raises(InvalidBuildingSet):
         chain_to_nested(building, [_f(1, 4), _f(1, 2, 3, 4)])
+
+
+_LOOP = from_matrix([[0]])[0]
+
+
+@pytest.mark.parametrize("matroid", [
+    direct_sum(uniform(2, 3), _LOOP),
+    direct_sum(uniform(2, 4), direct_sum(_LOOP, _LOOP)),
+    direct_sum(corpus("delA3").matroid, _LOOP),
+], ids=["U23+loop", "U24+loop+loop", "delA3+loop"])
+def test_min_building_with_loops_is_a_building_set(matroid):
+    # irreducibility is judged without the loops, so the members are the
+    # irreducible flats of the loop-free part, each with the loops added
+    lattice = flats(matroid)
+    building = min_building(lattice)
+    assert is_building_set(lattice, building.members)
+    loops = frozenset(matroid.loops())
+    loop_free = matroid.restriction(matroid.ground - loops)
+    relabel = dict(enumerate(sorted(matroid.ground - loops), start=1))
+    assert building.members == {
+        frozenset(relabel[e] for e in f) | loops
+        for f in min_building(flats(loop_free)).members}
+    top = from_mask(lattice.top)
+    for chain in lattice.maximal_chains(lattice.bottom, lattice.top):
+        nested, _ = chain_to_nested(
+            building, [from_mask(f) for f in chain] + [top])
+        assert is_nested(building, nested)
 
 
 def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
