@@ -18,7 +18,7 @@ from .bitset import from_mask, full_mask, to_mask
 from .errors import LoopsPresent, SingularSample
 from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
-from .linalg import frac, nullspace, rank as matrix_rank
+from .linalg import frac, rref
 from .matroid import LinearRealization, Matroid, from_matrix
 from .polytope import (degeneration, heaviest_bases, require_weight_length,
                        sublevel_masks)
@@ -118,49 +118,27 @@ def bergman_fan(matroid: Matroid,
 def initial_subspace(realization: LinearRealization, u) -> LinearRealization:
     """Limit of the row space scaled columnwise by t^{u_i}, as t -> 0.
 
-    Entries are tracked as exact Laurent polynomials in t; elimination
-    cancels lowest-degree parts until the degree-zero coefficient matrix
-    has full rank.
+    With the columns in ascending weight order, each row of the reduced
+    echelon form has its pivot at its lowest weight, so the row's initial
+    form keeps the entries of the pivot's weight.  The d initial forms have
+    distinct pivots and span the limit.
     """
-    weights = [int(x) for x in u]
-    matrix = [list(row) for row in realization.matrix]
-    d = len(matrix)
-    n = realization.ncols
-    if d == 0:
+    require_weight_length(realization.matroid, u)
+    if not realization.matrix:
         return realization
-    rows = [[{weights[j]: matrix[i][j]} if matrix[i][j] != 0 else {}
-             for j in range(n)] for i in range(d)]
-
-    def normalized(row):
-        degrees = [min(entry) for entry in row if entry]
-        shift = min(degrees)
-        return [{deg - shift: c for deg, c in entry.items()}
-                for entry in row]
-
-    for _ in range(1000):
-        rows = [normalized(row) for row in rows]
-        low = [[entry.get(0, Fraction(0)) for entry in row] for row in rows]
-        if matrix_rank(low) == d:
-            limit, _ = from_matrix(low)
-            return LinearRealization(
-                matrix=tuple(tuple(frac(x) for x in row) for row in low),
-                matroid=limit)
-        transpose = [[low[i][j] for i in range(d)] for j in range(n)]
-        combo = nullspace(transpose)[0]
-        pivot = max(i for i in range(d) if combo[i] != 0)
-        new_row = [{} for _ in range(n)]
-        for i in range(d):
-            if combo[i] == 0:
-                continue
-            for j in range(n):
-                for deg, c in rows[i][j].items():
-                    val = new_row[j].get(deg, Fraction(0)) + combo[i] * c
-                    if val == 0:
-                        new_row[j].pop(deg, None)
-                    else:
-                        new_row[j][deg] = val
-        rows[pivot] = new_row
-    raise AssertionError("initial subspace elimination did not terminate")
+    weights = [frac(x) for x in u]
+    order = sorted(range(len(weights)), key=weights.__getitem__)
+    reduced, pivots = rref([[row[j] for j in order]
+                            for row in realization.matrix])
+    rows = []
+    for row, p in zip(reduced, pivots):
+        lead = weights[order[p]]
+        initial = [Fraction(0)] * len(order)
+        for j, x in zip(order, row):
+            if weights[j] == lead:
+                initial[j] = x
+        rows.append(initial)
+    return from_matrix(rows)[1]
 
 
 def check_prop_grob(realization: LinearRealization, u) -> bool:

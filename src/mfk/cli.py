@@ -149,8 +149,6 @@ def _dispatch(job: JobSpec) -> dict:
 
     if computation == "degenerate":
         weight = [frac(x) for x in job.weight or []]
-        if len(weight) != matroid.n:
-            raise MfkError(f"weight needs {matroid.n} entries")
         return degeneration_to_json(degeneration(matroid, weight))
 
     if computation == "bergman":

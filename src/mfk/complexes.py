@@ -21,36 +21,34 @@ class SimplicialComplex:
 
         No face strictly contains one of the largest size, so only the
         smaller faces are compared with the others (none in a pure complex).
+        Faces are ordered by size, then by the positions of their vertices.
         """
+        vertices = tuple(vertices)
         faces = [frozenset(f) for f in faces]
         top = max(map(len, faces), default=0)
         maximal = [f for f in faces
                    if len(f) == top or not any(f < g for g in faces)]
-        unique = sorted(set(maximal), key=lambda f: (len(f), sorted(map(str, f))))
-        return SimplicialComplex(vertices=tuple(vertices),
-                                 facets=tuple(unique))
+        key = _position_key(vertices)
+        unique = sorted(set(maximal), key=lambda f: (len(f), key(f)))
+        return SimplicialComplex(vertices=vertices, facets=tuple(unique))
 
     def faces(self) -> set[frozenset]:
         """Every nonempty face."""
         out: set[frozenset] = set()
         for facet in self.facets:
-            elems = sorted(facet, key=str)
-            for size in range(1, len(elems) + 1):
-                for combo in combinations(elems, size):
-                    out.add(frozenset(combo))
+            for size in range(1, len(facet) + 1):
+                out.update(map(frozenset, combinations(facet, size)))
         return out
 
     def faces_by_dim(self) -> list[list[frozenset]]:
+        """The nonempty faces by dimension, each level ordered by the
+        positions of the face's vertices."""
         table: dict[int, list[frozenset]] = {}
         for f in self.faces():
             table.setdefault(len(f) - 1, []).append(f)
-        if not table:
-            return []
-        out = []
-        for k in range(max(table) + 1):
-            out.append(sorted(table.get(k, []),
-                              key=lambda f: sorted(map(str, f))))
-        return out
+        key = _position_key(self.vertices)
+        return [sorted(table.get(k, []), key=key)
+                for k in range(max(table, default=-1) + 1)]
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.faces_by_dim())
@@ -63,6 +61,12 @@ class SimplicialComplex:
         for k, count in enumerate(self.f_vector()):
             chi += count if k % 2 == 0 else -count
         return chi
+
+
+def _position_key(vertices):
+    """Sort key of a face: the sorted positions of its vertices."""
+    position = {v: i for i, v in enumerate(vertices)}
+    return lambda face: sorted(map(position.__getitem__, face))
 
 
 def boundary_matrix(lower: list[frozenset], upper: list[frozenset],
@@ -86,9 +90,11 @@ def reduced_homology_ranks(complex_: SimplicialComplex) -> tuple[list[int], int]
     """Reduced rational Betti numbers and the reduced Euler characteristic.
 
     Ranks come from exact integer elimination on the sparse boundary
-    matrices.
+    matrices.  Their rows and columns list the faces in descending order:
+    the elimination then fills in less than in ascending order (measured on
+    the order complexes of U(5,10), U(5,11) and boolean_6).
     """
-    levels = complex_.faces_by_dim()
+    levels = [level[::-1] for level in complex_.faces_by_dim()]
     if not levels:
         return [], -1
     vertex_order = {v: i for i, v in enumerate(complex_.vertices)}

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bitset import from_mask, full_mask, to_mask
 from .complexes import SimplicialComplex
-from .errors import EmptyInterval, LoopsPresent
+from .errors import EmptyInterval, LoopsPresent, NotFlats
 from .matroid import Matroid
 
 
@@ -172,35 +171,23 @@ def order_complex(lattice: FlatLattice, lower, upper) -> SimplicialComplex:
 
 
 def interval_product_check(lattice: FlatLattice, flat, factors) -> bool:
-    """Is the join map from the product of lower intervals an order-isomorphism?
+    """Is the join map from the product of the intervals [0, G_i] onto
+    [0, X] an order-isomorphism?
 
-    Checked exhaustively over tuples of the product.
+    It is exactly when M|X is the direct sum of the M|G_i: the factors,
+    without the loops, partition X without the loops, and their ranks add
+    up to the rank of X.  Defined for flats only.
     """
     x = to_mask(flat)
     factor_masks = [to_mask(f) for f in factors]
-    if any(f & ~x for f in factor_masks):
-        return False
-    target = lattice.interval_masks(lattice.bottom, x)
-    intervals = [lattice.interval_masks(lattice.bottom, f)
-                 for f in factor_masks]
-    size = 1
-    for iv in intervals:
-        size *= len(iv)
-    if size != len(target):
-        return False
-    tuples = list(product(*intervals))
-    joins = []
-    for tup in tuples:
-        j = lattice.bottom
-        for f in tup:
-            j = lattice.join_mask(j, f)
-        joins.append(j)
-    if len(set(joins)) != len(target) or set(joins) != set(target):
-        return False
-    for a, ja in zip(tuples, joins):
-        for b, jb in zip(tuples, joins):
-            le_tuple = all(x1 & ~x2 == 0 for x1, x2 in zip(a, b))
-            le_join = ja & ~jb == 0
-            if le_tuple != le_join:
-                return False
-    return True
+    if not all(map(lattice.is_flat_mask, [x, *factor_masks])):
+        raise NotFlats("the interval and its factors must be flats")
+    loops = lattice.bottom
+    union = 0
+    for g in factor_masks:
+        if union & g & ~loops:
+            return False
+        union |= g
+    return (union | loops == x
+            and sum(map(lattice.rank_in_lattice, factor_masks))
+            == lattice.rank_in_lattice(x))

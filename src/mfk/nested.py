@@ -155,9 +155,10 @@ def all_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
 
 
 def maximal_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
-    everything = all_nested_sets(building)
-    return [s for s in everything
-            if not any(s < t for t in everything)]
+    """The nested sets with rk L members: the nested set complex is pure
+    (Feichtner-Kozlov 2004), so these are exactly the maximal ones."""
+    rank = len(building.lattice.by_rank) - 1
+    return [s for s in all_nested_sets(building) if len(s) == rank]
 
 
 def nested_complex(building: BuildingSet) -> SimplicialComplex:

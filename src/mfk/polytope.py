@@ -126,7 +126,7 @@ def heaviest_bases(matroid: Matroid, w) -> set[int]:
 
 def degeneration(matroid: Matroid, u) -> Degeneration:
     """The bases of minimal ``u``-weight, with the constancy chain of ``u``."""
-    u = list(u) or [0] * matroid.n
+    u = list(u)
     require_weight_length(matroid, u)
     if matroid.n == 0:
         return Degeneration(matroid_u=matroid,

@@ -1,8 +1,10 @@
 import statistics
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+import laurent_oracle
 from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          bergman_membership, check_prop_grob,
                          initial_subspace, support_deviation,
@@ -46,7 +48,8 @@ def test_weights_of_the_wrong_length_are_refused(u24, w):
     for query in (lambda: bergman_membership(m, w),
                   lambda: heaviest_bases(m, w),
                   lambda: fan.coarse_contains(0, w),
-                  lambda: fan.any_coarse_contains(w)):
+                  lambda: fan.any_coarse_contains(w),
+                  lambda: initial_subspace(u24.realization, w)):
         with pytest.raises(DimensionMismatch):
             query()
 
@@ -156,6 +159,33 @@ def test_initial_subspace_preserves_dimension(dela3):
         limit = initial_subspace(dela3.realization, u)
         assert len(limit.matrix) == 3
         assert limit.matroid.rank_d == 3
+
+
+_INITIAL_WEIGHTS = [(1, 0, 0, 0, 0), (-2, 1, 3, 0, -1),
+                    (Fraction(1, 2), 0, 0, 0, 0), ("1/2", "-1/3", 0, "1/3", 2),
+                    (Fraction(-5, 4), Fraction(3, 2), "3/2", 1, 0)]
+
+
+@pytest.mark.parametrize("name", ["u23", "u24", "delA3", "braidK4",
+                                  "uniform_3_6"])
+def test_initial_subspace_matches_the_laurent_oracle(name):
+    # the same row space as the Laurent elimination, for integer, Fraction
+    # and 'p/q' weights
+    realization = corpus(name).realization
+    n = realization.ncols
+    for u in _INITIAL_WEIGHTS + [tuple(range(n)), tuple(range(n, 0, -1))]:
+        u = (u * n)[:n]
+        limit = initial_subspace(realization, u)
+        assert (rref([list(r) for r in limit.matrix])[0]
+                == rref(laurent_oracle.initial_subspace_rows(
+                    realization, u))[0]), u
+
+
+def test_prop_grob_fractional_weight(u24):
+    # the weight is not truncated to an integer
+    for u in ([Fraction(1, 2), 0, 0, 0], ["1/2", 0, 0, 0]):
+        assert check_prop_grob(u24.realization, u)
+        assert initial_subspace(u24.realization, u).matroid.loops() == {1}
 
 
 def test_prop_grob_u24_exhaustive(u24):

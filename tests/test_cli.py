@@ -197,6 +197,9 @@ _FAULTS = {
         {"b.json": "[[0]]"},
         ["nested", "--corpus", "u24", "--building", "DIR/b.json"], None,
         "InvalidInput"),
+    "weight of the wrong length": (
+        {}, ["degenerate", "--corpus", "u24", "--u", ""], None,
+        "DimensionMismatch"),
     "output into a missing directory": (
         {}, ["matroid", "--corpus", "u24", "--output", "DIR/absent/out.json"],
         None, "UnwritableOutput"),

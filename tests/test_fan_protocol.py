@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nested_oracle
 from mfk import geometry
 from mfk.bergman import bergman_fan
 from mfk.bitset import from_mask
@@ -22,8 +23,8 @@ from mfk.geometry import cone_contains
 from mfk.lattice import FlatLattice
 from mfk.matroid import direct_sum, from_bases, uniform
 from mfk.nested import (BuildingSet, compare_fans, is_building_set,
-                        max_building, min_building, nested_fan, refines,
-                        supports_equal_on_generators)
+                        max_building, maximal_nested_sets, min_building,
+                        nested_fan, refines, supports_equal_on_generators)
 
 # U_{n,n}, boolean_3/4 and the direct sums are disconnected: the cones of
 # their minimal nested fans contain the span of the component indicators;
@@ -142,8 +143,11 @@ def test_every_building_set_cone_rule_matches_lp(matroid):
         for members in combinations(flats, size):
             if not is_building_set(lattice, members):
                 continue
-            fan = nested_fan(matroid, BuildingSet(
-                lattice=lattice, members=frozenset(members)))
+            building = BuildingSet(lattice=lattice,
+                                   members=frozenset(members))
+            assert maximal_nested_sets(building) == \
+                nested_oracle.maximal_nested_sets(building)
+            fan = nested_fan(matroid, building)
             for i, cone in enumerate(fan.cones):
                 for w in grid:
                     assert fan.cone_contains(i, w) == \

@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import mfk
+import nested_oracle
 
 from mfk.bitset import from_mask, to_mask
 from mfk.bergman import bergman_fan, bergman_membership
@@ -559,6 +560,15 @@ def test_nested_chain_helpers_accepts_every_nested_set(name):
                 low = set(data.chains.get(i0, []))
                 assert i0 in flat
                 assert all(low <= set(data.chains.get(j, [])) for j in flat)
+
+
+@pytest.mark.parametrize("name", list(_SUPPORT_INPUTS))
+def test_maximal_nested_sets_match_the_oracle(name):
+    # purity: the maximal nested sets are those with rk L members
+    lattice = FlatLattice(_SUPPORT_INPUTS[name]())
+    for building in _building_sets_up_to_symmetry(lattice):
+        assert maximal_nested_sets(building) == \
+            nested_oracle.maximal_nested_sets(building)
 
 
 def test_nested_chain_helpers_refuses_crossing_supports():

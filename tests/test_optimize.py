@@ -2,7 +2,9 @@
 
 ``-O`` strips ``assert`` statements and sets ``__debug__`` to False; with
 neither in ``src/mfk`` the optimized and the plain interpreter run the same
-code, so the suite does not need a second run under ``-O``.
+code, so the suite does not need a second run under ``-O``.  A hand-written
+``raise AssertionError`` is a self-check by another name and is refused too:
+the tests are the verify layer.
 """
 
 import ast
@@ -25,4 +27,7 @@ def test_package_has_no_assert_and_no_debug_flag():
                 found.append(f"{name}:{node.lineno}: assert")
             elif isinstance(node, ast.Name) and node.id == "__debug__":
                 found.append(f"{name}:{node.lineno}: __debug__")
+            elif isinstance(node, ast.Raise) and "AssertionError" in {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                found.append(f"{name}:{node.lineno}: raise AssertionError")
     assert found == []

@@ -368,7 +368,7 @@ def test_degeneration_is_direct_sum_of_interval_minors(name):
 
 
 def test_degeneration_refuses_a_weight_of_the_wrong_length(u24):
-    for w in ([1, 0], [1, 0, 0, 0, 0]):
+    for w in ([1, 0], [1, 0, 0, 0, 0], []):
         with pytest.raises(DimensionMismatch):
             degeneration(u24.matroid, w)
 
