@@ -4,7 +4,8 @@ A weight w lies in the Bergman support when the chain of -w consists of
 flats; equivalently, the face on which w is maximized carries a loop-free
 matroid.  Cones over flags of proper flats are the fine structure; grouping
 flags with a common degeneration gives the coarse fan, whose maximal cones
-are the loop-free outer normal cones of the matroid polytope.
+are the loop-free outer normal cones of the matroid polytope.  On a
+connected matroid a coarse cone is spanned by the flacets among its flags.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
 from .linalg import frac, rref
 from .matroid import LinearRealization, Matroid, from_matrix
-from .polytope import (degeneration, heaviest_bases, require_weight_length,
-                       sublevel_masks)
+from .polytope import (degeneration, flacets, heaviest_bases,
+                       require_weight_length, sublevel_masks)
 
 
 def bergman_membership(matroid: Matroid, w) -> bool:
@@ -93,15 +94,24 @@ def bergman_fan(matroid: Matroid,
         heaviest = tuple(sorted(heaviest_bases(matroid, w)))
         groups.setdefault(heaviest, []).append(idx)
 
+    # On a connected matroid the rays of a coarse cone are the flacets among
+    # its group's flags (Feichtner-Sturmfels 2005).  Otherwise every coarse
+    # cone holds the span of the component indicators, and the rays are the
+    # generating set the LP greedy keeps.
+    ray_flats = set(flacets(lattice)) if matroid.is_connected() else None
     order = sorted(groups, key=lambda bs: (len(groups[bs]), bs))
     group_list: list[tuple[int, ...]] = []
     base_list = []
     cones = []
     for bases in order:
         members = tuple(groups[bases])
-        vectors = [_flat_vector(n, from_mask(f))
-                   for i in members for f in flags[i]]
-        rays = irredundant_rays(vectors)
+        if ray_flats is None:
+            rays = irredundant_rays([_flat_vector(n, from_mask(f))
+                                     for i in members for f in flags[i]])
+        else:
+            rays = tuple(sorted({_flat_vector(n, from_mask(f))
+                                 for i in members for f in flags[i]
+                                 if f in ray_flats}))
         group_list.append(members)
         base_list.append(tuple(from_mask(b) for b in bases))
         cones.append(Cone(rays=rays))

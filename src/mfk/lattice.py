@@ -13,8 +13,10 @@ from .matroid import Matroid
 class FlatLattice:
     """All flats of a matroid, graded by rank, with covering relations.
 
-    Everything is computed eagerly at construction, so shared instances
-    are safe for concurrent reads.
+    The flats, covers and Moebius values are computed at construction.
+    Joins are memoized per instance as they are asked for; the memo maps
+    x | y to its closure, a pure value, so shared instances stay safe for
+    concurrent reads.
     """
 
     def __init__(self, matroid: Matroid):
@@ -50,6 +52,7 @@ class FlatLattice:
         self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(
             (f, g) for f, covers in upper_covers.items() for g in covers))
         self._moebius = self._compute_moebius()
+        self._joins: dict[int, int] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -68,7 +71,11 @@ class FlatLattice:
         return self._rank_of[mask]
 
     def join_mask(self, x: int, y: int) -> int:
-        return self.matroid.closure_mask(x | y)
+        union = x | y
+        join = self._joins.get(union)
+        if join is None:
+            join = self._joins[union] = self.matroid.closure_mask(union)
+        return join
 
     def meet_mask(self, x: int, y: int) -> int:
         return x & y

@@ -184,21 +184,29 @@ class Matroid:
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
-        """Minimal dependent sets; circuits have at most rank+1 elements.
+        """Minimal dependent sets, from the independent sets level by level.
 
-        Every (rank+1)-subset is dependent; a smaller one is dependent when
-        no basis contains it.
+        The independent k-sets are the sets I - e over the independent
+        (k+1)-sets I, walking down from the bases.  A (k+1)-set S is a
+        circuit exactly when it is not independent and every S - e is;
+        then S - max(S) is independent, so each candidate is generated
+        once, as I + e with e above max(I).
         """
+        levels = [set(self.base_masks)]
+        for _ in range(self.rank_d):
+            levels.append({i & ~bit for i in levels[-1]
+                           for bit in _single_bits(i)})
+        levels.reverse()  # levels[k]: the independent k-sets
+        levels.append(set())
         found: list[int] = []
-        for size in range(1, self.rank_d + 2):
-            for combo in combinations(range(self.n), size):
-                mask = 0
-                for c in combo:
-                    mask |= 1 << c
-                if any(c & ~mask == 0 for c in found):
-                    continue
-                if size > self.rank_d or not self._in_some_basis(mask):
-                    found.append(mask)
+        for k in range(self.rank_d + 1):
+            below, above = levels[k], levels[k + 1]
+            for i in below:
+                for e in range(i.bit_length(), self.n):
+                    s = i | 1 << e
+                    if s not in above and all(
+                            s & ~bit in below for bit in _single_bits(i)):
+                        found.append(s)
         return tuple(sorted(found))
 
     def circuits(self) -> list[frozenset[int]]:

@@ -212,6 +212,21 @@ class NestedFan(Fan):
             return frozenset()
         return frozenset(vectors)
 
+    @cached_property
+    def _ray_supports(self) -> tuple[int, ...]:
+        """Per cone, the mask of the coordinates some ray is nonzero on."""
+        return tuple(sum(1 << j for j in range(self.n)
+                         if any(r[j] for r in cone.rays))
+                     for cone in self.cones)
+
+    def contains(self, vec) -> bool:
+        """Support membership, asking only the cones whose rays cover every
+        coordinate above the minimum of vec."""
+        above = _above_minimum(vec)[1]
+        return any(self.cone_contains(i, vec)
+                   for i, support in enumerate(self._ray_supports)
+                   if above & ~support == 0)
+
     def cone_contains(self, i: int, vec) -> bool:
         """Exact membership in the i-th cone, by one linear solve.
 
@@ -221,18 +236,24 @@ class NestedFan(Fan):
         the all-ones vector, a point of the cone takes its minimum at every
         coordinate its rays miss.
         """
-        cone = self.cones[i]
-        w = [x if isinstance(x, int) else frac(x) for x in vec]
-        low = min(w, default=0)
-        if not all(any(r[j] for r in cone.rays)
-                   for j, x in enumerate(w) if x != low):
+        w, above = _above_minimum(vec)
+        if above & ~self._ray_supports[i]:
             return False
+        cone = self.cones[i]
         free = self._free_rays
         columns = list(cone.rays) if free else [*cone.rays, (1,) * len(w)]
         solution = solve(list(zip(*columns)), w)
         return (solution is not None
                 and all(c >= 0 for c, r in zip(solution, cone.rays)
                         if r not in free))
+
+
+def _above_minimum(vec) -> tuple[list, int]:
+    """The weight with exact entries, and the mask of its coordinates
+    above its minimum."""
+    w = [x if isinstance(x, int) else frac(x) for x in vec]
+    low = min(w, default=0)
+    return w, sum(1 << j for j, x in enumerate(w) if x != low)
 
 
 def nested_fan(matroid: Matroid, building: BuildingSet) -> NestedFan:

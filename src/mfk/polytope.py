@@ -150,13 +150,22 @@ class FacetDescription:
     vertex_bases: tuple[frozenset[int], ...]
 
 
+def flacets(lattice: FlatLattice) -> list[int]:
+    """The flacets in lattice order: the proper nonempty flats F with M|F
+    and M/F both connected, one connectivity test pair per flat."""
+    matroid = lattice.matroid
+    return [f for level in lattice.by_rank[1:-1] for f in level
+            if matroid.restriction(from_mask(f)).is_connected()
+            and matroid.contraction(from_mask(f)).is_connected()]
+
+
 def facets(matroid: Matroid,
            lattice: FlatLattice | None = None) -> list[FacetDescription]:
     """Classified facet list of the matroid polytope.
 
     Interior facets (not on the boundary of the dilated simplex) correspond
-    to flats whose restriction and contraction are both connected; boundary
-    facets to elements whose deletion leaves a connected matroid.
+    to the flacets; boundary facets to elements whose deletion leaves a
+    connected matroid.
     """
     if matroid.loops():
         raise LoopsPresent("facet classification needs a loop-free matroid")
@@ -165,21 +174,16 @@ def facets(matroid: Matroid,
     lattice = lattice or FlatLattice(matroid)
     out: list[FacetDescription] = []
     top = full_mask(matroid.n)
-    for level in lattice.by_rank[1:-1] if matroid.rank_d >= 1 else []:
-        for f in level:
-            flat = from_mask(f)
-            if not matroid.restriction(flat).is_connected():
-                continue
-            if not matroid.contraction(flat).is_connected():
-                continue
-            r = matroid.rank_mask(f)
-            verts = tuple(from_mask(b) for b in matroid.base_masks
-                          if popcount(b & f) == r)
-            normal = tuple(-1 if i in flat else 0
-                           for i in range(1, matroid.n + 1))
-            out.append(FacetDescription(kind="interior", flat=flat,
-                                        element=None, inner_normal=normal,
-                                        vertex_bases=verts))
+    for f in flacets(lattice):
+        flat = from_mask(f)
+        r = matroid.rank_mask(f)
+        verts = tuple(from_mask(b) for b in matroid.base_masks
+                      if popcount(b & f) == r)
+        normal = tuple(-1 if i in flat else 0
+                       for i in range(1, matroid.n + 1))
+        out.append(FacetDescription(kind="interior", flat=flat,
+                                    element=None, inner_normal=normal,
+                                    vertex_bases=verts))
     for e in range(1, matroid.n + 1):
         bit = 1 << (e - 1)
         avoiding = [b for b in matroid.base_masks if not b & bit]

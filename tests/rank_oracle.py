@@ -5,7 +5,9 @@ forms: the differential oracle for ``closure_mask``, ``circuit_masks``,
 Every query here goes through ``Matroid.rank_mask``, the maximum of
 ``|B & X|`` over all bases, so each answer follows the rank function's
 definition directly: the closure adds every element that keeps the rank,
-and a set is dependent when its rank is below its size.
+and a set is dependent when its rank is below its size.  ``circuit_scan``
+is the one exception: the subset scan ``Matroid.circuit_masks`` made before
+it walked down from the bases, which tests dependence by basis containment.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ def closure_mask(matroid, mask: int) -> int:
     return closed
 
 
-def circuit_masks(matroid) -> tuple[int, ...]:
-    """Minimal subsets whose rank is below their size, smallest first."""
+def _minimal_dependent(matroid, dependent) -> tuple[int, ...]:
+    """Every subset of at most rank + 1 elements, smallest first, kept when
+    it is dependent and contains no set kept before: quadratic in the
+    number of circuits."""
     found: list[int] = []
     for size in range(1, matroid.rank_d + 2):
         for combo in combinations(range(matroid.n), size):
@@ -36,9 +40,23 @@ def circuit_masks(matroid) -> tuple[int, ...]:
                 mask |= 1 << c
             if any(c & ~mask == 0 for c in found):
                 continue
-            if matroid.rank_mask(mask) < size:
+            if dependent(mask, size):
                 found.append(mask)
     return tuple(sorted(found))
+
+
+def circuit_masks(matroid) -> tuple[int, ...]:
+    """Minimal subsets whose rank is below their size."""
+    return _minimal_dependent(
+        matroid, lambda mask, size: matroid.rank_mask(mask) < size)
+
+
+def circuit_scan(matroid) -> tuple[int, ...]:
+    """Minimal dependent subsets, with every (rank + 1)-subset dependent and
+    a smaller one dependent when no basis contains it."""
+    return _minimal_dependent(
+        matroid, lambda mask, size: size > matroid.rank_d or not any(
+            mask & ~b == 0 for b in matroid.base_masks))
 
 
 def is_independent(matroid, mask: int) -> bool:

@@ -3,19 +3,22 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import laurent_oracle
 from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          bergman_membership, check_prop_grob,
                          initial_subspace, support_deviation,
                          support_deviations)
+from mfk import geometry
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
 from mfk.errors import DimensionMismatch, LoopsPresent
-from mfk.geometry import _flat_vector, cone_contains
+from mfk.geometry import _flat_vector, cone_contains, irredundant_rays
 from mfk.lattice import FlatLattice, moebius, order_complex
 from mfk.linalg import rref
-from mfk.matroid import from_matrix, uniform
+from mfk.matroid import direct_sum, from_graph, from_matrix, uniform
 from mfk.polytope import facets, heaviest_bases
 
 
@@ -245,7 +248,64 @@ _CONNECTED = {
        for n in range(1, 7) for d in range(1, n + 1) if d < n or n == 1},
     **{name: (lambda name=name: corpus(name).matroid)
        for name in ("u23", "u24", "delA3", "braidK4", "braidK5")},
+    "K5 graph": lambda: from_graph(5, list(combinations(range(1, 6), 2))),
 }
+
+
+@pytest.mark.parametrize("name", list(_CONNECTED))
+def test_flacet_rays_match_the_lp_rays(name):
+    # the LP greedy over every flag ray of a group is the oracle of the
+    # flacet rule
+    m = _CONNECTED[name]()
+    fan = bergman_fan(m)
+    for cone, group in zip(fan.cones, fan.groups):
+        vectors = [_flat_vector(m.n, flat) for i in group
+                   for flat in fan.fine_chains[i]]
+        assert cone.rays == irredundant_rays(vectors)
+
+
+_rational_matrices = st.integers(1, 4).flatmap(
+    lambda rows: st.integers(2, 7).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.fractions(-2, 2, max_denominator=3),
+                     min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_matrices)
+def test_flacet_rays_match_the_lp_rays_on_matrices(rows):
+    m, _ = from_matrix(rows)
+    assume(m.is_connected() and not m.loops())
+    fan = bergman_fan(m)
+    for cone, group in zip(fan.cones, fan.groups):
+        assert cone.rays == irredundant_rays(
+            [_flat_vector(m.n, flat) for i in group
+             for flat in fan.fine_chains[i]])
+
+
+@pytest.mark.parametrize("name", list(_CONNECTED))
+def test_connected_bergman_fan_solves_no_lp(name, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("bergman_fan called the LP")
+
+    monkeypatch.setattr(geometry, "lp_feasible", no_lp)
+    bergman_fan(_CONNECTED[name]())
+
+
+@pytest.mark.parametrize("name, rays", [
+    ("boolean_3", [(0, 1, 1), (1, 0, 1), (1, 1, 0)]),
+    ("U23+U11", [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1),
+                 (1, 1, 1, 0)]),
+])
+def test_disconnected_rays_regression_pin(name, rays):
+    # Regression pin, not a theorem: a disconnected matroid's coarse cones
+    # hold the span of the component indicators, and these are the
+    # generators the LP greedy keeps, recorded to hold the artifact bytes.
+    m = (corpus(name).matroid if name == "boolean_3"
+         else direct_sum(uniform(2, 3), uniform(1, 1)))
+    assert not m.is_connected()
+    assert bergman_fan(m).rays() == tuple(rays)
 
 
 @pytest.mark.parametrize("name", list(_CONNECTED))

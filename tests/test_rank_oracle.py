@@ -2,7 +2,8 @@
 
 ``rank_oracle`` keeps the queries as the rank function defines them; here
 ``closure_mask``, ``circuit_masks``, ``is_independent`` and ``loops`` must
-agree with it on every subset, and the work counts guard the one-pass forms:
+agree with it on every subset, the circuit walk must agree with the subset
+scan it replaced, and the work counts guard the one-pass forms:
 ``closure_mask`` and ``circuit_masks`` call ``rank_mask`` never, and the
 Bergman grid check finds the heaviest bases once per grid point.
 """
@@ -69,6 +70,45 @@ def _integer_matrices(draw):
 @given(_integer_matrices())
 def test_rank_queries_match_the_oracle_on_matrices(rows):
     _agrees_with_oracle(from_matrix(rows)[0])
+
+
+_PARALLEL = from_matrix([[1, 2, 0, 1], [0, 0, 1, 1]])[0]  # 1 and 2 parallel
+
+_CIRCUIT_INPUTS = {
+    **{f"U{d},{n}": (lambda d=d, n=n: uniform(d, n))
+       for n in range(1, 8) for d in range(1, n + 1)},
+    **{name: (lambda name=name: corpus(name).matroid)
+       for name in ("u23", "u24", "delA3", "braidK4", "braidK5",
+                    *(f"boolean_{k}" for k in range(1, 6)))},
+    "parallel pair": lambda: _PARALLEL,
+    "parallel pair+loop": lambda: direct_sum(_PARALLEL, _LOOP),
+    "U13+loop+U22": lambda: direct_sum(direct_sum(uniform(1, 3), _LOOP),
+                                       uniform(2, 2)),
+    "rank 0 on three": lambda: Matroid(3, [0]),
+    "rank 0 on none": lambda: Matroid(0, [0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_CIRCUIT_INPUTS))
+def test_circuit_walk_matches_the_subset_scan(name):
+    m = _CIRCUIT_INPUTS[name]()
+    assert m.circuit_masks == rank_oracle.circuit_scan(m)
+
+
+@st.composite
+def _rational_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_matrices())
+def test_circuit_walk_matches_the_subset_scan_on_matrices(rows):
+    m = from_matrix(rows)[0]
+    assert m.circuit_masks == rank_oracle.circuit_scan(m)
 
 
 _FANS = {
