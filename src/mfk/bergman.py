@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bitset import from_mask, full_mask, to_mask
+from .bitset import from_mask, full_mask, iter_bits, to_mask
 from .errors import LoopsPresent, SingularSample
 from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
@@ -86,13 +86,8 @@ def bergman_fan(matroid: Matroid,
     n = matroid.n
     groups: dict[tuple[int, ...], list[int]] = {}
     for idx, flag in enumerate(flags):
-        w = [0] * n
-        for f in flag:
-            for i in range(n):
-                if f & (1 << i):
-                    w[i] += 1
-        heaviest = tuple(sorted(heaviest_bases(matroid, w)))
-        groups.setdefault(heaviest, []).append(idx)
+        key = _flag_transversals(flag, lattice.top)
+        groups.setdefault(key, []).append(idx)
 
     # On a connected matroid the rays of a coarse cone are the flacets among
     # its group's flags (Feichtner-Sturmfels 2005).  Otherwise every coarse
@@ -120,6 +115,23 @@ def bergman_fan(matroid: Matroid,
                                         for flag in flags),
                       groups=tuple(group_list),
                       group_bases=tuple(base_list))
+
+
+def _flag_transversals(flag: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """The bases of largest weight under the sum of the flag's indicators.
+
+    With F_0 the empty set (no loops) and F_r = E, a basis B has weight
+    sum_k |B & F_k| <= sum_k rk F_k, with equality exactly when B holds one
+    element of each F_k - F_{k-1}; every such transversal is independent,
+    since its k-th element lies outside F_{k-1}, the span of those before.
+    """
+    masks = [0]
+    below = 0
+    for f in flag + (top,):
+        masks = [m | 1 << (e - 1)
+                 for m in masks for e in iter_bits(f & ~below)]
+        below = f
+    return tuple(sorted(masks))
 
 
 # -- initial degenerations ------------------------------------------------------

@@ -10,7 +10,9 @@ pivot row by its pivot, so every entry that ``rref``, ``nullspace`` and
 no division at all and also takes sparse rows (order-complex boundary
 matrices).  Smith normal form needs unimodular steps, which the kernel's
 gcd-normalised rows are not, so it has its own extended-gcd reduction in
-integers.  Only ``lp_feasible``'s simplex still computes in Fractions.
+integers.  ``determinant`` is Bareiss' fraction-free elimination of a
+square integer matrix, in which every division is exact.  Only
+``lp_feasible``'s simplex still computes in Fractions.
 """
 
 from __future__ import annotations
@@ -171,6 +173,35 @@ def solve(matrix, rhs) -> list[Fraction] | None:
     for i, p in enumerate(pivots):
         x[p] = red[i][ncols]
     return x
+
+
+def determinant(matrix) -> int:
+    """Determinant of a square integer matrix (1 for the 0 x 0 matrix).
+
+    Bareiss elimination: after step k every entry below and right of the
+    pivot is a (k+1) x (k+1) minor of the input, so dividing the 2 x 2
+    cross product by the previous pivot is exact.  A zero pivot is
+    replaced by a lower row with a nonzero entry in its column, each swap
+    flipping the sign; when there is none the determinant is 0.
+    """
+    rows = [list(row) for row in matrix]
+    size = len(rows)
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, size):
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1] if size else 1
 
 
 # -- Smith normal form --------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .bitset import from_mask, full_mask, iter_bits, popcount, to_mask
 from .errors import CardinalityMismatch, ExchangeViolation, ParameterOutOfRange
-from .linalg import frac_matrix, rank as matrix_rank, rref
+from .linalg import determinant, frac_matrix, primitive_integer, rref
 
 DEFAULT_MAX_N = 20
 
@@ -257,7 +257,15 @@ class ComponentPartition:
 
 @dataclass(frozen=True)
 class LinearRealization:
-    """A full-row-rank rational matrix whose column matroid is attached."""
+    """A full-row-rank rational matrix whose column matroid is attached.
+
+    ``plucker`` maps each basis (a column mask) to its maximal minor once
+    every row is scaled by a positive factor to coprime integers: the
+    Plücker coordinates of the row space up to one positive factor, which
+    keeps their signs and ratios.  The bases are exactly the d-subsets of
+    columns with a nonzero minor.  ``from_matrix`` fills it while finding
+    the bases; otherwise it is computed on first use.
+    """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     matroid: Matroid
@@ -269,6 +277,23 @@ class LinearRealization:
     @property
     def ncols(self) -> int:
         return len(self.matrix[0]) if self.matrix else self.matroid.n
+
+    @cached_property
+    def plucker(self) -> dict[int, int]:
+        return _nonzero_minors(self.matrix, self.ncols)
+
+
+def _nonzero_minors(matrix, ncols: int) -> dict[int, int]:
+    """The nonzero maximal minors of a full-row-rank matrix by column mask,
+    with each row first scaled by a positive factor to coprime integers."""
+    rows = [primitive_integer(row, sign_first_positive=False)
+            for row in matrix]
+    minors = {}
+    for combo in combinations(range(ncols), len(rows)):
+        minor = determinant([[row[j] for j in combo] for row in rows])
+        if minor:
+            minors[sum(1 << j for j in combo)] = minor
+    return minors
 
 
 # -- constructors -------------------------------------------------------------
@@ -293,24 +318,25 @@ def from_bases(n: int, bases) -> Matroid:
 def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     """Column matroid of a rational matrix, with the realization attached.
 
-    Zero columns become loops.  Bases are enumerated exhaustively over
-    d-subsets of columns, d the row rank.
+    Zero columns become loops.  A matrix without full row rank is replaced
+    by the nonzero rows of its RREF, so the realization has d rows, d the
+    row rank.  The bases are the d-subsets of columns whose maximal minor
+    is nonzero, each minor one fraction-free determinant; the minors stay
+    on the realization as ``plucker``.
     """
     mat = frac_matrix(rows)
     ncols = len(mat[0]) if mat else 0
     red, pivots = rref(mat)
     d = len(pivots)
-    cols = [[mat[i][j] for i in range(len(mat))] for j in range(ncols)]
-    base_masks = []
-    for combo in combinations(range(ncols), d):
-        sub = [[cols[j][i] for j in combo] for i in range(len(mat))]
-        if matrix_rank(sub) == d:
-            base_masks.append(to_mask(c + 1 for c in combo))
-    matroid = Matroid(ncols, base_masks or [0], _validated=True)
     if len(mat) != d:
         mat = red[:d]
+    minors = _nonzero_minors(mat, ncols)
+    matroid = Matroid(ncols, minors.keys(), _validated=True)
     realization = LinearRealization(
         matrix=tuple(tuple(row) for row in mat), matroid=matroid)
+    # the frozen dataclass refuses attribute assignment; this fills the
+    # cache that ``plucker`` would otherwise compute again
+    object.__setattr__(realization, "plucker", minors)
     return matroid, realization
 
 

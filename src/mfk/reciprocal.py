@@ -1,4 +1,9 @@
-"""Circuit generators of the reciprocal-plane ideal of a realization."""
+"""Circuit generators of the reciprocal-plane ideal of a realization.
+
+The linear relation of a circuit is Cramer's rule on the realization's
+Plücker coordinates (``LinearRealization.plucker``), so no system is
+solved; the generators are those of Proudfoot-Speyer (2006).
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .bitset import from_mask, iter_bits, popcount, to_mask
 from .errors import LoopsPresent, NotACircuit
-from .linalg import nullspace, primitive_integer, rank as matrix_rank
+from .linalg import primitive_integer, rank as matrix_rank
 from .matroid import LinearRealization
 
 
@@ -34,27 +40,53 @@ class CircuitPolynomial:
 
 def circuit_dependency(realization: LinearRealization,
                        circuit) -> dict[int, int]:
-    """Integer dependency among the coordinate forms supported on a circuit."""
-    elems = sorted(circuit)
-    matrix = [[realization.matrix[r][e - 1] for e in elems]
-              for r in range(realization.nrows)]
-    kernel = nullspace(matrix)
-    if len(kernel) != 1:
-        raise NotACircuit(f"{elems} is not a circuit of the realization")
-    ints = primitive_integer(kernel[0])
-    return {e: c for e, c in zip(elems, ints)}
+    """Integer dependency among the coordinate forms supported on a circuit.
+
+    Raises ``NotACircuit`` unless the set is a circuit of the realization's
+    matroid.
+    """
+    elems = set(circuit)
+    matroid = realization.matroid
+    if not all(1 <= e <= matroid.n for e in elems) or \
+            to_mask(elems) not in matroid.circuit_masks:
+        raise NotACircuit(
+            f"{sorted(elems)} is not a circuit of the realization")
+    return _dependency(realization, to_mask(elems))
+
+
+def _dependency(realization: LinearRealization,
+                circuit: int) -> dict[int, int]:
+    """The circuit's relation by Cramer's rule on d + 1 columns.
+
+    Let S = C when |C| = d + 1, and otherwise S = C | B for a basis B that
+    holds C - min C.  The d x (d + 1) submatrix on S has a one-dimensional
+    kernel, spanned by c_e = (-1)^#{s in S : s < e} p(S - e) (expand the
+    determinant of the submatrix with a row repeated).  For e outside C,
+    S - e contains C and p(S - e) = 0; for e in C, S - e is a basis.
+    """
+    matroid = realization.matroid
+    support = circuit
+    if popcount(circuit) <= matroid.rank_d:
+        rest = circuit & (circuit - 1)  # C without its least element
+        support |= next(b for b in matroid.base_masks if rest & ~b == 0)
+    plucker = realization.plucker
+    elems = list(iter_bits(circuit))
+    coefficients = []
+    for e in elems:
+        bit = 1 << (e - 1)
+        minor = plucker[support & ~bit]
+        coefficients.append(-minor if popcount(support & (bit - 1)) % 2
+                            else minor)
+    return dict(zip(elems, primitive_integer(coefficients)))
 
 
 def reciprocal_generators(realization: LinearRealization) -> list[CircuitPolynomial]:
     """One circuit polynomial per circuit of the realization's matroid."""
     if realization.matroid.loops():
         raise LoopsPresent("reciprocal generators need a loop-free realization")
-    out = []
-    for circuit in realization.matroid.circuits():
-        out.append(CircuitPolynomial(
-            circuit=circuit,
-            coefficients=circuit_dependency(realization, circuit)))
-    return out
+    return [CircuitPolynomial(circuit=from_mask(c),
+                              coefficients=_dependency(realization, c))
+            for c in realization.matroid.circuit_masks]
 
 
 def minimal_generator_count(generators, degree: int) -> int:

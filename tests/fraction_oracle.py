@@ -2,7 +2,8 @@
 ``mfk.linalg``.
 
 This is the elimination ``mfk.linalg`` used before its integer kernel,
-kept only to check that kernel.  Every entry is coerced to a ``Fraction``
+kept only to check that kernel; ``determinant`` checks the Bareiss
+determinant the same way.  Every entry is coerced to a ``Fraction``
 first, so the oracle is exact on ints, Fractions and ``'p/q'`` strings.
 """
 
@@ -79,3 +80,22 @@ def solve(matrix, rhs) -> list[Fraction] | None:
             return None
         x[p] = red[i][ncols]
     return x
+
+
+def determinant(matrix) -> Fraction:
+    """Determinant by Gaussian elimination in Fractions: the product of the
+    pivots, negated once per row swap."""
+    m = _fractions(matrix)
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot_row = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det

@@ -11,7 +11,8 @@ from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          bergman_membership, check_prop_grob,
                          initial_subspace, support_deviation,
                          support_deviations)
-from mfk import geometry
+from mfk import bergman, geometry
+from mfk.bitset import to_mask
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
 from mfk.errors import DimensionMismatch, LoopsPresent
@@ -321,3 +322,35 @@ def test_coarse_rays_are_the_flacets_of_the_flags(name):
         expected = {_flat_vector(m.n, flat) for i in group
                     for flat in fan.fine_chains[i] if flat in flacets}
         assert cone.rays == tuple(sorted(expected))
+
+
+_FLAGGED = {
+    **_CONNECTED,
+    "boolean_3": lambda: corpus("boolean_3").matroid,
+    "U23+U11": lambda: direct_sum(uniform(2, 3), uniform(1, 1)),
+    "U12+U24": lambda: direct_sum(uniform(1, 2), uniform(2, 4)),
+    "parallel pairs": lambda: from_matrix([[1, 2, 0, 0, 1],
+                                           [0, 0, 1, 3, 1]])[0],
+    "U3,7": lambda: uniform(3, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAGGED))
+def test_flag_groups_are_the_heaviest_bases(name, monkeypatch):
+    # the groups are built from the flags' transversals; the heaviest
+    # bases under the sum of each flag's indicators are the oracle
+    m = _FLAGGED[name]()
+    monkeypatch.setattr(bergman, "heaviest_bases", None)
+    fan = bergman_fan(m)
+    monkeypatch.undo()
+    seen = set()
+    for members, bases in zip(fan.groups, fan.group_bases):
+        masks = {to_mask(b) for b in bases}
+        assert frozenset(masks) not in seen
+        seen.add(frozenset(masks))
+        for i in members:
+            w = [sum(e in flat for flat in fan.fine_chains[i])
+                 for e in range(1, m.n + 1)]
+            assert heaviest_bases(m, w) == masks
+    assert sorted(i for members in fan.groups for i in members) == \
+        list(range(len(fan.fine_chains)))

@@ -173,9 +173,9 @@ def test_closure_and_circuits_make_no_rank_scan(monkeypatch):
 
 def test_bergman_grid_finds_the_heaviest_bases_once_per_point(monkeypatch):
     m = corpus("u24").matroid
-    flags = len(bergman_fan(m).fine_chains)
     calls = _count_calls(monkeypatch, bergman, "heaviest_bases")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["bergman", "--corpus", "u24", "--grid", "2"]) == 0
-    # one call per fine flag to group the flags, then one per grid point
-    assert len(calls) == flags + 5 ** m.n
+    # the flags are grouped by their transversals, with no call; then one
+    # call per grid point
+    assert len(calls) == 5 ** m.n
