@@ -33,3 +33,13 @@ def popcount(mask: int) -> int:
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
+
+def blocks(ground: int, sets: Iterable[int]) -> list[int]:
+    """The finest partition of ground with each given nonempty set inside
+    ground in one block: masks, in the order of their least elements."""
+    parts = [1 << (e - 1) for e in iter_bits(ground)]
+    for s in sets:
+        if s and s & ~ground == 0:
+            merged = sum(p for p in parts if p & s)
+            parts = [p for p in parts if not p & s] + [merged]
+    return sorted(parts, key=lambda p: p & -p)

@@ -48,7 +48,7 @@ def _integer(x) -> int:
 
 def quotient_coordinates(vec) -> tuple[int, ...]:
     """Coordinates of a class in the basis e_1,...,e_{n-1} of Z^n/Z·e."""
-    ints = [int(x) for x in vec]
+    ints = [_integer(x) for x in vec]
     return tuple(x - ints[-1] for x in ints[:-1])
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import from_mask, full_mask, to_mask
+from .bitset import blocks, from_mask, full_mask, to_mask
 from .complexes import SimplicialComplex
 from .errors import EmptyInterval, LoopsPresent, NotFlats
 from .matroid import Matroid
@@ -102,6 +102,17 @@ class FlatLattice:
         walk((lower,))
         return chains
 
+    def is_connected_minor(self, lower: int, upper: int) -> bool:
+        """Is the minor (M|upper)/lower connected?  For flats lower < upper.
+
+        Its dual, (M|upper)* on upper - lower, has the same components; its
+        circuits are the cocircuits upper - H of M|upper with lower inside
+        H, for the flats H that upper covers (``blocks`` drops the others).
+        """
+        hyperplanes = self.by_rank[self._rank_of[upper] - 1]
+        cocircuits = (upper & ~h for h in hyperplanes if h & ~upper == 0)
+        return len(blocks(upper & ~lower, cocircuits)) == 1
+
     def flats(self) -> list[list[frozenset[int]]]:
         return [[from_mask(f) for f in level] for level in self.by_rank]
 
@@ -144,19 +155,14 @@ def moebius(matroid: Matroid, lattice: FlatLattice | None = None) -> MoebiusTabl
 
 def irreducible_flats(matroid: Matroid,
                       lattice: FlatLattice | None = None) -> set[frozenset[int]]:
-    """Flats of positive rank whose restriction, without loops, is connected.
+    """Flats F of positive rank with (M|F)/loops connected.
 
     Every flat holds the loops (the bottom flat), and a loop is a component
-    of its own, so connectivity is judged on the flat minus the loops.
+    of its own, so connectivity is judged on the minor over the bottom.
     """
     lattice = lattice or FlatLattice(matroid)
-    out = set()
-    for level in lattice.by_rank[1:]:
-        for f in level:
-            if matroid.restriction(
-                    from_mask(f & ~lattice.bottom)).is_connected():
-                out.add(from_mask(f))
-    return out
+    return {from_mask(f) for level in lattice.by_rank[1:] for f in level
+            if lattice.is_connected_minor(lattice.bottom, f)}
 
 
 def order_complex(lattice: FlatLattice, lower, upper) -> SimplicialComplex:

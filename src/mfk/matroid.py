@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .bitset import from_mask, full_mask, iter_bits, popcount, to_mask
+from .bitset import (blocks, from_mask, full_mask, iter_bits, popcount,
+                     to_mask)
 from .errors import CardinalityMismatch, ExchangeViolation, ParameterOutOfRange
 from .linalg import determinant, frac_matrix, primitive_integer, rref
 
@@ -30,18 +31,23 @@ def _max_ground() -> int:
             f"MFK_MAX_N must be an integer, got {raw!r}") from None
 
 
+def _check_ground(n: int) -> None:
+    """Refuse a negative ground set size or one above the cap."""
+    if n < 0:
+        raise ParameterOutOfRange("ground set size must be nonnegative")
+    if n > _max_ground():
+        raise ParameterOutOfRange(
+            f"ground set size {n} exceeds cap {_max_ground()} "
+            "(set MFK_MAX_N to override)")
+
+
 class Matroid:
     """A matroid on ground set [n], stored by its set of bases."""
 
     __slots__ = ("n", "base_masks", "rank_d", "__dict__")
 
     def __init__(self, n: int, base_masks, _validated: bool = False):
-        if n < 0:
-            raise ParameterOutOfRange("ground set size must be nonnegative")
-        if n > _max_ground():
-            raise ParameterOutOfRange(
-                f"ground set size {n} exceeds cap {_max_ground()} "
-                "(set MFK_MAX_N to override)")
+        _check_ground(n)
         masks = tuple(sorted(set(base_masks)))
         if not masks:
             raise CardinalityMismatch("a matroid needs at least one basis")
@@ -214,27 +220,12 @@ class Matroid:
 
     @cached_property
     def _component_blocks(self) -> tuple[frozenset[int], ...]:
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.circuit_masks:
-            elems = list(iter_bits(c))
-            for e in elems[1:]:
-                parent[find(e)] = find(elems[0])
-        groups: dict[int, set[int]] = {}
-        for e in range(1, self.n + 1):
-            groups.setdefault(find(e), set()).add(e)
-        return tuple(sorted((frozenset(g) for g in groups.values()),
-                            key=min))
+        return tuple(map(from_mask, blocks(full_mask(self.n),
+                                           self.circuit_masks)))
 
     def components(self) -> ComponentPartition:
-        blocks = self._component_blocks
-        return ComponentPartition(blocks=blocks, kappa=len(blocks))
+        parts = self._component_blocks
+        return ComponentPartition(blocks=parts, kappa=len(parts))
 
     def is_connected(self) -> bool:
         return self.components().kappa == 1
@@ -326,6 +317,7 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     """
     mat = frac_matrix(rows)
     ncols = len(mat[0]) if mat else 0
+    _check_ground(ncols)  # before the C(ncols, d) determinants
     red, pivots = rref(mat)
     d = len(pivots)
     if len(mat) != d:

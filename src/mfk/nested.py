@@ -341,12 +341,8 @@ def fans_equal_condition(matroid: Matroid,
         xs = sorted((f for f in lattice.flat_masks
                      if f & ~ymask == 0 and f != ymask),
                     key=lambda m: (popcount(m), sorted(from_mask(m))))
-        restricted = matroid.restriction(y)
-        relabel = {e: i + 1 for i, e in enumerate(sorted(y))}
         for xmask in xs:
-            ximage = {relabel[e] for e in from_mask(xmask)}
-            minor = restricted.contraction(ximage)
-            if minor.n and not minor.is_connected():
+            if not lattice.is_connected_minor(xmask, ymask):
                 return ConditionReport(holds=False,
                                        witness=(from_mask(xmask), y))
     return ConditionReport(holds=True, witness=None)

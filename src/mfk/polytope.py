@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import from_mask, full_mask, popcount, to_mask
+from .bitset import blocks, from_mask, full_mask, popcount, to_mask
 from .errors import Disconnected, DimensionMismatch, LoopsPresent, NotAFace
 from .geometry import RationalPolytope, _primitive_inequality
 from .lattice import FlatLattice
@@ -36,9 +36,9 @@ def polytope(matroid: Matroid) -> RationalPolytope:
     """
     n, bases = matroid.n, matroid.bases
     vertices = tuple(sorted(indicator_vertex(n, b) for b in bases))
-    blocks = matroid.components().blocks
+    components = matroid.components().blocks
     inequalities = []
-    for block in blocks:
+    for block in components:
         if len(block) < 2:
             continue
         elems = sorted(block)
@@ -52,7 +52,7 @@ def polytope(matroid: Matroid) -> RationalPolytope:
             inequalities.append(_primitive_inequality(normal, offset))
     return RationalPolytope(vertices=vertices,
                             facets=tuple(sorted(inequalities)),
-                            dim=n - len(blocks))
+                            dim=n - len(components))
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,14 @@ def sublevel_masks(u) -> list[int]:
 
     One pass groups the indices by value; integer entries stay ``int``.
     """
-    blocks: dict = {}
+    by_value: dict = {}
     for i, x in enumerate(u):
         if not isinstance(x, int):
             x = frac(x)
-        blocks[x] = blocks.get(x, 0) | 1 << i
+        by_value[x] = by_value.get(x, 0) | 1 << i
     masks, cumulative = [], 0
-    for value in sorted(blocks):
-        cumulative |= blocks[value]
+    for value in sorted(by_value):
+        cumulative |= by_value[value]
         masks.append(cumulative)
     return masks
 
@@ -151,12 +151,12 @@ class FacetDescription:
 
 
 def flacets(lattice: FlatLattice) -> list[int]:
-    """The flacets in lattice order: the proper nonempty flats F with M|F
-    and M/F both connected, one connectivity test pair per flat."""
-    matroid = lattice.matroid
+    """The flacets in lattice order: the proper flats F of positive rank
+    with (M|F)/loops and M/F connected, read off the lattice."""
+    bottom, top = lattice.bottom, lattice.top
     return [f for level in lattice.by_rank[1:-1] for f in level
-            if matroid.restriction(from_mask(f)).is_connected()
-            and matroid.contraction(from_mask(f)).is_connected()]
+            if lattice.is_connected_minor(bottom, f)
+            and lattice.is_connected_minor(f, top)]
 
 
 def facets(matroid: Matroid,
@@ -189,8 +189,8 @@ def facets(matroid: Matroid,
         avoiding = [b for b in matroid.base_masks if not b & bit]
         if not avoiding:
             continue
-        deletion = matroid.restriction(from_mask(top & ~bit))
-        if not deletion.is_connected():
+        # the circuits of M - e are the circuits of M that avoid e
+        if len(blocks(top & ~bit, matroid.circuit_masks)) != 1:
             continue
         normal = tuple(1 if i == e else 0 for i in range(1, matroid.n + 1))
         out.append(FacetDescription(

@@ -209,6 +209,12 @@ def test_cone_unimodular():
     assert not cone_unimodular(Cone.over([(2, 0, 0, 2), (0, 2, 2, 0)]), 4)
 
 
+def test_cone_unimodular_refuses_a_fractional_ray():
+    # int() would truncate 3/2 to the lattice vector e_1
+    with pytest.raises(ValueError):
+        cone_unimodular(Cone(rays=((Fraction(3, 2), 0, 0),)), 3)
+
+
 def test_fan_rays_and_contains():
     fan = Fan(n=4, cones=(Cone.over([(1, 0, 0, 0)]),
                           Cone.over([(0, 1, 0, 0), (0, 1, 1, 0)])))

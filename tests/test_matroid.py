@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfk.matroid
 from mfk.errors import (CardinalityMismatch, ExchangeViolation,
                         ParameterOutOfRange)
 from mfk.linalg import nullspace
@@ -41,6 +42,20 @@ def test_ground_set_cap(monkeypatch):
         uniform(1, 21)
     monkeypatch.setenv("MFK_MAX_N", "25")
     assert uniform(1, 21).n == 21
+
+
+def test_from_graph_refuses_k7_before_any_minor(monkeypatch):
+    # 21 edges: the cap is checked before C(21, 6) determinants
+    def no_determinant(*args, **kwargs):
+        raise AssertionError("a minor was computed")
+
+    monkeypatch.delenv("MFK_MAX_N", raising=False)
+    monkeypatch.setattr(mfk.matroid, "determinant", no_determinant)
+    with pytest.raises(ParameterOutOfRange) as err:
+        from_graph(7, list(combinations(range(1, 8), 2)))
+    with pytest.raises(ParameterOutOfRange) as cap:
+        uniform(1, 21)
+    assert str(err.value) == str(cap.value)
 
 
 def test_from_matrix_dela3(dela3):
