@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bitset import from_mask, full_mask, iter_bits, to_mask
-from .errors import LoopsPresent, SingularSample
+from .errors import LoopsPresent, ParameterOutOfRange, SingularSample
 from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
 from .linalg import frac, rref
@@ -181,8 +181,11 @@ class AmoebaSample:
     points: tuple[tuple[float, ...], ...]
 
 
+_MAX_RETRIES = 200  # draws per point before the sample is declared singular
+
+
 def amoeba_sample(realization: LinearRealization, t: float, count: int,
-                  seed: int = 0, max_retries: int = 200) -> AmoebaSample:
+                  seed: int = 0) -> AmoebaSample:
     """Sample the projectivized complement and map through log_t magnitudes.
 
     Points are drawn from complex Gaussian row combinations; draws on a
@@ -191,6 +194,8 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     """
     if t <= 1:
         raise ValueError("logarithm base must exceed 1")
+    if realization.matroid.n == 0:
+        raise ParameterOutOfRange("amoeba sampling needs a nonempty ground set")
     if realization.matroid.loops():
         raise LoopsPresent("amoeba sampling needs a loop-free realization")
     import numpy as np  # only the amoeba path needs numpy and scipy
@@ -201,7 +206,7 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     points = []
     logt = np.log(t)
     for _ in range(count):
-        for _ in range(max_retries):
+        for _ in range(_MAX_RETRIES):
             coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                for _ in range(d)])
             z = coeffs @ matrix

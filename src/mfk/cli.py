@@ -13,12 +13,12 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from itertools import product
 
 from .corpus import corpus as corpus_entry, corpus_names
 from .bergman import amoeba_sample, bergman_fan, support_deviations
-from .errors import InvalidInput, MfkError, UnwritableOutput
+from .errors import (EmptyInterval, InvalidInput, LoopsPresent, MfkError,
+                     UnwritableOutput)
 from .jsonio import (amoeba_to_json, bergman_to_json, circuits_to_json,
                      comparison_to_json, degeneration_to_json, facets_to_json,
                      graph_from_json, lattice_to_json, matrix_from_json,
@@ -26,7 +26,6 @@ from .jsonio import (amoeba_to_json, bergman_to_json, circuits_to_json,
                      polytope_to_json)
 from .lattice import FlatLattice, moebius, order_complex
 from .complexes import reduced_homology_ranks
-from .errors import EmptyInterval, LoopsPresent
 from .geometry import face_lattice
 from .linalg import frac
 from .matroid import LinearRealization, Matroid, from_graph, uniform
@@ -34,22 +33,6 @@ from .nested import building_set, compare_fans, max_building, min_building, \
     nested_fan
 from .polytope import degeneration, facets, polytope
 from .reciprocal import reciprocal_generators
-
-
-@dataclass
-class JobSpec:
-    """Everything one invocation needs; fixed seed means identical bytes."""
-
-    computation: str
-    source_kind: str  # matrix | bases | graph | uniform | corpus
-    source_value: object
-    output: str | None = None
-    grid: int | None = None
-    weight: list | None = None
-    building: str = "min"
-    t: float = 1000.0
-    count: int = 100
-    seed: int = 0
 
 
 def _read(path: str, parse):
@@ -69,23 +52,19 @@ def _read(path: str, parse):
                            f"{type(err).__name__}: {err}") from None
 
 
-def _resolve_input(job: JobSpec) -> tuple[Matroid, LinearRealization | None]:
-    kind, value = job.source_kind, job.source_value
-    if kind == "matrix":
-        return _read(value, matrix_from_json)
-    if kind == "bases":
-        return _read(value, matroid_from_json), None
-    if kind == "graph":
-        vertices, edges = _read(value, graph_from_json)
-        matroid = from_graph(vertices, edges)
-        return matroid, None
-    if kind == "uniform":
-        d, n = value
+def _resolve_input(args) -> tuple[Matroid, LinearRealization | None]:
+    """The matroid and realization of the one input option argparse let in."""
+    if args.matrix:
+        return _read(args.matrix, matrix_from_json)
+    if args.bases:
+        return _read(args.bases, matroid_from_json), None
+    if args.graph:
+        return from_graph(*_read(args.graph, graph_from_json)), None
+    if args.uniform:
+        d, n = args.uniform
         return uniform(d, n), corpus_entry(f"uniform_{d}_{n}").realization
-    if kind == "corpus":
-        entry = corpus_entry(value)
-        return entry.matroid, entry.realization
-    raise MfkError(f"unknown input source {kind}")
+    entry = corpus_entry(args.corpus)
+    return entry.matroid, entry.realization
 
 
 def _require_realization(realization) -> LinearRealization:
@@ -95,31 +74,22 @@ def _require_realization(realization) -> LinearRealization:
     return realization
 
 
-def _building_for(job: JobSpec, lattice: FlatLattice):
-    if job.building == "min":
+def _building_for(building: str, lattice: FlatLattice):
+    if building == "min":
         return min_building(lattice)
-    if job.building == "max":
+    if building == "max":
         return max_building(lattice)
-    return _read(job.building, lambda flats: building_set(
+    return _read(building, lambda flats: building_set(
         lattice, [frozenset(f) for f in flats]))
-
-
-def run(job: JobSpec) -> tuple[int, dict]:
-    """Execute one job; returns (exit status, artifact)."""
-    try:
-        artifact = _dispatch(job)
-        return 0, artifact
-    except MfkError as err:
-        return 1, _error_artifact(err)
 
 
 def _error_artifact(err: MfkError) -> dict:
     return {"error": type(err).__name__, "message": str(err)}
 
 
-def _dispatch(job: JobSpec) -> dict:
-    matroid, realization = _resolve_input(job)
-    computation = job.computation
+def _dispatch(args) -> dict:
+    matroid, realization = _resolve_input(args)
+    computation = args.command
 
     if computation == "matroid":
         return matroid_to_json(matroid)
@@ -148,14 +118,13 @@ def _dispatch(job: JobSpec) -> dict:
         return facets_to_json(facets(matroid))
 
     if computation == "degenerate":
-        weight = [frac(x) for x in job.weight or []]
-        return degeneration_to_json(degeneration(matroid, weight))
+        return degeneration_to_json(degeneration(matroid, args.u))
 
     if computation == "bergman":
         fan = bergman_fan(matroid)
         data = bergman_to_json(fan)
-        if job.grid:
-            radius = job.grid
+        if args.grid:
+            radius = args.grid
             agrees = all(
                 fan.contains(w) == fan.any_coarse_contains(w)
                 for w in product(range(-radius, radius + 1),
@@ -166,7 +135,7 @@ def _dispatch(job: JobSpec) -> dict:
 
     if computation == "nested":
         lattice = FlatLattice(matroid)
-        fan = nested_fan(matroid, _building_for(job, lattice))
+        fan = nested_fan(matroid, _building_for(args.building, lattice))
         return nested_fan_to_json(fan)
 
     if computation == "compare-fans":
@@ -179,16 +148,13 @@ def _dispatch(job: JobSpec) -> dict:
         return circuits_to_json(
             reciprocal_generators(_require_realization(realization)))
 
-    if computation == "amoeba":
-        real = _require_realization(realization)
-        if real.matroid.loops():
-            raise LoopsPresent("amoeba sampling needs a loop-free matroid")
-        sample = amoeba_sample(real, job.t, job.count, seed=job.seed)
-        fan = bergman_fan(real.matroid)
-        return amoeba_to_json(sample, support_deviations(sample, fan),
-                              job.seed)
-
-    raise MfkError(f"unknown computation {computation}")
+    # amoeba: the only subcommand left
+    real = _require_realization(realization)
+    if real.matroid.loops():
+        raise LoopsPresent("amoeba sampling needs a loop-free matroid")
+    sample = amoeba_sample(real, args.t, args.count, seed=args.seed)
+    fan = bergman_fan(real.matroid)
+    return amoeba_to_json(sample, support_deviations(sample, fan), args.seed)
 
 
 def _emit(artifact: dict, output: str | None) -> None:
@@ -225,18 +191,6 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
                        help="built-in example name")
     parser.add_argument("--output", metavar="PATH",
                         help="write the artifact here instead of stdout")
-
-
-def _source_of(args) -> tuple[str, object]:
-    if args.matrix:
-        return "matrix", args.matrix
-    if args.bases:
-        return "bases", args.bases
-    if args.graph:
-        return "graph", args.graph
-    if args.uniform:
-        return "uniform", tuple(args.uniform)
-    return "corpus", args.corpus
 
 
 def _checked(convert, valid, requirement: str):
@@ -311,21 +265,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    status = 0
     if args.command == "corpus":
-        status, artifact = 0, {"corpus": corpus_names()}
+        artifact = {"corpus": corpus_names()}
     else:
-        status, artifact = run(JobSpec(
-            computation=args.command,
-            source_kind=_source_of(args)[0],
-            source_value=_source_of(args)[1],
-            output=args.output,
-            grid=getattr(args, "grid", None),
-            weight=getattr(args, "u", None),
-            building=getattr(args, "building", "min"),
-            t=getattr(args, "t", 1000.0),
-            count=getattr(args, "count", 100),
-            seed=getattr(args, "seed", 0),
-        ))
+        try:
+            artifact = _dispatch(args)
+        except MfkError as err:
+            status, artifact = 1, _error_artifact(err)
     try:
         _emit(artifact, args.output)
     except UnwritableOutput as err:

@@ -81,5 +81,4 @@ def corpus(name: str) -> CorpusEntry:
 
 
 def corpus_names() -> list[str]:
-    return ["u23", "u24", "delA3", "braidK4", "braidK5",
-            "boolean_<n>", "uniform_<d>_<n>"]
+    return [*_FIXED, "braidK4", "braidK5", "boolean_<n>", "uniform_<d>_<n>"]

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .errors import DimensionMismatch
-from .linalg import (content, frac, lp_feasible, nullspace, rref,
-                     smith_normal_form)
+from .linalg import (content, frac, lp_feasible, nullspace, primitive_integer,
+                     rref, smith_normal_form)
 
 
 # -- quotient lattice Z^n / Z·(1,...,1) ---------------------------------------
@@ -95,7 +94,7 @@ def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
     One pass suffices: once a ray survives against the current generator
     set, later removals only shrink that set.
     """
-    rays = sorted({quotient_ray(v) for v in vectors if any(quotient_rep(v))})
+    rays = Cone.over(vectors).rays
     keep = list(rays)
     for r in rays:
         rest = [s for s in keep if s != r]
@@ -175,14 +174,9 @@ def _extreme_points(points):
 
 def _primitive_inequality(normal, offset):
     """Scale (normal, offset) by a positive rational to a primitive integer normal."""
-    denom = 1
-    for x in normal:
-        f = frac(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(frac(x) * denom) for x in normal]
-    g = content(ints)
-    scale = Fraction(denom, g)
-    return tuple(x // g for x in ints), frac(offset) * scale
+    ints = primitive_integer(normal, sign_first_positive=False)
+    j = next(i for i, x in enumerate(ints) if x)
+    return tuple(ints), frac(offset) * ints[j] / frac(normal[j])
 
 
 def convex_hull(points) -> RationalPolytope:

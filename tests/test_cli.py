@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import mfk
-from mfk.cli import JobSpec, build_parser, main, run
+from mfk.cli import build_parser, main
 
 
 def _run_cli(args, cwd=None, env=None):
@@ -206,6 +206,12 @@ _FAULTS = {
     "non-integer MFK_MAX_N": (
         {}, ["matroid", "--uniform", "2", "4"], {"MFK_MAX_N": "abc"},
         "ParameterOutOfRange"),
+    "amoeba on a zero-column matrix": (
+        {"in.json": '{"rows": 2, "cols": 0, "entries": [[], []]}'},
+        ["amoeba", "--matrix", "DIR/in.json"], None, "ParameterOutOfRange"),
+    "amoeba on a zero-row matrix": (
+        {"in.json": '{"rows": 0, "cols": 3, "entries": []}'},
+        ["amoeba", "--matrix", "DIR/in.json"], None, "ParameterOutOfRange"),
 }
 
 
@@ -235,11 +241,88 @@ def test_input_and_output_faults_exit_one_with_error_json(case, tmp_path):
     (["amoeba", "--corpus", "u23", "--count", "1", "--t", "1.5",
       "--seed", "3"],
      "0ca5816c96c40d85709c2c1de309f4bc888efbe08f82dc3b9b604003c1854d87"),
+    # recorded before the CLI ran on its parsed arguments directly
+    (["matroid", "--corpus", "delA3"],
+     "57fb0323aa90a06a3155a07008beb37d85274acf8da4162957649890eb2f7519"),
+    (["lattice", "--corpus", "delA3"],
+     "84dbba2a7986f333fbd98fc3b47b8c3a44a07440274eaa457d78d0c3315d2af9"),
+    (["polytope", "--corpus", "delA3"],
+     "0675aedd43bf52183ed87e1312b3a5524f02442deaa58d1a419090b4ced981ba"),
+    (["facets", "--corpus", "delA3"],
+     "7eee3b881adebd1e1c6336d92bed2605e037563f6ef8296ea6cfd470c35f1fe4"),
+    (["degenerate", "--corpus", "delA3", "--u", "2,0,1,0,1"],
+     "5fd089d71f754512960df76f74a95a949834566b5a5626580487afd1cf028e14"),
+    (["bergman", "--corpus", "delA3"],
+     "55e714fe130acf54653a366f3a43ac6f9139eecf1becc0304fd865d4a39d16d3"),
+    (["nested", "--corpus", "delA3"],
+     "e182f581f23fe41402b16ff0db2b56b3fdb32bcdfb8b5d7a5e9bf318deaef0c1"),
+    (["compare-fans", "--corpus", "delA3"],
+     "e22b424bc43ff21866b2cd3e3c35819049b0140ecaaf8ff8c9d636dcd6e6232d"),
+    (["circuits", "--corpus", "delA3"],
+     "019fecc77ac43539444457c0688e912f1ac611b0429dd7593f2eb009a262bf53"),
+    (["amoeba", "--corpus", "delA3", "--count", "5", "--seed", "7"],
+     "a293585112dd313376e97610d77202bd798fcb69d0155b057e4c8799d4db64d8"),
+    (["circuits", "--uniform", "2", "5"],
+     "80ea05eadf6851d8d61b402530721bc87f07df4e48ca649a0bc491f2fc952526"),
+    (["amoeba", "--corpus", "u24", "--t", "50", "--count", "6", "--seed", "2"],
+     "b17f9f9ecb844d1f4444fb34b4cb85d5854a9e6c9f4bbb7684d797df7600c957"),
 ])
 def test_valid_numeric_flags_keep_their_bytes(args, digest):
     result = _run_cli(args)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# (input file or None, input arguments, ground set size)
+_EDGE_INPUTS = {
+    "zero-column matrix": (
+        {"rows": 2, "cols": 0, "entries": [[], []]}, ["--matrix"], 0),
+    "zero-row matrix": ({"rows": 0, "cols": 3, "entries": []}, ["--matrix"], 0),
+    "matrix with a loop": (
+        {"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "0", "1"]]},
+        ["--matrix"], 3),
+    "bases with n = 0": ({"n": 0, "bases": [[]]}, ["--bases"], 0),
+    "one-vertex graph": ({"vertices": 1, "edges": []}, ["--graph"], 0),
+    "parallel edge pair": (
+        {"vertices": 3, "edges": [[1, 2], [1, 2], [2, 3]]}, ["--graph"], 3),
+    "uniform 1 1": (None, ["--uniform", "1", "1"], 1),
+    "boolean_1": (None, ["--corpus", "boolean_1"], 1),
+    "boolean_2": (None, ["--corpus", "boolean_2"], 2),
+}
+
+_SUBCOMMANDS = ["matroid", "lattice", "polytope", "facets", "degenerate",
+                "bergman", "nested", "compare-fans", "circuits", "amoeba"]
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+@pytest.mark.parametrize("case", list(_EDGE_INPUTS))
+def test_edge_inputs_exit_zero_or_one_with_error_json(case, command,
+                                                     tmp_path, capsys):
+    data, args, n = _EDGE_INPUTS[case]
+    if data is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        args = [*args, str(path)]
+    extra = {"degenerate": ["--u=" + ",".join(["0"] * n)],
+             "bergman": ["--grid", "1"],
+             "amoeba": ["--count", "3"]}.get(command, [])
+    status = main([command, *args, *extra])
+    payload = json.loads(capsys.readouterr().out)
+    assert status in (0, 1)
+    if status == 1:
+        assert set(payload) == {"error", "message"}
+
+
+@pytest.mark.parametrize("bare,spelled", [
+    (["nested", "--corpus", "delA3"], ["--building", "min"]),
+    (["amoeba", "--corpus", "u23"],
+     ["--t", "1000", "--count", "100", "--seed", "0"]),
+])
+def test_omitted_options_take_their_defaults(bare, spelled, capsys):
+    assert main(bare) == 0
+    implicit = capsys.readouterr().out
+    assert main([*bare, *spelled]) == 0
+    assert capsys.readouterr().out == implicit
 
 
 def test_output_file_atomic_write(tmp_path, dela3_matrix_file):
@@ -249,14 +332,6 @@ def test_output_file_atomic_write(tmp_path, dela3_matrix_file):
     payload = json.loads(out.read_text())
     assert len(payload["facets"]) == 7
     assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_jobspec_run_directly():
-    job = JobSpec(computation="matroid", source_kind="uniform",
-                  source_value=(2, 4))
-    status, artifact = run(job)
-    assert status == 0
-    assert artifact["n"] == 4
 
 
 def test_parser_knows_all_subcommands():
