@@ -10,10 +10,13 @@ connected matroid a coarse cone is spanned by the flacets among its flags.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from numbers import Integral, Real
 
 from .bitset import from_mask, full_mask, iter_bits, to_mask
 from .errors import LoopsPresent, ParameterOutOfRange, SingularSample
@@ -192,8 +195,12 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     hyperplane are rejected.  The log vectors are centered to represent
     classes modulo the all-ones vector.
     """
-    if t <= 1:
-        raise ValueError("logarithm base must exceed 1")
+    if not (isinstance(t, Real) and math.isfinite(t) and t > 1):
+        raise ParameterOutOfRange(
+            f"logarithm base must be a finite number > 1, got {t!r}")
+    if not (isinstance(count, Integral) and count >= 1):
+        raise ParameterOutOfRange(
+            f"sample size must be an integer >= 1, got {count!r}")
     if realization.matroid.n == 0:
         raise ParameterOutOfRange("amoeba sampling needs a nonempty ground set")
     if realization.matroid.loops():
@@ -220,8 +227,57 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     return AmoebaSample(base=float(t), points=tuple(points))
 
 
+def _face_projections(mat):
+    """pinv(A_S) and I - A_S pinv(A_S) for each linearly independent set S
+    of columns: a point times the first's transpose gives the coefficients
+    of its projection onto span A_S, times the second its residual."""
+    import numpy as np
+
+    n, k = mat.shape
+    for size in range(1, np.linalg.matrix_rank(mat) + 1):
+        subs = np.array([mat[:, cols]
+                         for cols in combinations(range(k), size)])
+        subs = subs[np.linalg.matrix_rank(subs) == size]
+        inverses = np.linalg.pinv(subs)
+        yield from zip(inverses, np.eye(n) - subs @ inverses)
+
+
+def _cone_distances(targets, norms, mat):
+    """Euclidean distance of each row of ``targets`` from the cone over the
+    columns of ``mat``; ``norms`` (the distances to the apex) bound it.
+
+    The nearest point of a polyhedral cone is the projection onto the span
+    of a linearly independent set S of generators with nonnegative
+    coefficients (conic Caratheodory on the face it lies in), and every
+    such projection lies in the cone, so the distance is the smallest
+    residual over the S whose coefficients are all >= 0.
+    """
+    import numpy as np
+
+    nearest = norms
+    for pinv, complement in _face_projections(mat):
+        feasible = (targets @ pinv.T >= 0).all(axis=1)
+        lengths = np.linalg.norm(targets @ complement, axis=1)
+        nearest = np.where(feasible & (lengths < nearest), lengths, nearest)
+    return nearest
+
+
 def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
-    """Distance of each negated sample point from the Bergman support."""
+    """Distance of each negated sample point from the Bergman support.
+
+    The distance is the smallest ``nnls`` residual of the point over the
+    coarse cones (rays centered), or the point's norm when that is
+    smaller.  One numpy pass over the whole sample screens the cones: it
+    computes each cone's exact Euclidean distance for every point at once
+    (``_cone_distances``), and ``nnls`` then runs only on the cones within
+    ``1e-9 * (1 + |point|)`` of the nearest.  A cone left out is farther
+    than the nearest by far more than the float error of either
+    computation, so its residual could not have been the minimum; the
+    ``nnls`` residual stays the value of record, one call per point unless
+    cones tie.
+    """
+    if not sample.points:
+        return []
     import numpy as np
     from scipy.optimize import nnls
 
@@ -229,18 +285,17 @@ def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
     for cone in fan.cones:
         if cone.rays:
             mat = np.array([[float(x) for x in r] for r in cone.rays]).T
-            mat = mat - mat.mean(axis=0, keepdims=True)
-            cones.append(mat)
-        else:
-            cones.append(None)
+            cones.append(mat - mat.mean(axis=0, keepdims=True))
+    targets = -np.array(sample.points)
+    norms = np.linalg.norm(targets, axis=1)
+    screened = np.array([_cone_distances(targets, norms, mat)
+                         for mat in cones]).reshape(len(cones), len(targets))
+    reach = screened.min(axis=0, initial=np.inf) + 1e-9 * (1 + norms)
     out = []
-    for p in sample.points:
-        target = -np.array(p)
+    for i, target in enumerate(targets):
         best = float(np.linalg.norm(target))
-        for mat in cones:
-            if mat is None:
-                continue
-            _, residual = nnls(mat, target)
+        for c in np.flatnonzero(screened[:, i] <= reach[i]):
+            _, residual = nnls(cones[c], target)
             best = min(best, float(residual))
         out.append(best)
     return out

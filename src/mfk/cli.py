@@ -15,7 +15,7 @@ import sys
 import tempfile
 from itertools import product
 
-from .corpus import corpus as corpus_entry, corpus_names
+from .corpus import corpus as corpus_entry, corpus_names, vandermonde
 from .bergman import amoeba_sample, bergman_fan, support_deviations
 from .errors import (EmptyInterval, InvalidInput, LoopsPresent, MfkError,
                      UnwritableOutput)
@@ -28,7 +28,8 @@ from .lattice import FlatLattice, moebius, order_complex
 from .complexes import reduced_homology_ranks
 from .geometry import face_lattice
 from .linalg import frac
-from .matroid import LinearRealization, Matroid, from_graph, uniform
+from .matroid import (LinearRealization, Matroid, from_matrix,
+                      incidence_matrix)
 from .nested import building_set, compare_fans, max_building, min_building, \
     nested_fan
 from .polytope import degeneration, facets, polytope
@@ -59,10 +60,11 @@ def _resolve_input(args) -> tuple[Matroid, LinearRealization | None]:
     if args.bases:
         return _read(args.bases, matroid_from_json), None
     if args.graph:
-        return from_graph(*_read(args.graph, graph_from_json)), None
+        return from_matrix(incidence_matrix(*_read(args.graph,
+                                                   graph_from_json)))
     if args.uniform:
-        d, n = args.uniform
-        return uniform(d, n), corpus_entry(f"uniform_{d}_{n}").realization
+        realization = vandermonde(*args.uniform)
+        return realization.matroid, realization
     entry = corpus_entry(args.corpus)
     return entry.matroid, entry.realization
 

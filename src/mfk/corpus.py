@@ -20,9 +20,8 @@ class CorpusEntry:
     realization: LinearRealization | None
 
 
-def _vandermonde_entry(name: str, description: str, d: int,
-                       n: int) -> CorpusEntry:
-    """U_{d,n} with the Vandermonde matrix on the nodes 1..n.
+def vandermonde(d: int, n: int) -> LinearRealization:
+    """U_{d,n} realized by the Vandermonde matrix on the nodes 1..n.
 
     Any d of its columns are independent, the nodes being distinct, so the
     column matroid is uniform(d, n) without a rank computation.
@@ -30,9 +29,14 @@ def _vandermonde_entry(name: str, description: str, d: int,
     matroid = uniform(d, n)
     matrix = tuple(tuple(Fraction(j) ** i for j in range(1, n + 1))
                    for i in range(d))
-    return CorpusEntry(name=name, description=description, matroid=matroid,
-                       realization=LinearRealization(matrix=matrix,
-                                                     matroid=matroid))
+    return LinearRealization(matrix=matrix, matroid=matroid)
+
+
+def _vandermonde_entry(name: str, description: str, d: int,
+                       n: int) -> CorpusEntry:
+    realization = vandermonde(d, n)
+    return CorpusEntry(name=name, description=description,
+                       matroid=realization.matroid, realization=realization)
 
 
 _FIXED = {

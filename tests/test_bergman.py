@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import amoeba_oracle
 import laurent_oracle
 from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          bergman_membership, check_prop_grob,
@@ -15,7 +16,7 @@ from mfk import bergman, geometry
 from mfk.bitset import to_mask
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
-from mfk.errors import DimensionMismatch, LoopsPresent
+from mfk.errors import DimensionMismatch, LoopsPresent, ParameterOutOfRange
 from mfk.geometry import _flat_vector, cone_contains, irredundant_rays
 from mfk.lattice import FlatLattice, moebius, order_complex
 from mfk.linalg import rref
@@ -242,6 +243,82 @@ def test_amoeba_requires_loop_free():
     m, real = from_matrix([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(LoopsPresent):
         amoeba_sample(real, 1e3, 10, seed=0)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"),
+                               1, 1.0, 0.5, -3, "1000", None])
+def test_amoeba_sample_refuses_a_bad_base(t):
+    with pytest.raises(ParameterOutOfRange):
+        amoeba_sample(corpus("u23").realization, t, 10, seed=0)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, "5", None])
+def test_amoeba_sample_refuses_a_bad_count(count):
+    with pytest.raises(ParameterOutOfRange):
+        amoeba_sample(corpus("u23").realization, 1e3, count, seed=0)
+
+
+def _block_sum(r1, r2):
+    """The realization of the direct sum, by the block-diagonal matrix."""
+    rows = ([list(row) + [0] * r2.ncols for row in r1.matrix]
+            + [[0] * r1.ncols + list(row) for row in r2.matrix])
+    return from_matrix(rows)[1]
+
+
+# the corpus, plus disconnected inputs whose cones have dependent rays
+_AMOEBA_INPUTS = {
+    **{name: (lambda name=name: corpus(name).realization)
+       for name in ("u23", "u24", "delA3", "braidK4", "braidK5",
+                    "uniform_3_6", "boolean_3", "boolean_4")},
+    "U23+U11": lambda: _block_sum(corpus("u23").realization,
+                                  corpus("boolean_1").realization),
+    "U23+U23": lambda: _block_sum(corpus("u23").realization,
+                                  corpus("u23").realization),
+}
+
+
+@pytest.mark.parametrize("name", list(_AMOEBA_INPUTS))
+def test_support_deviations_equal_the_per_cone_nnls_oracle(name):
+    real = _AMOEBA_INPUTS[name]()
+    fan = bergman_fan(real.matroid)
+    for t in (1.5, 1e3, 1e6):
+        for seed in range(3):
+            sample = amoeba_sample(real, t, 60, seed=seed)
+            assert (support_deviations(sample, fan)
+                    == amoeba_oracle.support_deviations(sample, fan))
+
+
+@pytest.mark.parametrize("name", ["delA3", "braidK5"])
+def test_support_deviations_call_nnls_at_most_once_per_point(name,
+                                                            monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    nnls = scipy.optimize.nnls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nnls(*args, **kwargs)
+
+    real = corpus(name).realization
+    fan = bergman_fan(real.matroid)
+    sample = amoeba_sample(real, 1e3, 1000, seed=0)
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    assert len(support_deviations(sample, fan)) == 1000
+    assert 0 < len(calls) <= 1000
+
+
+@pytest.mark.parametrize("name", ["u23", "delA3", "braidK4", "boolean_4"])
+def test_zero_point_where_every_cone_ties_is_exactly_zero(name):
+    fan = bergman_fan(corpus(name).matroid)
+    sample = AmoebaSample(base=1e3, points=((0.0,) * fan.n,))
+    assert support_deviations(sample, fan) == [0.0]
+    assert amoeba_oracle.support_deviations(sample, fan) == [0.0]
+
+
+def test_support_deviations_of_an_empty_sample():
+    fan = bergman_fan(corpus("u23").matroid)
+    assert support_deviations(AmoebaSample(base=1e3, points=()), fan) == []
 
 
 _CONNECTED = {

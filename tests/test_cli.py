@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -50,6 +51,38 @@ def test_graph_subcommand(tmp_path, capsys):
     assert main(["matroid", "--graph", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["bases"] == [[1, 2], [1, 3], [2, 3]]
+
+
+@pytest.mark.parametrize("command", [["circuits"],
+                                     ["amoeba", "--seed", "3", "--count", "5"]])
+def test_graph_input_keeps_its_realization(command, tmp_path, capsys):
+    # braidK4 is built from the same incidence matrix, edges in this order
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"vertices": 4, "edges": [
+        [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}))
+    assert main([command[0], "--graph", str(path), *command[1:]]) == 0
+    from_graph = capsys.readouterr().out
+    assert main([command[0], "--corpus", "braidK4", *command[1:]]) == 0
+    assert from_graph == capsys.readouterr().out
+
+
+def test_uniform_input_builds_the_matroid_once(monkeypatch, capsys):
+    # the package re-exports the function corpus under the module's name
+    corpus_module = importlib.import_module("mfk.corpus")
+    calls = []
+    uniform = corpus_module.uniform
+    monkeypatch.setattr(corpus_module, "uniform",
+                        lambda d, n: calls.append((d, n)) or uniform(d, n))
+    assert main(["circuits", "--uniform", "3", "6"]) == 0
+    assert calls == [(3, 6)]
+
+
+@pytest.mark.parametrize("d,n", [("0", "3"), ("3", "2")])
+def test_uniform_out_of_range_keeps_its_error_bytes(d, n, capsys):
+    assert main(["matroid", "--uniform", d, n]) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "error": "ParameterOutOfRange",\n'
+        f'  "message": "uniform({d}, {n}) needs 1 <= d <= n"\n}}\n')
 
 
 def test_bergman_subcommand_rays(capsys):
