@@ -17,15 +17,13 @@ from itertools import product
 
 from .corpus import corpus as corpus_entry, corpus_names, vandermonde
 from .bergman import amoeba_sample, bergman_fan, support_deviations
-from .errors import (EmptyInterval, InvalidInput, LoopsPresent, MfkError,
-                     UnwritableOutput)
+from .errors import InvalidInput, LoopsPresent, MfkError, UnwritableOutput
 from .jsonio import (amoeba_to_json, bergman_to_json, circuits_to_json,
                      comparison_to_json, degeneration_to_json, facets_to_json,
                      graph_from_json, lattice_to_json, matrix_from_json,
                      matroid_from_json, matroid_to_json, nested_fan_to_json,
                      polytope_to_json)
-from .lattice import FlatLattice, moebius, order_complex
-from .complexes import reduced_homology_ranks
+from .lattice import FlatLattice, moebius
 from .geometry import face_lattice
 from .linalg import frac
 from .matroid import (LinearRealization, Matroid, from_matrix,
@@ -100,16 +98,12 @@ def _dispatch(args) -> dict:
         lattice = FlatLattice(matroid)
         data = lattice_to_json(lattice)
         if not matroid.loops():
-            data["mu_top"] = moebius(matroid, lattice).mu_top
-            try:
-                complex_ = order_complex(lattice, matroid.closure(set()),
-                                         matroid.ground)
-                betti, euler = reduced_homology_ranks(complex_)
-                data["betti_proper_part"] = betti
-                data["reduced_euler"] = euler
-            except EmptyInterval:
-                data["betti_proper_part"] = []
-                data["reduced_euler"] = -1
+            r, mu_top = matroid.rank_d, moebius(matroid, lattice).mu_top
+            # Folkman: the order complex of the proper part is a wedge of
+            # mu_top spheres of dimension r - 2; below rank 2 it is empty
+            betti = [0] * (r - 2) + [mu_top] if r >= 2 else []
+            data.update(mu_top=mu_top, betti_proper_part=betti,
+                        reduced_euler=(-1) ** r * mu_top if r >= 2 else -1)
         return data
 
     if computation == "polytope":

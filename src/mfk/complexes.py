@@ -1,4 +1,5 @@
-"""Finite simplicial complexes and their rational reduced homology."""
+"""Finite simplicial complexes and their rational reduced homology: library
+API and the test oracle of the lattice Betti numbers (see order_complex)."""
 
 from __future__ import annotations
 

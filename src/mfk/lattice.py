@@ -166,7 +166,10 @@ def irreducible_flats(matroid: Matroid,
 
 
 def order_complex(lattice: FlatLattice, lower, upper) -> SimplicialComplex:
-    """Chains of flats strictly between two comparable flats."""
+    """Chains of flats strictly between two comparable flats: library API
+    and, with ``reduced_homology_ranks``, the test oracle of the Betti
+    numbers that the ``lattice`` subcommand reads off the Moebius function.
+    """
     lo, hi = to_mask(lower), to_mask(upper)
     if not (lattice.is_flat_mask(lo) and lattice.is_flat_mask(hi)):
         raise EmptyInterval("interval ends must be flats")

@@ -299,6 +299,11 @@ def test_input_and_output_faults_exit_one_with_error_json(case, tmp_path):
      "80ea05eadf6851d8d61b402530721bc87f07df4e48ca649a0bc491f2fc952526"),
     (["amoeba", "--corpus", "u24", "--t", "50", "--count", "6", "--seed", "2"],
      "b17f9f9ecb844d1f4444fb34b4cb85d5854a9e6c9f4bbb7684d797df7600c957"),
+    # recorded while lattice still eliminated the order complex
+    (["lattice", "--uniform", "5", "11"],
+     "b5e4d1c8063755b4af5a76e852594c9f6eba33135f398044bdff7b35b9c282d0"),
+    (["lattice", "--corpus", "boolean_6"],
+     "891dcda317771ac8c5a7af5f1edad7977f7fad8eca58d2d1521d52b87c14775f"),
 ])
 def test_valid_numeric_flags_keep_their_bytes(args, digest):
     result = _run_cli(args)
@@ -327,23 +332,61 @@ _SUBCOMMANDS = ["matroid", "lattice", "polytope", "facets", "degenerate",
                 "bergman", "nested", "compare-fans", "circuits", "amoeba"]
 
 
+def _edge_args(case, tmp_path):
+    """The input arguments of an edge case, its file written under tmp_path."""
+    data, args, _ = _EDGE_INPUTS[case]
+    if data is None:
+        return args
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    return [*args, str(path)]
+
+
 @pytest.mark.parametrize("command", _SUBCOMMANDS)
 @pytest.mark.parametrize("case", list(_EDGE_INPUTS))
 def test_edge_inputs_exit_zero_or_one_with_error_json(case, command,
                                                      tmp_path, capsys):
-    data, args, n = _EDGE_INPUTS[case]
-    if data is not None:
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps(data))
-        args = [*args, str(path)]
+    n = _EDGE_INPUTS[case][2]
     extra = {"degenerate": ["--u=" + ",".join(["0"] * n)],
              "bergman": ["--grid", "1"],
              "amoeba": ["--count", "3"]}.get(command, [])
-    status = main([command, *args, *extra])
+    status = main([command, *_edge_args(case, tmp_path), *extra])
     payload = json.loads(capsys.readouterr().out)
     assert status in (0, 1)
     if status == 1:
         assert set(payload) == {"error", "message"}
+
+
+# sha256 of lattice's stdout, recorded while it still eliminated the order
+# complex: the rank <= 1 cases and the signs of reduced_euler are pinned here
+_LATTICE_EDGE_DIGESTS = {
+    "zero-column matrix":
+        "7b1ebf5ec3be514c6754248790b8e1cbf1e6ed0ec0c422cc9b8cc61e51d66d96",
+    "zero-row matrix":
+        "7b1ebf5ec3be514c6754248790b8e1cbf1e6ed0ec0c422cc9b8cc61e51d66d96",
+    "matrix with a loop":
+        "ceb963ab63b020b54746fbd4e545d503a6bad744ff7cee39dce9b5cbc83a3356",
+    "bases with n = 0":
+        "7b1ebf5ec3be514c6754248790b8e1cbf1e6ed0ec0c422cc9b8cc61e51d66d96",
+    "one-vertex graph":
+        "7b1ebf5ec3be514c6754248790b8e1cbf1e6ed0ec0c422cc9b8cc61e51d66d96",
+    "parallel edge pair":
+        "4e4a6351965f52a448775a195910821018301cc7b07c13305f71ce56dc709d23",
+    "uniform 1 1":
+        "f710aed774fe9a0b6c790a4dfd75a3add426234d843df67c96eb0839d1e5d799",
+    "boolean_1":
+        "f710aed774fe9a0b6c790a4dfd75a3add426234d843df67c96eb0839d1e5d799",
+    "boolean_2":
+        "36f103f5007747797f42897f1e7b425a047daa1964f09a7450f1990eb1434c55",
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_INPUTS))
+def test_lattice_on_edge_inputs_keeps_its_bytes(case, tmp_path, capsys):
+    assert main(["lattice", *_edge_args(case, tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _LATTICE_EDGE_DIGESTS[case])
 
 
 @pytest.mark.parametrize("bare,spelled", [

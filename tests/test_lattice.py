@@ -1,16 +1,26 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
 
+import mfk.complexes as complexes
+import mfk.lattice as lattice_module
 from mfk.bitset import from_mask
 from mfk.cli import main
 from mfk.complexes import SimplicialComplex, reduced_homology_ranks
 from mfk.corpus import corpus
 from mfk.errors import EmptyInterval, LoopsPresent
+from mfk.jsonio import matrix_from_json
 from mfk.lattice import (FlatLattice, flats, interval_product_check,
                          irreducible_flats, moebius, order_complex)
-from mfk.matroid import direct_sum, from_matrix, uniform
+from mfk.matroid import direct_sum, from_graph, from_matrix, uniform
+from test_bergman import _rational_matrices
 
 
 def _flat_sets(lattice, level):
@@ -213,17 +223,75 @@ def test_homology_matches_mu_in_top_dim(braid_k4, braid_k4_lattice):
     assert all(b == 0 for i, b in enumerate(betti) if i != d - 2)
 
 
-@pytest.mark.parametrize("name", ["uniform_4_7", "uniform_4_8", "boolean_5",
-                                  "braidK5"])
-def test_lattice_homology_is_folkman_on_larger_lattices(name, capsys):
-    # Folkman: the proper part's reduced homology sits in degree r - 2, rank |mu|
-    assert main(["lattice", "--corpus", name]) == 0
+def _cli_homology(args, data=None):
+    """``betti_proper_part`` and ``reduced_euler`` of ``mfk lattice``, with
+    ``data`` written to an input file appended to ``args``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            path = os.path.join(tmp, "in.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle)
+            args = [*args, path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["lattice", *args]) == 0
+    payload = json.loads(out.getvalue())
+    return payload["betti_proper_part"], payload["reduced_euler"]
+
+
+def _oracle_homology(matroid):
+    """Reduced homology of the order complex of the proper part, by
+    elimination; an empty proper part has only the empty face."""
+    try:
+        complex_ = order_complex(FlatLattice(matroid), matroid.closure(set()),
+                                 matroid.ground)
+    except EmptyInterval:
+        return [], -1
+    return reduced_homology_ranks(complex_)
+
+
+_FOLKMAN_CORPUS = (["u23", "u24", "delA3", "braidK4", "braidK5"]
+                   + [f"boolean_{k}" for k in range(1, 7)]
+                   + [f"uniform_{d}_{n}" for n in range(1, 8)
+                      for d in range(1, n + 1)]
+                   + ["uniform_4_8"])
+
+
+@pytest.mark.parametrize("name", _FOLKMAN_CORPUS)
+def test_lattice_homology_is_folkman_on_larger_lattices(name):
+    # the CLI reads the Betti numbers off mu (Folkman); elimination is the
+    # oracle
+    assert (_cli_homology(["--corpus", name])
+            == _oracle_homology(corpus(name).matroid))
+
+
+def test_lattice_homology_matches_elimination_on_k5_graph():
+    edges = list(combinations(range(1, 6), 2))
+    assert (_cli_homology(["--graph"], {"vertices": 5, "edges": edges})
+            == _oracle_homology(from_graph(5, edges)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_matrices)
+def test_lattice_homology_matches_elimination_on_matrices(rows):
+    data = {"rows": len(rows), "cols": len(rows[0]),
+            "entries": [[str(Fraction(x)) for x in row] for row in rows]}
+    matroid, _ = matrix_from_json(data)
+    assume(not matroid.loops())
+    assert _cli_homology(["--matrix"], data) == _oracle_homology(matroid)
+
+
+def test_lattice_builds_no_order_complex(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice eliminated the order complex")
+
+    for module, name in [(lattice_module, "order_complex"),
+                         (complexes, "reduced_homology_ranks"),
+                         (complexes, "boundary_matrix")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert main(["lattice", "--uniform", "5", "11"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    d = corpus(name).matroid.rank_d
-    betti = payload["betti_proper_part"]
-    assert len(betti) == d - 1
-    assert betti[d - 2] == abs(payload["mu_top"]) > 0
-    assert all(b == 0 for i, b in enumerate(betti) if i != d - 2)
+    assert payload["betti_proper_part"] == [0, 0, 0, payload["mu_top"]]
 
 
 def test_interval_product_boolean():
