@@ -1,4 +1,4 @@
-"""The lattice of flats of a matroid: intervals, Moebius values, complexes."""
+"""The lattice of flats in one pass: covers, Moebius values, complexes."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from .matroid import Matroid
 
 
 class FlatLattice:
-    """All flats of a matroid, graded by rank, with covering relations.
-
-    The flats, covers and Moebius values are computed at construction.
+    """All flats of a matroid, graded by rank, found in one pass with each
+    cover pair (recorded both ways) and mu(0, G) by Weisner's rule.
     Joins are memoized per instance as they are asked for; the memo maps
     x | y to its closure, a pure value, so shared instances stay safe for
     concurrent reads.
@@ -21,8 +20,11 @@ class FlatLattice:
 
     def __init__(self, matroid: Matroid):
         self.matroid = matroid
-        by_rank: list[list[int]] = [[matroid.closure_mask(0)]]
+        bottom = matroid.closure_mask(0)
+        by_rank: list[list[int]] = [[bottom]]
         upper_covers: dict[int, tuple[int, ...]] = {}
+        lower_covers: dict[int, list[int]] = {bottom: []}
+        mu = {bottom: 1}
         for p in range(matroid.rank_d):
             level: set[int] = set()
             for flat in by_rank[p]:
@@ -36,6 +38,12 @@ class FlatLattice:
                     cover = matroid.closure_mask(flat | bit)
                     seen |= cover
                     covers.append(cover)
+                    lower_covers.setdefault(cover, []).append(flat)
+                    # Weisner: mu(G) = -sum mu(F) over the F covered by G
+                    # that miss the atom of the least element of G - bottom
+                    rest = cover & ~bottom
+                    if not flat & rest & -rest:
+                        mu[cover] = mu.get(cover, 0) - mu[flat]
                 upper_covers[flat] = tuple(sorted(covers))
                 level.update(covers)
             by_rank.append(sorted(level))
@@ -45,13 +53,13 @@ class FlatLattice:
             tuple(level) for level in by_rank)
         self.flat_masks: tuple[int, ...] = tuple(
             f for level in self.by_rank for f in level)
-        self._flat_set = frozenset(self.flat_masks)
         self._rank_of = {f: p for p, level in enumerate(self.by_rank)
                          for f in level}
         self._upper_covers = upper_covers
+        self._lower_covers = lower_covers
         self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(
             (f, g) for f, covers in upper_covers.items() for g in covers))
-        self._moebius = self._compute_moebius()
+        self._moebius = mu
         self._joins: dict[int, int] = {}
 
     # -- structure ----------------------------------------------------------
@@ -65,7 +73,7 @@ class FlatLattice:
         return full_mask(self.matroid.n)
 
     def is_flat_mask(self, mask: int) -> bool:
-        return mask in self._flat_set
+        return mask in self._rank_of
 
     def rank_in_lattice(self, mask: int) -> int:
         return self._rank_of[mask]
@@ -107,23 +115,16 @@ class FlatLattice:
 
         Its dual, (M|upper)* on upper - lower, has the same components; its
         circuits are the cocircuits upper - H of M|upper with lower inside
-        H, for the flats H that upper covers (``blocks`` drops the others).
+        H, for the recorded lower covers H of upper (``blocks`` drops the
+        others).
         """
-        hyperplanes = self.by_rank[self._rank_of[upper] - 1]
-        cocircuits = (upper & ~h for h in hyperplanes if h & ~upper == 0)
+        cocircuits = (upper & ~h for h in self._lower_covers[upper])
         return len(blocks(upper & ~lower, cocircuits)) == 1
 
     def flats(self) -> list[list[frozenset[int]]]:
         return [[from_mask(f) for f in level] for level in self.by_rank]
 
     # -- Moebius ------------------------------------------------------------
-
-    def _compute_moebius(self) -> dict[int, int]:
-        mu: dict[int, int] = {}
-        for flat in self.flat_masks:
-            below = [g for g in self.flat_masks if g & ~flat == 0 and g != flat]
-            mu[flat] = 1 if not below else -sum(mu[g] for g in below)
-        return mu
 
     def moebius_mask(self, flat: int) -> int:
         return self._moebius[flat]
@@ -135,9 +136,8 @@ def flats(matroid: Matroid) -> FlatLattice:
 
 @dataclass(frozen=True)
 class MoebiusTable:
-    """Values mu(0, X) over the lattice and the unsigned top invariant."""
+    """The unsigned top invariant (-1)^r mu(0, E) of the lattice."""
 
-    values: dict
     mu_top: int
 
 
@@ -146,11 +146,9 @@ def moebius(matroid: Matroid, lattice: FlatLattice | None = None) -> MoebiusTabl
     if matroid.loops():
         raise LoopsPresent("Moebius table requires a loop-free matroid")
     lattice = lattice or FlatLattice(matroid)
-    values = {from_mask(f): lattice.moebius_mask(f)
-              for f in lattice.flat_masks}
     sign = -1 if matroid.rank_d % 2 else 1
     mu_top = sign * lattice.moebius_mask(lattice.top)
-    return MoebiusTable(values=values, mu_top=mu_top)
+    return MoebiusTable(mu_top=mu_top)
 
 
 def irreducible_flats(matroid: Matroid,

@@ -50,8 +50,8 @@ def building_set_counterexample(lattice: FlatLattice, members):
     bottom = lattice.bottom
     if bottom in member_masks:
         return from_mask(bottom)
-    if any(m not in lattice._flat_set for m in member_masks):
-        bad = next(m for m in member_masks if m not in lattice._flat_set)
+    bad = next((m for m in member_masks if not lattice.is_flat_mask(m)), None)
+    if bad is not None:
         return from_mask(bad)
     for flat in lattice.flat_masks:
         if flat == bottom:
@@ -230,8 +230,8 @@ class NestedFan(Fan):
     def cone_contains(self, i: int, vec) -> bool:
         """Exact membership in the i-th cone, by one linear solve.
 
-        The rays, with the all-ones column unless ``_free_rays`` spans it,
-        are linearly independent; the coefficients must be nonnegative on
+        The columns are the rays, then the all-ones vector (no pivot when
+        ``_free_rays`` sum to it); the coefficients must be nonnegative on
         every ray that is not free.  Most cones are ruled out first: modulo
         the all-ones vector, a point of the cone takes its minimum at every
         coordinate its rays miss.
@@ -241,8 +241,7 @@ class NestedFan(Fan):
             return False
         cone = self.cones[i]
         free = self._free_rays
-        columns = list(cone.rays) if free else [*cone.rays, (1,) * len(w)]
-        solution = solve(list(zip(*columns)), w)
+        solution = solve(list(zip(*cone.rays, (1,) * len(w))), w)
         return (solution is not None
                 and all(c >= 0 for c, r in zip(solution, cone.rays)
                         if r not in free))
@@ -447,7 +446,7 @@ def chain_to_nested(building: BuildingSet, chain):
     for a, b in zip(masks, masks[1:]):
         if not (a != b and a & ~b == 0):
             raise NotAChain("chain must be strictly increasing")
-    if any(m not in lattice._flat_set for m in masks):
+    if not all(map(lattice.is_flat_mask, masks)):
         raise NotFlats("chain entries must be flats")
     member_masks = set(building.member_masks())
     extension: list[int] = []

@@ -176,7 +176,7 @@ def facets(matroid: Matroid,
     top = full_mask(matroid.n)
     for f in flacets(lattice):
         flat = from_mask(f)
-        r = matroid.rank_mask(f)
+        r = lattice.rank_in_lattice(f)
         verts = tuple(from_mask(b) for b in matroid.base_masks
                       if popcount(b & f) == r)
         normal = tuple(-1 if i in flat else 0

@@ -1,12 +1,13 @@
 """The graded structure of the lattice of flats and of face lattices as mfk
 computed it before each poset was ranked by its own covers: the differential
 oracle for ``FlatLattice.maximal_chains`` (through ``bergman_fan`` and
-``order_complex``) and for the face dimensions of ``face_lattice``.
+``order_complex``), for ``FlatLattice.moebius_mask`` and for the face
+dimensions of ``face_lattice``.
 
 Nothing here reads the covers a lattice already knows: the flags grow by
 scanning whole rank levels, the interval chains rebuild the covering
-relation by a cubic comparison, and the dimension of a face is the rank of
-its vertex differences.
+relation by a cubic comparison, the Moebius values sum over every pair of
+flats, and the dimension of a face is the rank of its vertex differences.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def order_complex(lattice, lo: int, hi: int) -> SimplicialComplex:
         tuple(from_mask(f) for f in between),
         [frozenset(from_mask(f) for f in chain)
          for chain in interval_chains(lattice, lo, hi)])
+
+
+def moebius(lattice) -> dict[int, int]:
+    """mu(0, F) for every flat F by the defining recursion: 1 at the bottom,
+    else minus the sum over every flat strictly below F."""
+    mu: dict[int, int] = {}
+    for flat in lattice.flat_masks:
+        below = [g for g in lattice.flat_masks if g & ~flat == 0 and g != flat]
+        mu[flat] = 1 if not below else -sum(mu[g] for g in below)
+    return mu
 
 
 def affine_dim(vertices, index_set) -> int:

@@ -3,9 +3,13 @@
 ``FlatLattice.maximal_chains`` must list the same chains in the same order
 as the level-scanning flag search (the Bergman fan's ``fine_chains``) and as
 the cubic-cover walk (``order_complex`` on the intervals [bottom, F] and
-[F, top] of every flat F).  ``face_lattice`` must grade every face as the
+[F, top] of every flat F).  ``FlatLattice.moebius_mask``, found by
+Weisner's rule as the covers are, must match the all-pairs recursion on
+every flat, loops included.  ``face_lattice`` must grade every face as the
 rank of its vertex differences does, and it must make no ``rank`` call.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,8 @@ from mfk.corpus import corpus
 from mfk.errors import EmptyInterval
 from mfk.geometry import convex_hull, face_lattice, minkowski_sum
 from mfk.lattice import FlatLattice, order_complex
-from mfk.matroid import Matroid, direct_sum, from_matrix, uniform
+from mfk.matroid import (Matroid, direct_sum, from_graph, from_matrix,
+                         uniform)
 from mfk.polytope import polytope
 
 _LOOP = Matroid(1, [0])
@@ -47,6 +52,7 @@ def _chains_agree_with_oracle(m):
     bottom, top = lattice.bottom, lattice.top
     flags = lattice.maximal_chains(bottom, top)
     assert flags == poset_oracle.proper_flags(lattice)
+    _moebius_agrees_with_oracle(lattice)
     if not m.loops():
         assert bergman_fan(m, lattice).fine_chains == tuple(
             tuple(from_mask(f) for f in flag) for flag in flags)
@@ -62,6 +68,25 @@ def _chains_agree_with_oracle(m):
                     == poset_oracle.interval_chains(lattice, lo, hi))
             assert order_complex(lattice, from_mask(lo),
                                  from_mask(hi)) == expected
+
+
+def _moebius_agrees_with_oracle(lattice):
+    oracle = poset_oracle.moebius(lattice)
+    assert {f: lattice.moebius_mask(f) for f in lattice.flat_masks} == oracle
+
+
+_LARGE = {
+    **{f"boolean_{k}": (lambda k=k: corpus(f"boolean_{k}").matroid)
+       for k in range(5, 8)},
+    "U5,10": lambda: uniform(5, 10),
+    "U6,12": lambda: uniform(6, 12),
+    "K6": lambda: from_graph(6, list(combinations(range(1, 7), 2))),
+}
+
+
+@pytest.mark.parametrize("name", list(_LARGE))
+def test_moebius_matches_the_oracle_on_larger_lattices(name):
+    _moebius_agrees_with_oracle(FlatLattice(_LARGE[name]()))
 
 
 @pytest.mark.parametrize("name", list(_MATROIDS))
