@@ -1,9 +1,9 @@
 """Exact rational polytopes, cones in Z^n modulo the all-ones vector, fans.
 
 The convex hull is brute force over candidate supporting hyperplanes, with
-one LP per point; it serves ``nested.dcp_weight_polytope`` and is the test
-oracle of the matroid polytope, which ``polytope.polytope`` builds from the
-facet classification instead.
+one LP per point; ``cone_contains`` is exact LP membership.  They serve the
+DCP weight polytope and disconnected Bergman rays, and are the test oracles
+of the matroid polytope and of every fan's own cone rule.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DimensionMismatch
 from .linalg import (content, frac, lp_feasible, nullspace, primitive_integer,
                      rref, smith_normal_form)
 
@@ -83,11 +82,6 @@ def cone_contains(cone: Cone, vec) -> bool:
     return lp_feasible(a_eq, target, num_nonneg=len(cone.rays)) is not None
 
 
-def cone_subset(inner: Cone, outer: Cone) -> bool:
-    """Containment of cones, decided on the inner cone's generators."""
-    return all(cone_contains(outer, r) for r in inner.rays)
-
-
 def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
     """Drop generators lying in the cone of the remaining ones.
 
@@ -107,10 +101,8 @@ def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
 class Fan:
     """A fan given by its maximal cones; face closure is left implicit.
 
-    ``cone_contains(i, w)`` decides whether the i-th maximal cone contains
-    ``w``.  Here it is the exact LP test; a fan that knows a combinatorial
-    rule for its own cones overrides it, and every fan comparison goes
-    through it.
+    Each kind of fan decides membership in its own cones, by
+    ``cone_contains(i, w)`` and ``contains(w)``; every fan comparison asks it.
     """
 
     n: int
@@ -118,13 +110,6 @@ class Fan:
 
     def rays(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({r for c in self.cones for r in c.rays}))
-
-    def cone_contains(self, i: int, vec) -> bool:
-        return cone_contains(self.cones[i], vec)
-
-    def contains(self, vec) -> bool:
-        """Support membership: some maximal cone contains vec."""
-        return any(self.cone_contains(i, vec) for i in range(len(self.cones)))
 
 
 def cone_unimodular(cone: Cone, n: int) -> bool:
@@ -275,12 +260,3 @@ def face_lattice(polytope: RationalPolytope) -> FaceLattice:
     return FaceLattice(faces_by_dim=levels,
                        f_vector=tuple(len(level) for level in levels))
 
-
-def minkowski_sum(p1: RationalPolytope, p2: RationalPolytope) -> RationalPolytope:
-    """Hull of pairwise vertex sums."""
-    if p1.ambient != p2.ambient:
-        raise DimensionMismatch(
-            f"ambient dimensions {p1.ambient} and {p2.ambient} differ")
-    sums = [tuple(a + b for a, b in zip(v, w))
-            for v in p1.vertices for w in p2.vertices]
-    return convex_hull(sums)

@@ -35,8 +35,16 @@ def matroid_to_json(matroid: Matroid) -> dict:
     return {"n": matroid.n, "bases": _sorted_sets(matroid.bases)}
 
 
+def _integer(x, minimum=None) -> int:
+    """A JSON integer, at least ``minimum``; floats and booleans are refused."""
+    if type(x) is not int or (minimum is not None and x < minimum):
+        raise ValueError(f"{x!r} is not an integer"
+                         + ("" if minimum is None else f" >= {minimum}"))
+    return x
+
+
 def matroid_from_json(data: dict) -> Matroid:
-    return from_bases(int(data["n"]), [set(b) for b in data["bases"]])
+    return from_bases(_integer(data["n"], 0), [set(b) for b in data["bases"]])
 
 
 def matrix_to_json(realization: LinearRealization) -> dict:
@@ -47,14 +55,15 @@ def matrix_to_json(realization: LinearRealization) -> dict:
 
 def matrix_from_json(data: dict) -> tuple[Matroid, LinearRealization]:
     entries = data["entries"]
-    if len(entries) != int(data["rows"]) or any(
-            len(row) != int(data["cols"]) for row in entries):
+    rows, cols = _integer(data["rows"], 0), _integer(data["cols"], 0)
+    if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError("matrix entries do not match the declared shape")
     return from_matrix([[frac(x) for x in row] for row in entries])
 
 
 def graph_from_json(data: dict) -> tuple[int, list[tuple[int, int]]]:
-    return int(data["vertices"]), [(int(u), int(v)) for u, v in data["edges"]]
+    return (_integer(data["vertices"], 0),
+            [(_integer(u), _integer(v)) for u, v in data["edges"]])
 
 
 # -- lattice -----------------------------------------------------------------------

@@ -9,7 +9,7 @@ pivot row by its pivot, so every entry that ``rref``, ``nullspace`` and
 ``solve`` return is an exact :class:`~fractions.Fraction`.  ``rank`` needs
 no division at all and also takes sparse rows (order-complex boundary
 matrices).  Smith normal form needs unimodular steps, which the kernel's
-gcd-normalised rows are not, so it has its own extended-gcd reduction in
+gcd-normalised rows are not, so it reduces by Euclid on the corner in
 integers.  ``determinant`` is Bareiss' fraction-free elimination of a
 square integer matrix, in which every division is exact.  Only
 ``lp_feasible``'s simplex still computes in Fractions.
@@ -210,10 +210,11 @@ def determinant(matrix) -> int:
 def smith_normal_form(matrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (absolute values, in order).
 
-    Pure integer arithmetic: the smallest entry is moved to the corner, its
-    row and column are cleared with unimodular (extended-gcd) row and column
-    operations, a row is folded into the corner's until the corner divides
-    every remaining entry, and the rest is reduced the same way.
+    Euclid on the corner, in integers: the smallest entry is moved to the
+    corner and its row and column are reduced modulo it, again until both
+    are zero.  A row the corner does not divide is then added to the
+    corner's row; when there is none, the corner is a factor and the rest
+    is reduced the same way.  Every step is unimodular.
     """
     rest = [[int(x) for x in row] for row in matrix]
     factors = []
@@ -224,58 +225,28 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
             return tuple(factors)
         _, i, j = min(entries)
         rest[0], rest[i] = rest[i], rest[0]
-        cols = [[row[c] for row in rest] for c in range(len(rest[0]))]
-        cols[0], cols[j] = cols[j], cols[0]
-        while True:
-            _clear_first(cols)  # the corner's row
-            rows = [list(r) for r in zip(*cols)]
-            _clear_first(rows)  # the corner's column
-            if not any(rows[0][1:]):
-                corner = rows[0][0]
-                bad = next((r for r in rows[1:]
-                            if any(x % corner for x in r)), None)
-                if bad is None:
-                    break
-                rows[0] = [a + b for a, b in zip(rows[0], bad)]
-            cols = [list(c) for c in zip(*rows)]
+        for row in rest:
+            row[0], row[j] = row[j], row[0]
+        top = rest[0]
+        corner = top[0]
+        for row in rest[1:]:
+            q = row[0] // corner
+            if q:
+                row[:] = [x - q * y for x, y in zip(row, top)]
+        for k in range(1, len(top)):
+            q = top[k] // corner
+            if q:
+                for row in rest:
+                    row[k] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in rest[1:]):
+            continue
+        bad = next((row for row in rest[1:] if any(x % corner for x in row)),
+                   None)
+        if bad is not None:
+            top[:] = [x + y for x, y in zip(top, bad)]
+            continue
         factors.append(abs(corner))
-        rest = [row[1:] for row in rows[1:]]
-        if not rest or not rest[0]:
-            return tuple(factors)
-
-
-def _clear_first(lines) -> None:
-    """Make ``lines[k][0]`` zero for every k >= 1, unimodularly.
-
-    Each step replaces (lines[0], lines[k]) by an integer combination of
-    determinant 1 that leaves gcd(lines[0][0], lines[k][0]) in lines[0][0].
-    """
-    head = lines[0]
-    for k in range(1, len(lines)):
-        line = lines[k]
-        a, b = head[0], line[0]
-        if b == 0:
-            continue
-        if b % a == 0:
-            q = b // a
-            lines[k] = [y - q * x for x, y in zip(head, line)]
-            continue
-        g, s, t = _xgcd(a, b)
-        a, b = a // g, b // g
-        head, lines[k] = ([s * x + t * y for x, y in zip(head, line)],
-                          [a * y - b * x for x, y in zip(head, line)])
-    lines[0] = head
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s·a + t·b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+        rest = [row[1:] for row in rest[1:]]
 
 
 def matvec(matrix, vec):

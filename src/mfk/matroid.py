@@ -333,13 +333,16 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
 
 
 def incidence_matrix(vertex_count: int, edge_list) -> list[list[Fraction]]:
-    """Signed incidence matrix: edge (u, v) is the column e_u - e_v."""
-    matrix = [[Fraction(0)] * len(edge_list) for _ in range(vertex_count)]
+    """Signed incidence matrix: edge (u, v) is the column e_u - e_v; only
+    the vertices some edge touches get a row (an isolated one's is zero)."""
+    touched = sorted({u for edge in edge_list for u in edge})
+    row = {u: i for i, u in enumerate(touched)}
+    matrix = [[Fraction(0)] * len(edge_list) for _ in touched]
     for idx, (u, v) in enumerate(edge_list):
         if not (1 <= u <= vertex_count and 1 <= v <= vertex_count) or u == v:
             raise ParameterOutOfRange(f"bad edge {(u, v)}")
-        matrix[u - 1][idx] = Fraction(1)
-        matrix[v - 1][idx] = Fraction(-1)
+        matrix[row[u]][idx] = Fraction(1)
+        matrix[row[v]][idx] = Fraction(-1)
     return matrix
 
 

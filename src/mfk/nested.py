@@ -10,19 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .bitset import from_mask, popcount, to_mask
 from .complexes import SimplicialComplex
 from .errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
                      NotAChain, NotFlats, NotLinearExtension, NotNested)
-from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull, \
-    minkowski_sum
+from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
 from .linalg import frac, solve
 from .matroid import Matroid
-
-from fractions import Fraction
 
 
 # -- building sets ---------------------------------------------------------------
@@ -473,18 +470,17 @@ def chain_to_nested(building: BuildingSet, chain):
 
 def dcp_weight_polytope(matroid: Matroid,
                         building: BuildingSet) -> RationalPolytope:
-    """Minkowski sum of the coordinate simplices of the building set."""
+    """Minkowski sum of the coordinate simplices of the building set: the
+    hull of its vertices, the sums over G of e_i, i the first element of G
+    in an order of [n], one per order (Postnikov 2009, section 6)."""
     n = matroid.n
-    members = building.sorted_members()
-    polytopes = []
-    for flat in members:
-        verts = [tuple(Fraction(1 if j == i else 0) for j in range(1, n + 1))
-                 for i in sorted(flat)]
-        polytopes.append(convex_hull(verts))
-    total = polytopes[0]
-    for p in polytopes[1:]:
-        total = minkowski_sum(total, p)
-    return total
+    vertices = set()
+    for order in permutations(range(1, n + 1)):
+        vertex = [0] * n
+        for flat in building.members:
+            vertex[next(i for i in order if i in flat) - 1] += 1
+        vertices.add(tuple(vertex))
+    return convex_hull(vertices)
 
 
 def dcp_normal_refinement_check(matroid: Matroid, building: BuildingSet,

@@ -1,10 +1,12 @@
 """The fan protocol against the generic LP membership oracle.
 
-Every fan decides membership in its own maximal cones (``cone_contains``):
-the Bergman fan by maximal bases, the nested fan by one linear solve.
+Each kind of fan decides membership in its own maximal cones
+(``cone_contains``): the Bergman fan by maximal bases, the nested fan by
+one linear solve; a bare ``geometry.Fan`` has no membership rule.
 ``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
 that rule only; here they are checked against references that test each ray
-with ``geometry.cone_contains``, the exact LP.
+with ``geometry.cone_contains``, the exact LP, which stays only as this
+oracle and for the rays of a disconnected Bergman fan.
 """
 
 from functools import cache

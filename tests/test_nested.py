@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import mfk
+import minkowski_oracle
 import nested_oracle
 
 from mfk.bitset import from_mask, to_mask
@@ -433,6 +434,41 @@ def test_dcp_polytope_u23_translated_simplex():
     p = dcp_weight_polytope(uniform(2, 3), gmin)
     assert p.dim == 2
     assert len(p.vertices) == 3
+
+
+def _all_building_sets(matroid):
+    lattice = FlatLattice(matroid)
+    flats_ = [from_mask(f) for level in lattice.by_rank[1:] for f in level]
+    for size in range(1, len(flats_) + 1):
+        for members in combinations(flats_, size):
+            if is_building_set(lattice, members):
+                yield BuildingSet(lattice=lattice, members=frozenset(members))
+
+
+_SMALL_MATROIDS = {
+    **{f"U_{d},{n}": uniform(d, n) for n in range(1, 4)
+       for d in range(1, n + 1)},
+    "U_1,2+U_1,1": direct_sum(uniform(1, 2), uniform(1, 1)),
+    "U_2,2+loop": direct_sum(uniform(2, 2), from_matrix([[0]])[0]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_MATROIDS))
+def test_dcp_polytope_matches_the_minkowski_chain_on_every_building_set(
+        name):
+    matroid = _SMALL_MATROIDS[name]
+    for building in _all_building_sets(matroid):
+        assert dcp_weight_polytope(matroid, building) == \
+            minkowski_oracle.dcp_weight_polytope(matroid, building), \
+            sorted(map(sorted, building.members))
+
+
+@pytest.mark.parametrize("which", [min_building, max_building])
+def test_dcp_polytope_matches_the_minkowski_chain_on_u24(which, u24,
+                                                          u24_lattice):
+    building = which(u24_lattice)
+    assert dcp_weight_polytope(u24.matroid, building) == \
+        minkowski_oracle.dcp_weight_polytope(u24.matroid, building)
 
 
 def test_dcp_refinement_dela3(dela3, dela3_lattice):

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poset_oracle
+from minkowski_oracle import minkowski_sum
 from mfk import geometry, linalg
 from mfk.bergman import bergman_fan
 from mfk.bitset import from_mask
 from mfk.corpus import corpus
 from mfk.errors import EmptyInterval
-from mfk.geometry import convex_hull, face_lattice, minkowski_sum
+from mfk.geometry import convex_hull, face_lattice
 from mfk.lattice import FlatLattice, order_complex
 from mfk.matroid import (Matroid, direct_sum, from_graph, from_matrix,
                          uniform)
