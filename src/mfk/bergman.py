@@ -24,8 +24,8 @@ from .geometry import Cone, Fan, _flat_vector, irredundant_rays
 from .lattice import FlatLattice
 from .linalg import frac, rref
 from .matroid import LinearRealization, Matroid, from_matrix
-from .polytope import (degeneration, flacets, heaviest_bases,
-                       require_weight_length, sublevel_masks)
+from .polytope import (flacets, heaviest_bases, require_weight_length,
+                       sublevel_masks)
 
 
 def bergman_membership(matroid: Matroid, w) -> bool:
@@ -79,12 +79,11 @@ class BergmanFan(Fan):
         return any(group <= heaviest for group in self._group_masks)
 
 
-def bergman_fan(matroid: Matroid,
-                lattice: FlatLattice | None = None) -> BergmanFan:
+def bergman_fan(lattice: FlatLattice) -> BergmanFan:
     """Coarse Bergman fan from flag cones grouped by degeneration bases."""
+    matroid = lattice.matroid
     if matroid.loops():
         raise LoopsPresent("Bergman fan needs a loop-free matroid")
-    lattice = lattice or FlatLattice(matroid)
     flags = lattice.maximal_chains(lattice.bottom, lattice.top)
     n = matroid.n
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -164,13 +163,6 @@ def initial_subspace(realization: LinearRealization, u) -> LinearRealization:
                 initial[j] = x
         rows.append(initial)
     return from_matrix(rows)[1]
-
-
-def check_prop_grob(realization: LinearRealization, u) -> bool:
-    """Degeneration matroid equals the matroid of the initial subspace."""
-    limit = initial_subspace(realization, u)
-    expected = degeneration(realization.matroid, [frac(x) for x in u]).matroid_u
-    return limit.matroid == expected
 
 
 # -- amoeba sampling --------------------------------------------------------------
@@ -299,8 +291,3 @@ def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
             best = min(best, float(residual))
         out.append(best)
     return out
-
-
-def support_deviation(sample: AmoebaSample, fan: BergmanFan) -> float:
-    """Largest distance from the (negated) sample to the Bergman support."""
-    return max(support_deviations(sample, fan))

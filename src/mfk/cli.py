@@ -18,11 +18,11 @@ from itertools import product
 from .corpus import corpus as corpus_entry, corpus_names, vandermonde
 from .bergman import amoeba_sample, bergman_fan, support_deviations
 from .errors import InvalidInput, LoopsPresent, MfkError, UnwritableOutput
-from .jsonio import (amoeba_to_json, bergman_to_json, circuits_to_json,
-                     comparison_to_json, degeneration_to_json, facets_to_json,
-                     graph_from_json, lattice_to_json, matrix_from_json,
-                     matroid_from_json, matroid_to_json, nested_fan_to_json,
-                     polytope_to_json)
+from .jsonio import (_integer, amoeba_to_json, bergman_to_json,
+                     circuits_to_json, comparison_to_json,
+                     degeneration_to_json, facets_to_json, graph_from_json,
+                     lattice_to_json, matrix_from_json, matroid_from_json,
+                     matroid_to_json, nested_fan_to_json, polytope_to_json)
 from .lattice import FlatLattice, moebius
 from .geometry import face_lattice
 from .linalg import frac
@@ -80,7 +80,7 @@ def _building_for(building: str, lattice: FlatLattice):
     if building == "max":
         return max_building(lattice)
     return _read(building, lambda flats: building_set(
-        lattice, [frozenset(f) for f in flats]))
+        lattice, [frozenset(_integer(e, 1) for e in f) for f in flats]))
 
 
 def _error_artifact(err: MfkError) -> dict:
@@ -98,7 +98,7 @@ def _dispatch(args) -> dict:
         lattice = FlatLattice(matroid)
         data = lattice_to_json(lattice)
         if not matroid.loops():
-            r, mu_top = matroid.rank_d, moebius(matroid, lattice).mu_top
+            r, mu_top = matroid.rank_d, moebius(lattice).mu_top
             # Folkman: the order complex of the proper part is a wedge of
             # mu_top spheres of dimension r - 2; below rank 2 it is empty
             betti = [0] * (r - 2) + [mu_top] if r >= 2 else []
@@ -117,7 +117,7 @@ def _dispatch(args) -> dict:
         return degeneration_to_json(degeneration(matroid, args.u))
 
     if computation == "bergman":
-        fan = bergman_fan(matroid)
+        fan = bergman_fan(FlatLattice(matroid))
         data = bergman_to_json(fan)
         if args.grid:
             radius = args.grid
@@ -130,14 +130,13 @@ def _dispatch(args) -> dict:
         return data
 
     if computation == "nested":
-        lattice = FlatLattice(matroid)
-        fan = nested_fan(matroid, _building_for(args.building, lattice))
+        fan = nested_fan(_building_for(args.building, FlatLattice(matroid)))
         return nested_fan_to_json(fan)
 
     if computation == "compare-fans":
         lattice = FlatLattice(matroid)
-        nfan = nested_fan(matroid, min_building(lattice))
-        bfan = bergman_fan(matroid, lattice)
+        nfan = nested_fan(min_building(lattice))
+        bfan = bergman_fan(lattice)
         return comparison_to_json(compare_fans(nfan, bfan))
 
     if computation == "circuits":
@@ -149,7 +148,7 @@ def _dispatch(args) -> dict:
     if real.matroid.loops():
         raise LoopsPresent("amoeba sampling needs a loop-free matroid")
     sample = amoeba_sample(real, args.t, args.count, seed=args.seed)
-    fan = bergman_fan(real.matroid)
+    fan = bergman_fan(FlatLattice(real.matroid))
     return amoeba_to_json(sample, support_deviations(sample, fan), args.seed)
 
 

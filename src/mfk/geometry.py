@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (content, frac, lp_feasible, nullspace, primitive_integer,
-                     rref, smith_normal_form)
+from .linalg import (_integer, content, frac, lp_feasible, nullspace,
+                     primitive_integer, rref, smith_normal_form)
 
 
 # -- quotient lattice Z^n / Z·(1,...,1) ---------------------------------------
@@ -35,13 +35,6 @@ def quotient_ray(vec) -> tuple[int, ...]:
     rep = quotient_rep(vec)
     g = content(rep)
     return rep if g in (0, 1) else tuple(x // g for x in rep)
-
-
-def _integer(x) -> int:
-    value = Fraction(x)
-    if value.denominator != 1:
-        raise ValueError(f"coordinate {x!r} is not an integer")
-    return value.numerator
 
 
 def quotient_coordinates(vec) -> tuple[int, ...]:

@@ -44,7 +44,8 @@ def _integer(x, minimum=None) -> int:
 
 
 def matroid_from_json(data: dict) -> Matroid:
-    return from_bases(_integer(data["n"], 0), [set(b) for b in data["bases"]])
+    return from_bases(_integer(data["n"], 0),
+                      [{_integer(e) for e in b} for b in data["bases"]])
 
 
 def matrix_to_json(realization: LinearRealization) -> dict:

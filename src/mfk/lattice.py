@@ -130,10 +130,6 @@ class FlatLattice:
         return self._moebius[flat]
 
 
-def flats(matroid: Matroid) -> FlatLattice:
-    return FlatLattice(matroid)
-
-
 @dataclass(frozen=True)
 class MoebiusTable:
     """The unsigned top invariant (-1)^r mu(0, E) of the lattice."""
@@ -141,24 +137,21 @@ class MoebiusTable:
     mu_top: int
 
 
-def moebius(matroid: Matroid, lattice: FlatLattice | None = None) -> MoebiusTable:
+def moebius(lattice: FlatLattice) -> MoebiusTable:
     """Moebius function of the lattice of flats; requires no loops."""
-    if matroid.loops():
+    if lattice.matroid.loops():
         raise LoopsPresent("Moebius table requires a loop-free matroid")
-    lattice = lattice or FlatLattice(matroid)
-    sign = -1 if matroid.rank_d % 2 else 1
+    sign = -1 if lattice.matroid.rank_d % 2 else 1
     mu_top = sign * lattice.moebius_mask(lattice.top)
     return MoebiusTable(mu_top=mu_top)
 
 
-def irreducible_flats(matroid: Matroid,
-                      lattice: FlatLattice | None = None) -> set[frozenset[int]]:
+def irreducible_flats(lattice: FlatLattice) -> set[frozenset[int]]:
     """Flats F of positive rank with (M|F)/loops connected.
 
     Every flat holds the loops (the bottom flat), and a loop is a component
     of its own, so connectivity is judged on the minor over the bottom.
     """
-    lattice = lattice or FlatLattice(matroid)
     return {from_mask(f) for level in lattice.by_rank[1:] for f in level
             if lattice.is_connected_minor(lattice.bottom, f)}
 

@@ -33,6 +33,15 @@ def frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _integer(x) -> int:
+    """An integral number (an int, or a Fraction or float with denominator
+    1) as an int; any other entry raises ValueError."""
+    value = Fraction(x)
+    if value.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return value.numerator
+
+
 def frac_matrix(rows) -> list[list[Fraction]]:
     return [[frac(x) for x in row] for row in rows]
 
@@ -209,6 +218,7 @@ def determinant(matrix) -> int:
 
 def smith_normal_form(matrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (absolute values, in order).
+    Entries must be integral; any other entry raises ValueError.
 
     Euclid on the corner, in integers: the smallest entry is moved to the
     corner and its row and column are reduced modulo it, again until both
@@ -216,7 +226,7 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     corner's row; when there is none, the corner is a factor and the rest
     is reduced the same way.  Every step is unimodular.
     """
-    rest = [[int(x) for x in row] for row in matrix]
+    rest = [[_integer(x) for x in row] for row in matrix]
     factors = []
     while True:
         entries = [(abs(x), i, j) for i, row in enumerate(rest)

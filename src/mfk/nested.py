@@ -19,7 +19,6 @@ from .errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
 from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
 from .linalg import frac, solve
-from .matroid import Matroid
 
 
 # -- building sets ---------------------------------------------------------------
@@ -83,8 +82,7 @@ def building_set(lattice: FlatLattice, members) -> BuildingSet:
 def min_building(lattice: FlatLattice) -> BuildingSet:
     """The irreducible flats; the unique minimal building set."""
     return BuildingSet(lattice=lattice,
-                       members=frozenset(irreducible_flats(lattice.matroid,
-                                                           lattice)))
+                       members=frozenset(irreducible_flats(lattice)))
 
 
 def max_building(lattice: FlatLattice) -> BuildingSet:
@@ -188,7 +186,6 @@ def nested_complex_reduced(building: BuildingSet) -> SimplicialComplex:
 class NestedFan(Fan):
     """One simplicial cone per maximal nested set, spanned by flat indicators."""
 
-    matroid: Matroid
     building: BuildingSet
     nested_sets: tuple[frozenset[frozenset[int]], ...]
 
@@ -252,15 +249,15 @@ def _above_minimum(vec) -> tuple[list, int]:
     return w, sum(1 << j for j, x in enumerate(w) if x != low)
 
 
-def nested_fan(matroid: Matroid, building: BuildingSet) -> NestedFan:
+def nested_fan(building: BuildingSet) -> NestedFan:
     """Cone over the nested-set complex, one cone per maximal nested set."""
+    n = building.lattice.matroid.n
     sets = maximal_nested_sets(building)
     key = lambda s: sorted((len(f), sorted(f)) for f in s)
     sets = sorted(sets, key=key)
-    cones = tuple(Cone.over([_flat_vector(matroid.n, f) for f in s])
-                  for s in sets)
-    return NestedFan(n=matroid.n, cones=cones, matroid=matroid,
-                     building=building, nested_sets=tuple(sets))
+    cones = tuple(Cone.over([_flat_vector(n, f) for f in s]) for s in sets)
+    return NestedFan(n=n, cones=cones, building=building,
+                     nested_sets=tuple(sets))
 
 
 # -- fan comparison ----------------------------------------------------------------
@@ -322,15 +319,13 @@ class ConditionReport:
     witness: tuple[frozenset[int], frozenset[int]] | None
 
 
-def fans_equal_condition(matroid: Matroid,
-                         lattice: FlatLattice | None = None) -> ConditionReport:
+def fans_equal_condition(lattice: FlatLattice) -> ConditionReport:
     """Is every minor (M|Y)/X with Y irreducible and X < Y connected?
 
     Exactly when this holds, the minimal nested-set fan equals the coarse
     Bergman fan.
     """
-    lattice = lattice or FlatLattice(matroid)
-    irr = sorted(irreducible_flats(matroid, lattice),
+    irr = sorted(irreducible_flats(lattice),
                  key=lambda f: (len(f), sorted(f)))
     for y in irr:
         ymask = to_mask(y)
@@ -468,12 +463,11 @@ def chain_to_nested(building: BuildingSet, chain):
 # -- weight polytopes -----------------------------------------------------------------
 
 
-def dcp_weight_polytope(matroid: Matroid,
-                        building: BuildingSet) -> RationalPolytope:
+def dcp_weight_polytope(building: BuildingSet) -> RationalPolytope:
     """Minkowski sum of the coordinate simplices of the building set: the
     hull of its vertices, the sums over G of e_i, i the first element of G
     in an order of [n], one per order (Postnikov 2009, section 6)."""
-    n = matroid.n
+    n = building.lattice.matroid.n
     vertices = set()
     for order in permutations(range(1, n + 1)):
         vertex = [0] * n
@@ -481,35 +475,3 @@ def dcp_weight_polytope(matroid: Matroid,
             vertex[next(i for i in order if i in flat) - 1] += 1
         vertices.add(tuple(vertex))
     return convex_hull(vertices)
-
-
-def dcp_normal_refinement_check(matroid: Matroid, building: BuildingSet,
-                                fan: NestedFan | None = None) -> bool:
-    """Each nested cone selects constant argmin sets on every member simplex.
-
-    This is the executable form of the containment of the nested fan in the
-    normal fan of the weight polytope.
-    """
-    fan = fan or nested_fan(matroid, building)
-    n = matroid.n
-    for nested in fan.nested_sets:
-        support: dict[int, frozenset] = {}
-        for i in range(1, n + 1):
-            support[i] = frozenset(x for x in nested if i in x)
-        coefficient_choices = [
-            {x: 1 + k for k, x in enumerate(sorted(nested, key=sorted))},
-            {x: 7 + 3 * k for k, x in enumerate(sorted(nested, key=sorted))},
-        ]
-        for flat in building.members:
-            i0 = min(flat, key=lambda i: (len(support[i]), i))
-            if not all(support[i0] <= support[i] for i in flat):
-                return False
-            predicted = {i for i in flat if support[i] == support[i0]}
-            for coeffs in coefficient_choices:
-                weights = [sum(c for x, c in coeffs.items() if i in x)
-                           for i in range(1, n + 1)]
-                low = min(weights[i - 1] for i in flat)
-                argmin = {i for i in flat if weights[i - 1] == low}
-                if argmin != predicted:
-                    return False
-    return True

@@ -159,8 +159,7 @@ def flacets(lattice: FlatLattice) -> list[int]:
             and lattice.is_connected_minor(f, top)]
 
 
-def facets(matroid: Matroid,
-           lattice: FlatLattice | None = None) -> list[FacetDescription]:
+def facets(matroid: Matroid) -> list[FacetDescription]:
     """Classified facet list of the matroid polytope.
 
     Interior facets (not on the boundary of the dilated simplex) correspond
@@ -171,7 +170,7 @@ def facets(matroid: Matroid,
         raise LoopsPresent("facet classification needs a loop-free matroid")
     if not matroid.is_connected():
         raise Disconnected("facet classification needs a connected matroid")
-    lattice = lattice or FlatLattice(matroid)
+    lattice = FlatLattice(matroid)
     out: list[FacetDescription] = []
     top = full_mask(matroid.n)
     for f in flacets(lattice):
@@ -214,12 +213,3 @@ def face_matroid(matroid: Matroid, vertex_bases) -> Matroid:
     if not wanted or wanted != closure:
         raise NotAFace(f"{sorted(map(sorted, wanted))} is not a face")
     return from_bases(matroid.n, wanted)
-
-
-def dual_reflection_check(matroid: Matroid) -> bool:
-    """Vertexwise identity between the dual polytope and the reflected one."""
-    dual_vertices = {indicator_vertex(matroid.n, b)
-                     for b in matroid.dual().bases}
-    reflected = {tuple(Fraction(1) - x for x in indicator_vertex(matroid.n, b))
-                 for b in matroid.bases}
-    return dual_vertices == reflected

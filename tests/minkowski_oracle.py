@@ -25,10 +25,10 @@ def minkowski_sum(p1: RationalPolytope, p2: RationalPolytope) -> RationalPolytop
     return convex_hull(sums)
 
 
-def dcp_weight_polytope(matroid, building) -> RationalPolytope:
+def dcp_weight_polytope(building) -> RationalPolytope:
     """Minkowski sum of the coordinate simplices of the building set, one
     member at a time."""
-    n = matroid.n
+    n = building.lattice.matroid.n
     total = None
     for flat in building.sorted_members():
         simplex = convex_hull(

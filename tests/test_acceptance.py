@@ -11,7 +11,7 @@ import time
 from math import comb, factorial
 
 from mfk.bergman import (amoeba_sample, bergman_fan, bergman_membership,
-                         check_prop_grob, support_deviations)
+                         support_deviations)
 from mfk.complexes import reduced_homology_ranks
 from mfk.corpus import corpus
 from mfk.geometry import face_lattice, smith_normal_form, \
@@ -21,8 +21,9 @@ from mfk.matroid import uniform
 from mfk.nested import (compare_fans, fans_equal_condition, max_building,
                         maximal_nested_sets, min_building, nested_fan,
                         refines)
-from mfk.polytope import dual_reflection_check, facets, polytope
+from mfk.polytope import facets, polytope
 from mfk.reciprocal import minimal_generator_count, reciprocal_generators
+from theorem_checks import check_prop_grob, dual_reflection_check
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -57,7 +58,7 @@ def test_criterion_02_dela3_facet_classification():
 
 def test_criterion_03_u24_bergman_rays():
     matroid = uniform(2, 4)
-    fan = bergman_fan(matroid)
+    fan = bergman_fan(FlatLattice(matroid))
     rays = fan.rays()
     # The proper nonempty flats of U_{2,4} are the four singletons, so the
     # coarse rays are the flat indicators e_1, ..., e_4; the classes
@@ -75,11 +76,11 @@ def test_criterion_03_u24_bergman_rays():
 def test_criterion_04_dela3_gmin_and_extra_ray():
     entry = corpus("delA3")
     lattice = FlatLattice(entry.matroid)
-    gmin = irreducible_flats(entry.matroid, lattice)
+    gmin = irreducible_flats(lattice)
     gmin_ok = sorted(map(sorted, gmin)) == [
         [1], [1, 2, 3, 4, 5], [1, 2, 4], [1, 3, 5], [2], [3], [4], [5]]
-    nfan = nested_fan(entry.matroid, min_building(lattice))
-    bfan = bergman_fan(entry.matroid, lattice)
+    nfan = nested_fan(min_building(lattice))
+    bfan = bergman_fan(lattice)
     extra = set(nfan.rays()) - set(bfan.rays())
     rays_ok = (len(nfan.rays()) == len(bfan.rays()) + 1
                and extra == {(1, 0, 0, 0, 0)}
@@ -102,9 +103,9 @@ def test_criterion_05_comparison_corpus():
     detail = []
     for name, matroid, expected, expected_witness in cases:
         lattice = FlatLattice(matroid)
-        report = fans_equal_condition(matroid, lattice)
-        nfan = nested_fan(matroid, min_building(lattice))
-        bfan = bergman_fan(matroid, lattice)
+        report = fans_equal_condition(lattice)
+        nfan = nested_fan(min_building(lattice))
+        bfan = bergman_fan(lattice)
         cmp = compare_fans(nfan, bfan)
         case_ok = (report.holds == expected == cmp.equal)
         if expected_witness is not None:
@@ -128,8 +129,8 @@ def test_criterion_06_refinement_and_supports():
     for name in names:
         matroid = corpus(name).matroid
         lattice = FlatLattice(matroid)
-        nfan = nested_fan(matroid, min_building(lattice))
-        bfan = bergman_fan(matroid, lattice)
+        nfan = nested_fan(min_building(lattice))
+        bfan = bergman_fan(lattice)
         if not refines(nfan, bfan):
             ok = False
             failing.append(name + ":refines")
@@ -153,7 +154,7 @@ def test_criterion_07_unimodularity():
         lattice = FlatLattice(matroid)
         buildings = [min_building(lattice), max_building(lattice)]
         for building in buildings:
-            fan = nested_fan(matroid, building)
+            fan = nested_fan(building)
             for cone in fan.cones:
                 factors = smith_normal_form(
                     [quotient_coordinates(r) for r in cone.rays])
@@ -186,7 +187,7 @@ def test_criterion_09_moebius_and_topology():
     for name, expected_mu in [("u24", 3), ("delA3", 4)]:
         matroid = corpus(name).matroid
         lattice = FlatLattice(matroid)
-        mu = moebius(matroid, lattice).mu_top
+        mu = moebius(lattice).mu_top
         complex_ = order_complex(lattice, set(), matroid.ground)
         betti, _ = reduced_homology_ranks(complex_)
         d = matroid.rank_d
@@ -230,7 +231,7 @@ def test_criterion_12_dual_reflection():
 def test_criterion_13_amoeba_convergence():
     start = time.perf_counter()
     u23 = corpus("u23")
-    fan = bergman_fan(u23.matroid)
+    fan = bergman_fan(FlatLattice(u23.matroid))
     sample_lo = amoeba_sample(u23.realization, 1e3, 500, seed=42)
     devs_lo = support_deviations(sample_lo, fan)
     sample_hi = amoeba_sample(u23.realization, 1e6, 500, seed=42)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import amoeba_oracle
 import laurent_oracle
 from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
-                         bergman_membership, check_prop_grob,
-                         initial_subspace, support_deviation,
+                         bergman_membership, initial_subspace,
                          support_deviations)
 from mfk import bergman, geometry
 from mfk.bitset import to_mask
@@ -22,6 +21,7 @@ from mfk.lattice import FlatLattice, moebius, order_complex
 from mfk.linalg import rref
 from mfk.matroid import direct_sum, from_graph, from_matrix, uniform
 from mfk.polytope import facets, heaviest_bases
+from theorem_checks import check_prop_grob
 
 
 def _flat_pairs(cone):
@@ -49,7 +49,7 @@ def test_membership_u24_non_flat_chain(u24):
 @pytest.mark.parametrize("w", [[0, 1], [], [0, 1, 2, 3, 4, 5]])
 def test_weights_of_the_wrong_length_are_refused(u24, w):
     m = u24.matroid
-    fan = bergman_fan(m)
+    fan = bergman_fan(FlatLattice(m))
     for query in (lambda: bergman_membership(m, w),
                   lambda: heaviest_bases(m, w),
                   lambda: fan.coarse_contains(0, w),
@@ -66,14 +66,14 @@ def test_membership_requires_loop_free():
 
 
 def test_bergman_fan_u24_four_rays(u24):
-    fan = bergman_fan(u24.matroid)
+    fan = bergman_fan(FlatLattice(u24.matroid))
     assert len(fan.cones) == 4
     assert fan.rays() == ((0, 0, 0, 1), (0, 0, 1, 0),
                           (0, 1, 0, 0), (1, 0, 0, 0))
 
 
-def test_bergman_fan_dela3_complex(dela3, dela3_lattice):
-    fan = bergman_fan(dela3.matroid, dela3_lattice)
+def test_bergman_fan_dela3_complex(dela3_lattice):
+    fan = bergman_fan(dela3_lattice)
     assert len(fan.fine_chains) == 14
     assert len(fan.cones) == 9
     # vertex set: the six facet flats; the e_1 direction and the pair
@@ -90,7 +90,7 @@ def test_bergman_fan_dela3_complex(dela3, dela3_lattice):
 
 def test_bergman_fan_uniform_coordinate_cones():
     for d, n in [(2, 4), (3, 5), (2, 5), (4, 5)]:
-        fan = bergman_fan(uniform(d, n))
+        fan = bergman_fan(FlatLattice(uniform(d, n)))
         assert len(fan.cones) == len(
             list(combinations(range(n), d - 1)))
         for cone in fan.cones:
@@ -103,7 +103,7 @@ def test_bergman_fan_uniform_coordinate_cones():
                                   "uniform_3_6"])
 def test_flag_rays_lie_in_their_coarse_cone(name):
     # the irredundant rays of a group span every flag ray of the group
-    fan = bergman_fan(corpus(name).matroid)
+    fan = bergman_fan(FlatLattice(corpus(name).matroid))
     for g, members in enumerate(fan.groups):
         for i in members:
             for flat in fan.fine_chains[i]:
@@ -115,14 +115,14 @@ def test_flag_rays_lie_in_their_coarse_cone(name):
 
 def test_bergman_support_equals_coarse_union(u24, dela3):
     for m, radius in ((u24.matroid, 2), (dela3.matroid, 1)):
-        fan = bergman_fan(m)
+        fan = bergman_fan(FlatLattice(m))
         for w in product(range(-radius, radius + 1), repeat=m.n):
             assert bergman_membership(m, w) == fan.any_coarse_contains(w)
 
 
 def test_bergman_groups_share_degeneration(dela3):
     from mfk.polytope import degeneration
-    fan = bergman_fan(dela3.matroid)
+    fan = bergman_fan(FlatLattice(dela3.matroid))
     for g, members in enumerate(fan.groups):
         for idx in members:
             chain = fan.fine_chains[idx]
@@ -139,7 +139,7 @@ def test_bergman_groups_share_degeneration(dela3):
 def test_fine_complex_homology_matches_mu(dela3, dela3_lattice):
     complex_ = order_complex(dela3_lattice, set(), dela3.matroid.ground)
     betti, _ = reduced_homology_ranks(complex_)
-    mu = moebius(dela3.matroid, dela3_lattice).mu_top
+    mu = moebius(dela3_lattice).mu_top
     d = dela3.matroid.rank_d
     assert betti[d - 2] == mu
     assert all(b == 0 for i, b in enumerate(betti) if i != d - 2)
@@ -208,7 +208,7 @@ def test_prop_grob_dela3_random(dela3):
 
 def test_amoeba_deviation_small():
     u23 = corpus("u23")
-    fan = bergman_fan(u23.matroid)
+    fan = bergman_fan(FlatLattice(u23.matroid))
     sample = amoeba_sample(u23.realization, 1e3, 500, seed=42)
     devs = support_deviations(sample, fan)
     assert len(devs) == 500
@@ -217,7 +217,7 @@ def test_amoeba_deviation_small():
 
 def test_amoeba_median_shrinks_with_base():
     u23 = corpus("u23")
-    fan = bergman_fan(u23.matroid)
+    fan = bergman_fan(FlatLattice(u23.matroid))
     s1 = amoeba_sample(u23.realization, 1e3, 200, seed=7)
     s2 = amoeba_sample(u23.realization, 1e6, 200, seed=7)
     m1 = statistics.median(support_deviations(s1, fan))
@@ -227,9 +227,9 @@ def test_amoeba_median_shrinks_with_base():
 
 def test_amoeba_unit_torus_point_deviation_zero():
     u23 = corpus("u23")
-    fan = bergman_fan(u23.matroid)
+    fan = bergman_fan(FlatLattice(u23.matroid))
     sample = AmoebaSample(base=1e3, points=((0.0, 0.0, 0.0),))
-    assert support_deviation(sample, fan) == 0.0
+    assert max(support_deviations(sample, fan)) == 0.0
 
 
 def test_amoeba_deterministic_for_seed():
@@ -280,7 +280,7 @@ _AMOEBA_INPUTS = {
 @pytest.mark.parametrize("name", list(_AMOEBA_INPUTS))
 def test_support_deviations_equal_the_per_cone_nnls_oracle(name):
     real = _AMOEBA_INPUTS[name]()
-    fan = bergman_fan(real.matroid)
+    fan = bergman_fan(FlatLattice(real.matroid))
     for t in (1.5, 1e3, 1e6):
         for seed in range(3):
             sample = amoeba_sample(real, t, 60, seed=seed)
@@ -301,7 +301,7 @@ def test_support_deviations_call_nnls_at_most_once_per_point(name,
         return nnls(*args, **kwargs)
 
     real = corpus(name).realization
-    fan = bergman_fan(real.matroid)
+    fan = bergman_fan(FlatLattice(real.matroid))
     sample = amoeba_sample(real, 1e3, 1000, seed=0)
     monkeypatch.setattr(scipy.optimize, "nnls", counted)
     assert len(support_deviations(sample, fan)) == 1000
@@ -310,14 +310,14 @@ def test_support_deviations_call_nnls_at_most_once_per_point(name,
 
 @pytest.mark.parametrize("name", ["u23", "delA3", "braidK4", "boolean_4"])
 def test_zero_point_where_every_cone_ties_is_exactly_zero(name):
-    fan = bergman_fan(corpus(name).matroid)
+    fan = bergman_fan(FlatLattice(corpus(name).matroid))
     sample = AmoebaSample(base=1e3, points=((0.0,) * fan.n,))
     assert support_deviations(sample, fan) == [0.0]
     assert amoeba_oracle.support_deviations(sample, fan) == [0.0]
 
 
 def test_support_deviations_of_an_empty_sample():
-    fan = bergman_fan(corpus("u23").matroid)
+    fan = bergman_fan(FlatLattice(corpus("u23").matroid))
     assert support_deviations(AmoebaSample(base=1e3, points=()), fan) == []
 
 
@@ -335,7 +335,7 @@ def test_flacet_rays_match_the_lp_rays(name):
     # the LP greedy over every flag ray of a group is the oracle of the
     # flacet rule
     m = _CONNECTED[name]()
-    fan = bergman_fan(m)
+    fan = bergman_fan(FlatLattice(m))
     for cone, group in zip(fan.cones, fan.groups):
         vectors = [_flat_vector(m.n, flat) for i in group
                    for flat in fan.fine_chains[i]]
@@ -355,7 +355,7 @@ _rational_matrices = st.integers(1, 4).flatmap(
 def test_flacet_rays_match_the_lp_rays_on_matrices(rows):
     m, _ = from_matrix(rows)
     assume(m.is_connected() and not m.loops())
-    fan = bergman_fan(m)
+    fan = bergman_fan(FlatLattice(m))
     for cone, group in zip(fan.cones, fan.groups):
         assert cone.rays == irredundant_rays(
             [_flat_vector(m.n, flat) for i in group
@@ -368,7 +368,7 @@ def test_connected_bergman_fan_solves_no_lp(name, monkeypatch):
         raise AssertionError("bergman_fan called the LP")
 
     monkeypatch.setattr(geometry, "lp_feasible", no_lp)
-    bergman_fan(_CONNECTED[name]())
+    bergman_fan(FlatLattice(_CONNECTED[name]()))
 
 
 @pytest.mark.parametrize("name, rays", [
@@ -383,7 +383,7 @@ def test_disconnected_rays_regression_pin(name, rays):
     m = (corpus(name).matroid if name == "boolean_3"
          else direct_sum(uniform(2, 3), uniform(1, 1)))
     assert not m.is_connected()
-    assert bergman_fan(m).rays() == tuple(rays)
+    assert bergman_fan(FlatLattice(m)).rays() == tuple(rays)
 
 
 @pytest.mark.parametrize("name", list(_CONNECTED))
@@ -393,8 +393,8 @@ def test_coarse_rays_are_the_flacets_of_the_flags(name):
     m = _CONNECTED[name]()
     assert m.is_connected()
     lattice = FlatLattice(m)
-    fan = bergman_fan(m, lattice)
-    flacets = {f.flat for f in facets(m, lattice) if f.kind == "interior"}
+    fan = bergman_fan(lattice)
+    flacets = {f.flat for f in facets(m) if f.kind == "interior"}
     for cone, group in zip(fan.cones, fan.groups):
         expected = {_flat_vector(m.n, flat) for i in group
                     for flat in fan.fine_chains[i] if flat in flacets}
@@ -418,7 +418,7 @@ def test_flag_groups_are_the_heaviest_bases(name, monkeypatch):
     # bases under the sum of each flag's indicators are the oracle
     m = _FLAGGED[name]()
     monkeypatch.setattr(bergman, "heaviest_bases", None)
-    fan = bergman_fan(m)
+    fan = bergman_fan(FlatLattice(m))
     monkeypatch.undo()
     seen = set()
     for members, bases in zip(fan.groups, fan.group_bases):

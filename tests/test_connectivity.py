@@ -125,8 +125,8 @@ def test_connectivity_sites_build_no_minor(name, monkeypatch):
     monkeypatch.setattr(Matroid, "restriction", no_minor)
     monkeypatch.setattr(Matroid, "contraction", no_minor)
     lattice = FlatLattice(m)
-    irreducible_flats(m, lattice)
-    fans_equal_condition(m, lattice)
+    irreducible_flats(lattice)
+    fans_equal_condition(lattice)
     if m.is_connected():
         assert flacets(lattice)
-        facets(m, lattice)
+        facets(m)

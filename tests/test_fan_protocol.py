@@ -6,7 +6,9 @@ one linear solve; a bare ``geometry.Fan`` has no membership rule.
 ``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
 that rule only; here they are checked against references that test each ray
 with ``geometry.cone_contains``, the exact LP, which stays only as this
-oracle and for the rays of a disconnected Bergman fan.
+oracle and for the rays of a disconnected Bergman fan.  Each fan is built
+from the one structure it reads: ``bergman_fan`` from a lattice of flats,
+``nested_fan`` from a building set in it.
 """
 
 from functools import cache
@@ -43,9 +45,9 @@ MATROIDS = {
 
 def _fans(matroid):
     lattice = FlatLattice(matroid)
-    return {"min": nested_fan(matroid, min_building(lattice)),
-            "max": nested_fan(matroid, max_building(lattice)),
-            "bergman": bergman_fan(matroid, lattice)}
+    return {"min": nested_fan(min_building(lattice)),
+            "max": nested_fan(max_building(lattice)),
+            "bergman": bergman_fan(lattice)}
 
 
 def _lp_oracle(fan):
@@ -150,7 +152,7 @@ def test_every_building_set_cone_rule_matches_lp(matroid):
                                    members=frozenset(members))
             assert maximal_nested_sets(building) == \
                 nested_oracle.maximal_nested_sets(building)
-            fan = nested_fan(matroid, building)
+            fan = nested_fan(building)
             for i, cone in enumerate(fan.cones):
                 for w in grid:
                     assert fan.cone_contains(i, w) == \

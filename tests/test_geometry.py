@@ -125,6 +125,7 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
     assert smith_normal_form([[2, 0], [0, 4]]) == (2, 4)
     assert smith_normal_form([[1, 0], [1, 1]]) == (1, 1)
+    assert smith_normal_form([[Fraction(4, 2), 0], [0, Fraction(6)]]) == (2, 6)
 
 
 @pytest.mark.parametrize("matrix,factors", [
@@ -144,6 +145,17 @@ def test_smith_normal_form_zero_nonsquare_unimodular(matrix, factors):
     assert smith_normal_form(matrix) == factors
     if matrix and matrix[0]:
         assert factors == _determinantal_factors(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[Fraction(3, 2), 0], [0, Fraction(1, 3)]],
+    [[2.7]],
+    [[1, 0], [0, Fraction(1, 2)]],
+])
+def test_smith_normal_form_refuses_non_integers(matrix):
+    with pytest.raises(ValueError, match="is not an integer"):
+        smith_normal_form(matrix)
+
 
 
 def _det(m) -> int:

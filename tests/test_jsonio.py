@@ -5,6 +5,7 @@ import pytest
 from mfk.bergman import amoeba_sample, bergman_fan, support_deviations
 from mfk.corpus import corpus
 from mfk.geometry import face_lattice
+from mfk.lattice import FlatLattice
 from mfk.jsonio import (amoeba_to_json, bergman_to_json, circuits_to_json,
                         comparison_to_json, degeneration_to_json,
                         facets_to_json, graph_from_json, lattice_to_json,
@@ -75,7 +76,7 @@ def test_degeneration_payload(u24):
 
 
 def test_bergman_payload(dela3):
-    fan = bergman_fan(dela3.matroid)
+    fan = bergman_fan(FlatLattice(dela3.matroid))
     payload = bergman_to_json(fan)
     assert payload["n"] == 5
     assert len(payload["rays"]) == 6
@@ -83,19 +84,20 @@ def test_bergman_payload(dela3):
     assert len(payload["fine_cones"]) == 14
     assert len(payload["coarse_groups"]) == 9
     # deterministic double emission
-    assert _bytes(payload) == _bytes(bergman_to_json(bergman_fan(dela3.matroid)))
+    fan = bergman_fan(FlatLattice(dela3.matroid))
+    assert _bytes(payload) == _bytes(bergman_to_json(fan))
 
 
-def test_nested_fan_payload(dela3, dela3_lattice):
-    fan = nested_fan(dela3.matroid, min_building(dela3_lattice))
+def test_nested_fan_payload(dela3_lattice):
+    fan = nested_fan(min_building(dela3_lattice))
     payload = nested_fan_to_json(fan)
     assert len(payload["rays"]) == 7
     assert len(payload["nested_sets"]) == len(payload["maximal_cones"]) == 10
 
 
-def test_comparison_payload(u24, u24_lattice):
-    fan = nested_fan(u24.matroid, min_building(u24_lattice))
-    bfan = bergman_fan(u24.matroid, u24_lattice)
+def test_comparison_payload(u24_lattice):
+    fan = nested_fan(min_building(u24_lattice))
+    bfan = bergman_fan(u24_lattice)
     payload = comparison_to_json(compare_fans(fan, bfan))
     assert set(payload) == {"equal", "refines_ab", "refines_ba", "witness"}
     assert payload["equal"] is True
@@ -111,7 +113,7 @@ def test_circuits_payload(u24):
 
 def test_amoeba_payload_deterministic():
     u23 = corpus("u23")
-    fan = bergman_fan(u23.matroid)
+    fan = bergman_fan(FlatLattice(u23.matroid))
     sample = amoeba_sample(u23.realization, 1e3, 25, seed=9)
     devs = support_deviations(sample, fan)
     a = _bytes(amoeba_to_json(sample, devs, seed=9))

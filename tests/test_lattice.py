@@ -17,7 +17,7 @@ from mfk.complexes import SimplicialComplex, reduced_homology_ranks
 from mfk.corpus import corpus
 from mfk.errors import EmptyInterval, LoopsPresent
 from mfk.jsonio import matrix_from_json
-from mfk.lattice import (FlatLattice, flats, interval_product_check,
+from mfk.lattice import (FlatLattice, interval_product_check,
                          irreducible_flats, moebius, order_complex)
 from mfk.matroid import direct_sum, from_graph, from_matrix, uniform
 from test_bergman import _rational_matrices
@@ -38,7 +38,7 @@ def test_flats_u24(u24_lattice):
 
 
 def test_flats_boolean_all_subsets():
-    lattice = flats(uniform(3, 3))
+    lattice = FlatLattice(uniform(3, 3))
     everything = [sorted(from_mask(f))
                   for level in lattice.by_rank for f in level]
     assert len(everything) == 8
@@ -78,18 +78,18 @@ def test_interval_isomorphic_to_minor_lattices(dela3, braid_k4):
 
 
 def test_moebius_values():
-    assert moebius(uniform(2, 4)).mu_top == 3
-    assert moebius(uniform(2, 3)).mu_top == 2
+    assert moebius(FlatLattice(uniform(2, 4))).mu_top == 3
+    assert moebius(FlatLattice(uniform(2, 3))).mu_top == 2
 
 
-def test_moebius_dela3(dela3, dela3_lattice):
-    assert moebius(dela3.matroid, dela3_lattice).mu_top == 4
+def test_moebius_dela3(dela3_lattice):
+    assert moebius(dela3_lattice).mu_top == 4
 
 
 def test_moebius_requires_loop_free():
     m, _ = from_matrix([[1, 0, 0], [0, 0, 1]])
     with pytest.raises(LoopsPresent):
-        moebius(m)
+        moebius(FlatLattice(m))
 
 
 def test_moebius_matches_characteristic_polynomial(dela3, u24, braid_k4):
@@ -103,7 +103,7 @@ def test_moebius_matches_characteristic_polynomial(dela3, u24, braid_k4):
                     total += (-1) ** size
         lattice = FlatLattice(m)
         assert lattice.moebius_mask(lattice.top) == total
-        assert moebius(m, lattice).mu_top == (-1) ** d * total
+        assert moebius(lattice).mu_top == (-1) ** d * total
 
 
 _CORPUS_LATTICES = ["u23", "u24", "delA3", "braidK4", "braidK5", "boolean_3",
@@ -123,24 +123,24 @@ def test_moebius_sign_alternation():
             assert lat.moebius_mask(f) * (-1) ** r > 0
 
 
-def test_irreducible_flats_dela3(dela3, dela3_lattice):
-    got = irreducible_flats(dela3.matroid, dela3_lattice)
+def test_irreducible_flats_dela3(dela3_lattice):
+    got = irreducible_flats(dela3_lattice)
     assert sorted(map(sorted, got)) == [
         [1], [1, 2, 3, 4, 5], [1, 2, 4], [1, 3, 5], [2], [3], [4], [5]]
 
 
 def test_irreducible_flats_uniform():
     for d, n in [(2, 4), (3, 5), (2, 5)]:
-        got = irreducible_flats(uniform(d, n))
+        got = irreducible_flats(FlatLattice(uniform(d, n)))
         expected = [[i] for i in range(1, n + 1)] + [list(range(1, n + 1))]
         assert sorted(map(sorted, got)) == sorted(expected)
 
 
-def test_irreducible_flats_braid_k4(braid_k4, braid_k4_lattice):
+def test_irreducible_flats_braid_k4(braid_k4_lattice):
     # edge i of K4 joins the pairs below; a flat is irreducible exactly when
     # its vertex partition has a single nontrivial block
     edges = list(combinations(range(1, 5), 2))
-    got = irreducible_flats(braid_k4.matroid, braid_k4_lattice)
+    got = irreducible_flats(braid_k4_lattice)
     for flat in got:
         blocks = {frozenset(edges[i - 1]) for i in flat}
         vertices = set()
@@ -159,7 +159,7 @@ def test_order_complex_u24_isolated_atoms(u24, u24_lattice):
 
 
 def test_order_complex_boolean3_hexagon():
-    lattice = flats(uniform(3, 3))
+    lattice = FlatLattice(uniform(3, 3))
     c = order_complex(lattice, set(), {1, 2, 3})
     assert c.f_vector() == (6, 6)
 
@@ -171,7 +171,7 @@ def test_order_complex_dela3(dela3, dela3_lattice):
 
 
 def test_order_complex_empty_interval():
-    lattice = flats(uniform(1, 3))
+    lattice = FlatLattice(uniform(1, 3))
     with pytest.raises(EmptyInterval):
         order_complex(lattice, set(), {1, 2, 3})
 
@@ -210,14 +210,14 @@ def test_euler_matches_mu_on_corpus(dela3, u24, braid_k4):
         lattice = FlatLattice(m)
         c = order_complex(lattice, set(), set(range(1, m.n + 1)))
         _, euler = reduced_homology_ranks(c)
-        mu = moebius(m, lattice).mu_top
+        mu = moebius(lattice).mu_top
         assert euler == (-1) ** (m.rank_d - 2) * mu
 
 
 def test_homology_matches_mu_in_top_dim(braid_k4, braid_k4_lattice):
     c = order_complex(braid_k4_lattice, set(), set(range(1, 7)))
     betti, _ = reduced_homology_ranks(c)
-    mu = moebius(braid_k4.matroid, braid_k4_lattice).mu_top
+    mu = moebius(braid_k4_lattice).mu_top
     d = braid_k4.matroid.rank_d
     assert betti[d - 2] == mu == 6
     assert all(b == 0 for i, b in enumerate(betti) if i != d - 2)
@@ -295,7 +295,7 @@ def test_lattice_builds_no_order_complex(monkeypatch, capsys):
 
 
 def test_interval_product_boolean():
-    lattice = flats(uniform(3, 3))
+    lattice = FlatLattice(uniform(3, 3))
     assert interval_product_check(lattice, {1, 2, 3}, [{1}, {2}, {3}])
 
 
@@ -311,9 +311,9 @@ def test_interval_product_identity(dela3_lattice):
 
 def test_direct_sum_lattice_sizes():
     m1, m2 = uniform(2, 3), uniform(1, 2)
-    combined = flats(direct_sum(m1, m2))
-    a = len(flats(m1).flat_masks)
-    b = len(flats(m2).flat_masks)
+    combined = FlatLattice(direct_sum(m1, m2))
+    a = len(FlatLattice(m1).flat_masks)
+    b = len(FlatLattice(m2).flat_masks)
     assert len(combined.flat_masks) == a * b
 
 

@@ -8,6 +8,7 @@ import pytest
 import mfk
 import minkowski_oracle
 import nested_oracle
+from theorem_checks import dcp_normal_refinement_check
 
 from mfk.bitset import from_mask, to_mask
 from mfk.bergman import bergman_fan, bergman_membership
@@ -15,15 +16,14 @@ from mfk.errors import (InvalidBuildingSet, LoopsPresent, NotAChain,
                         NotFlats, NotLinearExtension)
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
-from mfk.lattice import FlatLattice, flats
+from mfk.lattice import FlatLattice
 from mfk.corpus import corpus
 from mfk.matroid import direct_sum, from_matrix, uniform
 from mfk.nested import (BuildingSet, all_nested_sets, blocks_partition,
                         building_set, building_set_counterexample,
-                        chain_to_nested, compare_fans,
-                        dcp_normal_refinement_check,
-                        dcp_weight_polytope, fans_equal_condition,
-                        is_building_set, is_nested, max_building,
+                        chain_to_nested, compare_fans, dcp_weight_polytope,
+                        fans_equal_condition, is_building_set, is_nested,
+                        max_building,
                         maximal_nested_sets, min_building,
                         nested_chain_helpers, nested_complex,
                         nested_complex_reduced, nested_fan, refines,
@@ -63,7 +63,7 @@ def test_dropping_a_line_breaks_building(dela3_lattice):
 
 
 def test_boolean_min_max_building():
-    lattice = flats(uniform(4, 4))
+    lattice = FlatLattice(uniform(4, 4))
     gmin = min_building(lattice)
     assert sorted(map(sorted, gmin.members)) == [[1], [2], [3], [4]]
     gmax = max_building(lattice)
@@ -86,7 +86,7 @@ def test_buildings_between_min_and_max(dela3_lattice, braid_k4_lattice):
         # monotone refinement along inclusions of building sets, with a
         # common support
         matroid = lattice.matroid
-        fans = [nested_fan(matroid, building_set(lattice, v)) for v in valid]
+        fans = [nested_fan(building_set(lattice, v)) for v in valid]
         for a, fa in zip(valid, fans):
             for b, fb in zip(valid, fans):
                 if a <= b:
@@ -112,7 +112,7 @@ def test_antichain_with_building_join_not_nested(dela3_lattice):
 
 def test_boolean_gmax_maximal_nested_count():
     for n in (3, 4):
-        lattice = flats(uniform(n, n))
+        lattice = FlatLattice(uniform(n, n))
         gmax = max_building(lattice)
         assert len(maximal_nested_sets(gmax)) == \
             __import__("math").factorial(n)
@@ -142,7 +142,8 @@ def test_nested_complex_cone_over_reduced(dela3, dela3_lattice,
                                           braid_k4_lattice):
     # the full flat of a connected matroid lies in every maximal nested set
     lattices = [dela3_lattice, braid_k4_lattice]
-    lattices += [flats(uniform(d, n)) for d, n in [(1, 1), (2, 4), (3, 5)]]
+    lattices += [FlatLattice(uniform(d, n))
+                 for d, n in [(1, 1), (2, 4), (3, 5)]]
     for lattice in lattices:
         top = lattice.matroid.ground
         for building in (min_building(lattice), max_building(lattice)):
@@ -155,8 +156,8 @@ def test_nested_complex_cone_over_reduced(dela3, dela3_lattice,
 
 def test_uniform_nested_fan_coordinate_cones():
     for d, n in [(2, 4), (3, 5), (2, 5)]:
-        lattice = flats(uniform(d, n))
-        fan = nested_fan(uniform(d, n), min_building(lattice))
+        lattice = FlatLattice(uniform(d, n))
+        fan = nested_fan(min_building(lattice))
         assert len(fan.cones) == len(list(combinations(range(n), d - 1)))
         for cone in fan.cones:
             assert len(cone.rays) == d - 1
@@ -164,8 +165,8 @@ def test_uniform_nested_fan_coordinate_cones():
 
 
 def test_u23_nested_fan_is_projective_plane_fan():
-    lattice = flats(uniform(2, 3))
-    fan = nested_fan(uniform(2, 3), min_building(lattice))
+    lattice = FlatLattice(uniform(2, 3))
+    fan = nested_fan(min_building(lattice))
     assert sorted(fan.rays()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert len(fan.cones) == 3
 
@@ -174,7 +175,7 @@ def test_nested_fan_unimodular(dela3, braid_k4):
     for entry in (dela3, braid_k4):
         lattice = FlatLattice(entry.matroid)
         for building in (min_building(lattice), max_building(lattice)):
-            fan = nested_fan(entry.matroid, building)
+            fan = nested_fan(building)
             for cone in fan.cones:
                 assert cone_unimodular(cone, entry.matroid.n)
                 factors = smith_normal_form(
@@ -182,9 +183,9 @@ def test_nested_fan_unimodular(dela3, braid_k4):
                 assert all(f == 1 for f in factors)
 
 
-def test_dela3_nested_fan_has_extra_ray(dela3, dela3_lattice):
-    fan = nested_fan(dela3.matroid, min_building(dela3_lattice))
-    bfan = bergman_fan(dela3.matroid, dela3_lattice)
+def test_dela3_nested_fan_has_extra_ray(dela3_lattice):
+    fan = nested_fan(min_building(dela3_lattice))
+    bfan = bergman_fan(dela3_lattice)
     extra = set(fan.rays()) - set(bfan.rays())
     assert extra == {(1, 0, 0, 0, 0)}
     assert len(fan.rays()) == len(bfan.rays()) + 1
@@ -193,53 +194,53 @@ def test_dela3_nested_fan_has_extra_ray(dela3, dela3_lattice):
 # -- refinement and comparison ------------------------------------------------------
 
 
-def test_gmax_refines_gmin(dela3, dela3_lattice):
+def test_gmax_refines_gmin(dela3_lattice):
     gmin = min_building(dela3_lattice)
     gmax = max_building(dela3_lattice)
-    fan_min = nested_fan(dela3.matroid, gmin)
-    fan_max = nested_fan(dela3.matroid, gmax)
+    fan_min = nested_fan(gmin)
+    fan_max = nested_fan(gmax)
     assert refines(fan_max, fan_min)
     assert not refines(fan_min, fan_max)
 
 
-def test_gmin_refines_bergman(dela3, dela3_lattice):
-    fan = nested_fan(dela3.matroid, min_building(dela3_lattice))
-    bfan = bergman_fan(dela3.matroid, dela3_lattice)
+def test_gmin_refines_bergman(dela3_lattice):
+    fan = nested_fan(min_building(dela3_lattice))
+    bfan = bergman_fan(dela3_lattice)
     assert refines(fan, bfan)
     assert not refines(bfan, fan)
     assert supports_equal_on_generators(fan, bfan)
 
 
-def test_u24_fans_equal(u24, u24_lattice):
-    fan = nested_fan(u24.matroid, min_building(u24_lattice))
-    bfan = bergman_fan(u24.matroid, u24_lattice)
+def test_u24_fans_equal(u24_lattice):
+    fan = nested_fan(min_building(u24_lattice))
+    bfan = bergman_fan(u24_lattice)
     cmp = compare_fans(fan, bfan)
     assert cmp.equal and cmp.refines_ab and cmp.refines_ba
     assert cmp.witness is None
 
 
-def test_condition_braid_k4(braid_k4, braid_k4_lattice):
-    report = fans_equal_condition(braid_k4.matroid, braid_k4_lattice)
+def test_condition_braid_k4(braid_k4_lattice):
+    report = fans_equal_condition(braid_k4_lattice)
     assert report.holds
-    fan = nested_fan(braid_k4.matroid, min_building(braid_k4_lattice))
-    bfan = bergman_fan(braid_k4.matroid, braid_k4_lattice)
+    fan = nested_fan(min_building(braid_k4_lattice))
+    bfan = bergman_fan(braid_k4_lattice)
     cmp = compare_fans(fan, bfan)
     assert cmp.equal
 
 
-def test_condition_dela3_witness(dela3, dela3_lattice):
-    report = fans_equal_condition(dela3.matroid, dela3_lattice)
+def test_condition_dela3_witness(dela3_lattice):
+    report = fans_equal_condition(dela3_lattice)
     assert not report.holds
     assert report.witness == (_f(1), _f(1, 2, 3, 4, 5))
 
 
 def test_condition_uniform():
     for d, n in [(1, 3), (2, 4), (3, 5), (2, 5)]:
-        assert fans_equal_condition(uniform(d, n)).holds
+        assert fans_equal_condition(FlatLattice(uniform(d, n))).holds
 
 
 def test_supports_match_bergman_on_grid(u24, u24_lattice):
-    fan = nested_fan(u24.matroid, min_building(u24_lattice))
+    fan = nested_fan(min_building(u24_lattice))
     for w in product((-2, -1, 0, 1, 2), repeat=4):
         inside = bergman_membership(u24.matroid, w)
         assert fan.contains(w) == inside
@@ -249,7 +250,7 @@ def test_supports_match_bergman_on_grid(u24, u24_lattice):
 
 
 def test_blocks_boolean_chain():
-    lattice = flats(uniform(3, 3))
+    lattice = FlatLattice(uniform(3, 3))
     gmax = max_building(lattice)
     blocks = blocks_partition(
         gmax, [_f(1), _f(1, 2), _f(1, 2, 3)],
@@ -421,17 +422,17 @@ def test_chains_to_nested_round_trip_all_maximal(dela3_lattice,
 
 
 def test_dcp_polytope_boolean_c2():
-    lattice = flats(uniform(2, 2))
+    lattice = FlatLattice(uniform(2, 2))
     gmax = max_building(lattice)
-    p = dcp_weight_polytope(uniform(2, 2), gmax)
+    p = dcp_weight_polytope(gmax)
     assert p.dim == 1
     assert len(p.vertices) == 2
 
 
 def test_dcp_polytope_u23_translated_simplex():
-    lattice = flats(uniform(2, 3))
+    lattice = FlatLattice(uniform(2, 3))
     gmin = min_building(lattice)
-    p = dcp_weight_polytope(uniform(2, 3), gmin)
+    p = dcp_weight_polytope(gmin)
     assert p.dim == 2
     assert len(p.vertices) == 3
 
@@ -458,29 +459,28 @@ def test_dcp_polytope_matches_the_minkowski_chain_on_every_building_set(
         name):
     matroid = _SMALL_MATROIDS[name]
     for building in _all_building_sets(matroid):
-        assert dcp_weight_polytope(matroid, building) == \
-            minkowski_oracle.dcp_weight_polytope(matroid, building), \
+        assert dcp_weight_polytope(building) == \
+            minkowski_oracle.dcp_weight_polytope(building), \
             sorted(map(sorted, building.members))
 
 
 @pytest.mark.parametrize("which", [min_building, max_building])
-def test_dcp_polytope_matches_the_minkowski_chain_on_u24(which, u24,
-                                                          u24_lattice):
+def test_dcp_polytope_matches_the_minkowski_chain_on_u24(which, u24_lattice):
     building = which(u24_lattice)
-    assert dcp_weight_polytope(u24.matroid, building) == \
-        minkowski_oracle.dcp_weight_polytope(u24.matroid, building)
+    assert dcp_weight_polytope(building) == \
+        minkowski_oracle.dcp_weight_polytope(building)
 
 
-def test_dcp_refinement_dela3(dela3, dela3_lattice):
+def test_dcp_refinement_dela3(dela3_lattice):
     gmin = min_building(dela3_lattice)
-    p = dcp_weight_polytope(dela3.matroid, gmin)
+    p = dcp_weight_polytope(gmin)
     assert p.dim == 4
-    assert dcp_normal_refinement_check(dela3.matroid, gmin)
+    assert dcp_normal_refinement_check(nested_fan(gmin))
 
 
-def test_dcp_refinement_braid(braid_k4, braid_k4_lattice):
+def test_dcp_refinement_braid(braid_k4_lattice):
     gmin = min_building(braid_k4_lattice)
-    assert dcp_normal_refinement_check(braid_k4.matroid, gmin)
+    assert dcp_normal_refinement_check(nested_fan(gmin))
 
 
 # -- properties the helpers rely on -------------------------------------------------
@@ -489,7 +489,7 @@ def test_dcp_refinement_braid(braid_k4, braid_k4_lattice):
 def test_nested_complex_refuses_a_single_loop():
     loop, _ = from_matrix([[0]])
     with pytest.raises(LoopsPresent):
-        nested_complex(max_building(flats(loop)))
+        nested_complex(max_building(FlatLattice(loop)))
 
 
 def test_blocks_partition_every_nested_set(dela3_lattice, braid_k4_lattice):
@@ -610,7 +610,7 @@ def test_maximal_nested_sets_match_the_oracle(name):
 def test_nested_chain_helpers_refuses_crossing_supports():
     # with a loop, two incomparable nested flats share it, so S_3 branches
     m, _ = from_matrix([[1, 0, 0], [0, 1, 0]])
-    lattice = flats(m)
+    lattice = FlatLattice(m)
     building = building_set(lattice, [_f(1, 3), _f(2, 3)])
     with pytest.raises(NotAChain):
         nested_chain_helpers(building, [_f(1, 3), _f(2, 3)])
@@ -619,7 +619,7 @@ def test_nested_chain_helpers_refuses_crossing_supports():
 def test_chain_to_nested_refuses_a_building_set_that_misses_the_chain():
     # an unvalidated member set that is empty generates no chain
     m, _ = from_matrix([[1, 0, 1, 0], [0, 1, 1, 0]])
-    building = BuildingSet(lattice=flats(m), members=frozenset())
+    building = BuildingSet(lattice=FlatLattice(m), members=frozenset())
     with pytest.raises(InvalidBuildingSet):
         chain_to_nested(building, [_f(1, 4), _f(1, 2, 3, 4)])
 
@@ -635,7 +635,7 @@ _LOOP = from_matrix([[0]])[0]
 def test_min_building_with_loops_is_a_building_set(matroid):
     # irreducibility is judged without the loops, so the members are the
     # irreducible flats of the loop-free part, each with the loops added
-    lattice = flats(matroid)
+    lattice = FlatLattice(matroid)
     building = min_building(lattice)
     assert is_building_set(lattice, building.members)
     loops = frozenset(matroid.loops())
@@ -643,7 +643,7 @@ def test_min_building_with_loops_is_a_building_set(matroid):
     relabel = dict(enumerate(sorted(matroid.ground - loops), start=1))
     assert building.members == {
         frozenset(relabel[e] for e in f) | loops
-        for f in min_building(flats(loop_free)).members}
+        for f in min_building(FlatLattice(loop_free)).members}
     top = from_mask(lattice.top)
     for chain in lattice.maximal_chains(lattice.bottom, lattice.top):
         nested, _ = chain_to_nested(
@@ -680,8 +680,8 @@ def test_fans_equal_condition_matches_the_comparison(name):
     # nested fan equals the coarse Bergman fan
     m = _CONDITION_INPUTS[name]()
     lattice = FlatLattice(m)
-    report = fans_equal_condition(m, lattice)
-    comparison = compare_fans(nested_fan(m, min_building(lattice)),
-                              bergman_fan(m, lattice))
+    report = fans_equal_condition(lattice)
+    comparison = compare_fans(nested_fan(min_building(lattice)),
+                              bergman_fan(lattice))
     assert report.holds == comparison.equal
     assert (report.witness is None) == report.holds

@@ -14,8 +14,9 @@ from mfk.errors import (DimensionMismatch, Disconnected, LoopsPresent,
 from mfk.geometry import convex_hull, face_lattice
 from mfk.jsonio import polytope_to_json
 from mfk.matroid import direct_sum, from_bases, from_matrix, uniform
-from mfk.polytope import (constancy_chain, degeneration, dual_reflection_check,
-                          face_matroid, facets, indicator_vertex, polytope)
+from mfk.polytope import (constancy_chain, degeneration, face_matroid, facets,
+                          indicator_vertex, polytope)
+from theorem_checks import dual_reflection_check
 
 
 def test_polytope_u24_octahedron(u24):
@@ -146,8 +147,8 @@ def test_degeneration_codimension_when_tight(dela3):
         assert hull.dim - dim_face == k - 1
 
 
-def test_facets_dela3_classification(dela3, dela3_lattice):
-    got = facets(dela3.matroid, dela3_lattice)
+def test_facets_dela3_classification(dela3):
+    got = facets(dela3.matroid)
     interior = sorted(sorted(f.flat) for f in got if f.kind == "interior")
     assert interior == [[1, 2, 4], [1, 3, 5], [2], [3], [4], [5]]
     boundary = [f for f in got if f.kind == "boundary"]

@@ -22,6 +22,7 @@ from mfk import bergman, cli
 from mfk.bergman import bergman_fan, bergman_membership
 from mfk.bitset import from_mask
 from mfk.corpus import corpus
+from mfk.lattice import FlatLattice
 from mfk.matroid import Matroid, direct_sum, from_matrix, uniform
 from mfk.polytope import constancy_chain
 
@@ -122,7 +123,7 @@ _FANS = {
 @pytest.mark.parametrize("name", list(_FANS))
 def test_any_coarse_contains_is_the_union_of_the_cones(name):
     m = _FANS[name]()
-    fan = bergman_fan(m)
+    fan = bergman_fan(FlatLattice(m))
     weights = list(product(range(-1, 2), repeat=m.n))
     weights += [[Fraction(k, 2) for k in w] for w in weights[::7]]
     for w in weights:
