@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from numbers import Integral, Real
+from typing import NamedTuple
 
 from .bitset import from_mask, full_mask, iter_bits, to_mask
 from .errors import LoopsPresent, ParameterOutOfRange, SingularSample
@@ -43,7 +43,6 @@ def bergman_membership(matroid: Matroid, w) -> bool:
                for m in sublevel_masks(negated))
 
 
-@dataclass(frozen=True)
 class BergmanFan(Fan):
     """Fine flag cones grouped into the coarse Bergman fan.
 
@@ -53,10 +52,15 @@ class BergmanFan(Fan):
     generators of the union, the coarse cone of the group.
     """
 
-    matroid: Matroid
-    fine_chains: tuple[tuple[frozenset[int], ...], ...]
-    groups: tuple[tuple[int, ...], ...]
-    group_bases: tuple[tuple[frozenset[int], ...], ...]
+    def __init__(self, n: int, cones: tuple[Cone, ...], matroid: Matroid,
+                 fine_chains: tuple[tuple[frozenset[int], ...], ...],
+                 groups: tuple[tuple[int, ...], ...],
+                 group_bases: tuple[tuple[frozenset[int], ...], ...]):
+        super().__init__(n, cones)
+        self.matroid = matroid
+        self.fine_chains = fine_chains
+        self.groups = groups
+        self.group_bases = group_bases
 
     def contains(self, w) -> bool:
         return bergman_membership(self.matroid, w)
@@ -168,8 +172,7 @@ def initial_subspace(realization: LinearRealization, u) -> LinearRealization:
 # -- amoeba sampling --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmoebaSample:
+class AmoebaSample(NamedTuple):
     """Coordinatewise log-magnitude images of complement points, centered."""
 
     base: float

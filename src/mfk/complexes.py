@@ -3,14 +3,13 @@ API and the test oracle of the lattice Betti numbers (see order_complex)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import rank as matrix_rank
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Vertices plus maximal faces; faces are closed under subsets."""
 
     vertices: tuple

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import UnknownName
 from .matroid import (LinearRealization, Matroid, from_matrix,
                       incidence_matrix, uniform)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     description: str
     matroid: Matroid

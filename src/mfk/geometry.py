@@ -8,9 +8,9 @@ of the matroid polytope and of every fan's own cone rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import (_integer, content, frac, lp_feasible, nullspace,
                      primitive_integer, rref, smith_normal_form)
@@ -51,8 +51,7 @@ def _flat_vector(n: int, flat) -> tuple[int, ...]:
 # -- cones and fans ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Rational cone in the quotient, given by primitive ray generators."""
 
     rays: tuple[tuple[int, ...], ...]
@@ -90,7 +89,6 @@ def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
     return tuple(keep)
 
 
-@dataclass(frozen=True)
 class Fan:
     """A fan given by its maximal cones; face closure is left implicit.
 
@@ -98,8 +96,9 @@ class Fan:
     ``cone_contains(i, w)`` and ``contains(w)``; every fan comparison asks it.
     """
 
-    n: int
-    cones: tuple[Cone, ...]
+    def __init__(self, n: int, cones: tuple[Cone, ...]):
+        self.n = n
+        self.cones = cones
 
     def rays(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({r for c in self.cones for r in c.rays}))
@@ -117,8 +116,7 @@ def cone_unimodular(cone: Cone, n: int) -> bool:
 # -- rational polytopes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(NamedTuple):
     """V- and H-description of a polytope over exact rationals.
 
     Facet inequalities are (normal, offset) pairs with integer primitive
@@ -203,8 +201,7 @@ def convex_hull(points) -> RationalPolytope:
                             dim=m)
 
 
-@dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(NamedTuple):
     """Nonempty faces as vertex-index sets, graded by dimension.
 
     The polytope itself is included, so the alternating sum of the f-vector

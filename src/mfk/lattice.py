@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitset import blocks, from_mask, full_mask, to_mask
 from .complexes import SimplicialComplex
@@ -130,8 +130,7 @@ class FlatLattice:
         return self._moebius[flat]
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
+class MoebiusTable(NamedTuple):
     """The unsigned top invariant (-1)^r mu(0, E) of the lattice."""
 
     mu_top: int

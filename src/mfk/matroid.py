@@ -9,10 +9,10 @@ across threads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitset import (blocks, from_mask, full_mask, iter_bits, popcount,
                      to_mask)
@@ -238,15 +238,13 @@ def _single_bits(mask: int):
         mask &= ~low
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     """Finest decomposition of the ground set into direct summands."""
 
     blocks: tuple[frozenset[int], ...]
     kappa: int
 
 
-@dataclass(frozen=True)
 class LinearRealization:
     """A full-row-rank rational matrix whose column matroid is attached.
 
@@ -255,11 +253,26 @@ class LinearRealization:
     Plücker coordinates of the row space up to one positive factor, which
     keeps their signs and ratios.  The bases are exactly the d-subsets of
     columns with a nonzero minor.  ``from_matrix`` fills it while finding
-    the bases; otherwise it is computed on first use.
+    the bases; otherwise it is computed on first use.  Realizations are
+    equal when their matrices and matroids are.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    matroid: Matroid
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...],
+                 matroid: Matroid):
+        self.matrix = matrix
+        self.matroid = matroid
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matrix, self.matroid) == (other.matrix, other.matroid)
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.matroid))
+
+    def __repr__(self) -> str:
+        return (f"LinearRealization(matrix={self.matrix!r}, "
+                f"matroid={self.matroid!r})")
 
     @property
     def nrows(self) -> int:
@@ -326,9 +339,7 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     matroid = Matroid(ncols, minors.keys(), _validated=True)
     realization = LinearRealization(
         matrix=tuple(tuple(row) for row in mat), matroid=matroid)
-    # the frozen dataclass refuses attribute assignment; this fills the
-    # cache that ``plucker`` would otherwise compute again
-    object.__setattr__(realization, "plucker", minors)
+    realization.plucker = minors  # fills the cache of ``plucker``
     return matroid, realization
 
 
@@ -366,6 +377,7 @@ def uniform(d: int, n: int) -> Matroid:
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     """Direct sum, with the second ground set shifted past the first."""
     shift = m1.n
-    masks = [b1 | (b2 << shift) for b1 in m1.base_masks
-             for b2 in m2.base_masks]
+    # a generator, so that the ground-set cap is checked before any pair
+    masks = (b1 | (b2 << shift) for b1 in m1.base_masks
+             for b2 in m2.base_masks)
     return Matroid(m1.n + m2.n, masks, _validated=True)

@@ -8,14 +8,15 @@ reduce to that membership for ray generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .bitset import from_mask, popcount, to_mask
 from .complexes import SimplicialComplex
 from .errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
-                     NotAChain, NotFlats, NotLinearExtension, NotNested)
+                     NotAChain, NotFlats, NotLinearExtension, NotNested,
+                     ParameterOutOfRange)
 from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
 from .linalg import frac, solve
@@ -24,12 +25,13 @@ from .linalg import frac, solve
 # -- building sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class BuildingSet:
     """A flat collection inducing product decompositions of lower intervals."""
 
-    lattice: FlatLattice
-    members: frozenset[frozenset[int]]
+    def __init__(self, lattice: FlatLattice,
+                 members: frozenset[frozenset[int]]):
+        self.lattice = lattice
+        self.members = members
 
     def member_masks(self) -> list[int]:
         return sorted(to_mask(m) for m in self.members)
@@ -71,12 +73,20 @@ def is_building_set(lattice: FlatLattice, members) -> bool:
 
 
 def building_set(lattice: FlatLattice, members) -> BuildingSet:
+    """The validated building set; an element outside [n] is out of range,
+    and a member that is not a flat is named as such."""
+    members = [frozenset(m) for m in members]
+    n = lattice.matroid.n
+    for m in members:
+        if any(not 1 <= e <= n for e in m):
+            raise ParameterOutOfRange(f"member {sorted(m)} not inside [{n}]")
     witness = building_set_counterexample(lattice, members)
-    if witness is not None:
-        raise InvalidBuildingSet(
-            f"interval product fails at flat {sorted(witness)}")
-    return BuildingSet(lattice=lattice,
-                       members=frozenset(frozenset(m) for m in members))
+    if witness is None:
+        return BuildingSet(lattice=lattice, members=frozenset(members))
+    if not lattice.is_flat_mask(to_mask(witness)):
+        raise InvalidBuildingSet(f"member {sorted(witness)} is not a flat")
+    raise InvalidBuildingSet(
+        f"interval product fails at flat {sorted(witness)}")
 
 
 def min_building(lattice: FlatLattice) -> BuildingSet:
@@ -182,12 +192,14 @@ def nested_complex_reduced(building: BuildingSet) -> SimplicialComplex:
 # -- nested fans ------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class NestedFan(Fan):
     """One simplicial cone per maximal nested set, spanned by flat indicators."""
 
-    building: BuildingSet
-    nested_sets: tuple[frozenset[frozenset[int]], ...]
+    def __init__(self, n: int, cones: tuple[Cone, ...], building: BuildingSet,
+                 nested_sets: tuple[frozenset[frozenset[int]], ...]):
+        super().__init__(n, cones)
+        self.building = building
+        self.nested_sets = nested_sets
 
     @cached_property
     def _free_rays(self) -> frozenset[tuple[int, ...]]:
@@ -288,8 +300,7 @@ def supports_equal_on_generators(fan_a: Fan, fan_b: Fan) -> bool:
             and all(fan_a.contains(r) for r in fan_b.rays()))
 
 
-@dataclass(frozen=True)
-class FanComparison:
+class FanComparison(NamedTuple):
     refines_ab: bool
     refines_ba: bool
     equal: bool
@@ -313,8 +324,7 @@ def compare_fans(fan_a: Fan, fan_b: Fan) -> FanComparison:
                          witness=witness)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     holds: bool
     witness: tuple[frozenset[int], frozenset[int]] | None
 
@@ -379,8 +389,7 @@ def blocks_partition(building: BuildingSet, nested_set,
     return blocks
 
 
-@dataclass(frozen=True)
-class NestedChainData:
+class NestedChainData(NamedTuple):
     """Per-element chains S_i with their minima, plus Lemma-style indices."""
 
     chains: dict

@@ -9,8 +9,8 @@ weight in one documented place (the Bergman module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bitset import blocks, from_mask, full_mask, popcount, to_mask
 from .errors import Disconnected, DimensionMismatch, LoopsPresent, NotAFace
@@ -55,8 +55,7 @@ def polytope(matroid: Matroid) -> RationalPolytope:
                             dim=n - len(components))
 
 
-@dataclass(frozen=True)
-class ConstancyChain:
+class ConstancyChain(NamedTuple):
     """Ascending sublevel sets of a weight vector, ending at the full set."""
 
     sets: tuple[frozenset[int], ...]
@@ -87,8 +86,7 @@ def constancy_chain(u) -> ConstancyChain:
     return ConstancyChain(sets=tuple(from_mask(m) for m in sublevel_masks(u)))
 
 
-@dataclass(frozen=True)
-class Degeneration:
+class Degeneration(NamedTuple):
     """The matroid of the face minimizing a weight vector."""
 
     matroid_u: Matroid
@@ -139,8 +137,7 @@ def degeneration(matroid: Matroid, u) -> Degeneration:
                         loop_free=not matroid_u.loops())
 
 
-@dataclass(frozen=True)
-class FacetDescription:
+class FacetDescription(NamedTuple):
     """One facet of the matroid polytope with its inner normal."""
 
     kind: str  # "interior" or "boundary"

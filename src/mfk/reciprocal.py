@@ -7,9 +7,9 @@ solved; the generators are those of Proudfoot-Speyer (2006).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .bitset import from_mask, iter_bits, popcount, to_mask
 from .errors import LoopsPresent, NotACircuit
@@ -17,8 +17,7 @@ from .linalg import primitive_integer, rank as matrix_rank
 from .matroid import LinearRealization
 
 
-@dataclass(frozen=True)
-class CircuitPolynomial:
+class CircuitPolynomial(NamedTuple):
     """The relation sum_i c_i * prod_{j in C - i} x_j attached to a circuit C.
 
     The coefficient vector is the (unique up to scale) linear dependency of

@@ -146,6 +146,20 @@ def test_nested_invalid_building_errors(tmp_path, capsys):
         assert payload["error"] == "InvalidInput", payload
 
 
+@pytest.mark.parametrize("flats, error, message", [
+    ([[7]], "ParameterOutOfRange", "member [7] not inside [4]"),
+    ([[1, 2]], "InvalidBuildingSet", "member [1, 2] is not a flat"),
+])
+def test_nested_building_file_names_the_bad_member(flats, error, message,
+                                                   tmp_path, capsys):
+    path = tmp_path / "building.json"
+    path.write_text(json.dumps(flats))
+    status = main(["nested", "--corpus", "u24", "--building", str(path)])
+    assert status == 1
+    assert json.loads(capsys.readouterr().out) == {"error": error,
+                                                   "message": message}
+
+
 def test_circuits_subcommand(capsys):
     assert main(["circuits", "--uniform", "2", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -637,8 +651,10 @@ def test_lattice_subcommand(capsys):
 def test_cli_import_leaves_numeric_stacks_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(mfk.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # nor dataclasses, whose import pulls in inspect, ast and dis
     code = ("import sys, mfk.cli; print(sorted(m for m in "
-            "('numpy', 'scipy', 'sympy') if m in sys.modules))")
+            "('numpy', 'scipy', 'sympy', 'dataclasses', 'inspect', 'ast', "
+            "'dis') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -221,6 +222,20 @@ def test_direct_sum_and_components():
     s = direct_sum(u11, u11)
     assert s.components().kappa == 2
     assert sorted(map(sorted, s.bases)) == [[1, 2]]
+
+
+def test_direct_sum_refuses_a_large_ground_set_before_pairing_bases():
+    # 252 x 462 basis pairs on 21 elements: the cap of 20 must refuse the
+    # sum before any pair is built (a list of them peaks near 5 MB)
+    m1, m2 = uniform(5, 10), uniform(5, 11)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterOutOfRange, match="exceeds cap 20"):
+            direct_sum(m1, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_components_u24_connected(u24):

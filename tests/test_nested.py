@@ -13,7 +13,7 @@ from theorem_checks import dcp_normal_refinement_check
 from mfk.bitset import from_mask, to_mask
 from mfk.bergman import bergman_fan, bergman_membership
 from mfk.errors import (InvalidBuildingSet, LoopsPresent, NotAChain,
-                        NotFlats, NotLinearExtension)
+                        NotFlats, NotLinearExtension, ParameterOutOfRange)
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
 from mfk.lattice import FlatLattice
@@ -60,6 +60,29 @@ def test_dropping_a_line_breaks_building(dela3_lattice):
     assert witness == _f(1, 2, 4)
     with pytest.raises(InvalidBuildingSet):
         building_set(dela3_lattice, members)
+
+
+def test_building_set_names_an_element_out_of_range(u24_lattice):
+    # the bases reader's refusal and wording, checked before any flat
+    assert not is_building_set(u24_lattice, [_f(7)])
+    with pytest.raises(ParameterOutOfRange, match=r"member \[7\] not inside "
+                       r"\[4\]"):
+        building_set(u24_lattice, [_f(1), _f(7)])
+    with pytest.raises(ParameterOutOfRange, match=r"member \[0\]"):
+        building_set(u24_lattice, [_f(0)])
+
+
+def test_building_set_names_a_member_that_is_not_a_flat(u24_lattice,
+                                                        dela3_lattice):
+    # {1, 2} spans the plane of U(2,4); {1, 2} of delA3 closes to {1, 2, 4}
+    for lattice in (u24_lattice, dela3_lattice):
+        assert not is_building_set(lattice, [_f(1, 2)])
+        with pytest.raises(InvalidBuildingSet,
+                           match=r"^member \[1, 2\] is not a flat$"):
+            building_set(lattice, [_f(1), _f(1, 2)])
+    # the bottom flat is a flat, so it keeps the interval-product wording
+    with pytest.raises(InvalidBuildingSet, match="fails at flat \\[\\]"):
+        building_set(u24_lattice, [_f()])
 
 
 def test_boolean_min_max_building():

@@ -5,6 +5,10 @@ neither in ``src/mfk`` the optimized and the plain interpreter run the same
 code, so the suite does not need a second run under ``-O``.  A hand-written
 ``raise AssertionError`` is a self-check by another name and is refused too:
 the tests are the verify layer.
+
+No module imports ``dataclasses`` either: its import pulls ``inspect``,
+``ast`` and ``dis`` into every CLI process, and each decorated class runs
+generated code at import.  Records are ``typing.NamedTuple``s.
 """
 
 import ast
@@ -15,13 +19,18 @@ import mfk
 PACKAGE = os.path.dirname(os.path.abspath(mfk.__file__))
 
 
-def test_package_has_no_assert_and_no_debug_flag():
-    found = []
+def _module_trees():
+    """(file name, syntax tree) of every module of the package."""
     sources = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
     assert "cli.py" in sources
     for name in sources:
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=name)
+            yield name, ast.parse(handle.read(), filename=name)
+
+
+def test_package_has_no_assert_and_no_debug_flag():
+    found = []
+    for name, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{name}:{node.lineno}: assert")
@@ -30,4 +39,19 @@ def test_package_has_no_assert_and_no_debug_flag():
             elif isinstance(node, ast.Raise) and "AssertionError" in {
                     n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
                 found.append(f"{name}:{node.lineno}: raise AssertionError")
+    assert found == []
+
+
+def test_package_does_not_import_dataclasses():
+    found = []
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
