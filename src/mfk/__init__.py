@@ -16,13 +16,11 @@ from .bergman import (AmoebaSample, BergmanFan, amoeba_sample, bergman_fan,
                       bergman_membership, initial_subspace, support_deviations)
 from .reciprocal import (CircuitPolynomial, minimal_generator_count,
                          reciprocal_generators)
-from .nested import (BuildingSet, FanComparison, NestedFan, blocks_partition,
-                     building_set, chain_to_nested, compare_fans,
-                     dcp_weight_polytope, fans_equal_condition,
+from .nested import (BuildingSet, FanComparison, NestedFan, building_set,
+                     compare_fans, dcp_weight_polytope, fans_equal_condition,
                      is_building_set, is_nested, max_building,
-                     maximal_nested_sets, min_building, nested_chain_helpers,
-                     nested_complex, nested_complex_reduced, nested_fan,
-                     refines, supports_equal_on_generators)
+                     maximal_nested_sets, min_building, nested_fan, refines,
+                     supports_equal_on_generators)
 from .corpus import CorpusEntry, corpus, corpus_names
 
 __all__ = [name for name in dir() if not name.startswith("_")]

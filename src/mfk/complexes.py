@@ -1,5 +1,7 @@
 """Finite simplicial complexes and their rational reduced homology: library
-API and the test oracle of the lattice Betti numbers (see order_complex)."""
+API and the test oracle of the lattice Betti numbers.  In the package only
+``lattice.order_complex`` builds one; the tests also build the nested set
+complex (``tests/theorem_checks.py``)."""
 
 from __future__ import annotations
 

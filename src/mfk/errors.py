@@ -46,24 +46,8 @@ class DimensionMismatch(MfkError):
     """Operands live in different ambient dimensions."""
 
 
-class NotLinearExtension(MfkError):
-    """Given order is not a linear extension of the nested set."""
-
-
-class NotAChain(MfkError):
-    """Input sets do not form a strictly increasing chain."""
-
-
 class NotFlats(MfkError):
     """Input sets are not all flats of the matroid."""
-
-
-class NoMinimalSupport(MfkError):
-    """No element of a flat has a support family inside every other's."""
-
-
-class NotNested(MfkError):
-    """Given flat collection is not a nested set of the building set."""
 
 
 class NotACircuit(MfkError):

@@ -48,12 +48,6 @@ def matroid_from_json(data: dict) -> Matroid:
                       [{_integer(e) for e in b} for b in data["bases"]])
 
 
-def matrix_to_json(realization: LinearRealization) -> dict:
-    return {"rows": realization.nrows, "cols": realization.ncols,
-            "entries": [[_rational_str(x) for x in row]
-                        for row in realization.matrix]}
-
-
 def matrix_from_json(data: dict) -> tuple[Matroid, LinearRealization]:
     entries = data["entries"]
     rows, cols = _integer(data["rows"], 0), _integer(data["cols"], 0)
@@ -85,25 +79,14 @@ def lattice_to_json(lattice: FlatLattice) -> dict:
 # -- polytopes ---------------------------------------------------------------------
 
 
-def polytope_to_json(polytope: RationalPolytope,
-                     faces: FaceLattice | None = None) -> dict:
-    data = {
+def polytope_to_json(polytope: RationalPolytope, faces: FaceLattice) -> dict:
+    return {
         "dim": polytope.dim,
         "vertices": [[_rational_str(x) for x in v] for v in polytope.vertices],
         "facets": [{"normal": list(normal), "offset": _rational_str(offset)}
                    for normal, offset in polytope.facets],
+        "f_vector": list(faces.f_vector),
     }
-    if faces is not None:
-        data["f_vector"] = list(faces.f_vector)
-    return data
-
-
-def polytope_from_json(data: dict) -> RationalPolytope:
-    vertices = tuple(tuple(frac(x) for x in v) for v in data["vertices"])
-    facets = tuple((tuple(int(c) for c in f["normal"]), frac(f["offset"]))
-                   for f in data["facets"])
-    return RationalPolytope(vertices=vertices, facets=facets,
-                            dim=int(data["dim"]))
 
 
 def facets_to_json(descriptions: list[FacetDescription]) -> dict:

@@ -1,4 +1,5 @@
-"""The lattice of flats in one pass: covers, Moebius values, complexes."""
+"""The lattice of flats in one pass: covers, Moebius values, and the order
+complex of an interval."""
 
 from __future__ import annotations
 
@@ -75,6 +76,12 @@ class FlatLattice:
     def is_flat_mask(self, mask: int) -> bool:
         return mask in self._rank_of
 
+    def flat_mask(self, elements) -> int | None:
+        """The mask of the given elements if they are a flat, else None."""
+        elements = frozenset(elements)
+        mask = to_mask(elements) if elements <= self.matroid.ground else None
+        return mask if mask in self._rank_of else None
+
     def rank_in_lattice(self, mask: int) -> int:
         return self._rank_of[mask]
 
@@ -84,9 +91,6 @@ class FlatLattice:
         if join is None:
             join = self._joins[union] = self.matroid.closure_mask(union)
         return join
-
-    def meet_mask(self, x: int, y: int) -> int:
-        return x & y
 
     def interval_masks(self, lower: int, upper: int) -> list[int]:
         """Flats Z with lower <= Z <= upper, in rank order."""
@@ -120,9 +124,6 @@ class FlatLattice:
         """
         cocircuits = (upper & ~h for h in self._lower_covers[upper])
         return len(blocks(upper & ~lower, cocircuits)) == 1
-
-    def flats(self) -> list[list[frozenset[int]]]:
-        return [[from_mask(f) for f in level] for level in self.by_rank]
 
     # -- Moebius ------------------------------------------------------------
 
@@ -160,8 +161,8 @@ def order_complex(lattice: FlatLattice, lower, upper) -> SimplicialComplex:
     and, with ``reduced_homology_ranks``, the test oracle of the Betti
     numbers that the ``lattice`` subcommand reads off the Moebius function.
     """
-    lo, hi = to_mask(lower), to_mask(upper)
-    if not (lattice.is_flat_mask(lo) and lattice.is_flat_mask(hi)):
+    lo, hi = lattice.flat_mask(lower), lattice.flat_mask(upper)
+    if lo is None or hi is None:
         raise EmptyInterval("interval ends must be flats")
     if lo == hi or lo & ~hi:
         raise EmptyInterval("lower must be strictly below upper")
@@ -184,10 +185,10 @@ def interval_product_check(lattice: FlatLattice, flat, factors) -> bool:
     without the loops, partition X without the loops, and their ranks add
     up to the rank of X.  Defined for flats only.
     """
-    x = to_mask(flat)
-    factor_masks = [to_mask(f) for f in factors]
-    if not all(map(lattice.is_flat_mask, [x, *factor_masks])):
+    masks = [lattice.flat_mask(f) for f in (flat, *factors)]
+    if None in masks:
         raise NotFlats("the interval and its factors must be flats")
+    x, *factor_masks = masks
     loops = lattice.bottom
     union = 0
     for g in factor_masks:

@@ -259,10 +259,6 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
         rest = [row[1:] for row in rest[1:]]
 
 
-def matvec(matrix, vec):
-    return [sum(a * x for a, x in zip(row, vec)) for row in matrix]
-
-
 def content(ints) -> int:
     g = 0
     for x in ints:

@@ -1,4 +1,4 @@
-"""Building sets, nested-set complexes and fans, and fan comparisons.
+"""Building sets, nested sets and their fans, and fan comparisons.
 
 Flats are frozensets of 1-based elements; a nested set is a frozenset of
 flats validated against its building set.  Every fan is a ``geometry.Fan``
@@ -13,10 +13,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .bitset import from_mask, popcount, to_mask
-from .complexes import SimplicialComplex
-from .errors import (InvalidBuildingSet, LoopsPresent, NoMinimalSupport,
-                     NotAChain, NotFlats, NotLinearExtension, NotNested,
-                     ParameterOutOfRange)
+from .errors import InvalidBuildingSet, ParameterOutOfRange
 from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
 from .linalg import frac, solve
@@ -43,7 +40,13 @@ class BuildingSet:
 
 
 def building_set_counterexample(lattice: FlatLattice, members):
-    """A flat where the interval product property fails, or None."""
+    """A member outside the ground set or not a flat, or a flat where the
+    interval product property fails, or None."""
+    members = [frozenset(m) for m in members]
+    ground = lattice.matroid.ground
+    outside = next((m for m in members if not m <= ground), None)
+    if outside is not None:
+        return outside
     member_masks = {to_mask(m) for m in members}
     bottom = lattice.bottom
     if bottom in member_masks:
@@ -76,13 +79,12 @@ def building_set(lattice: FlatLattice, members) -> BuildingSet:
     """The validated building set; an element outside [n] is out of range,
     and a member that is not a flat is named as such."""
     members = [frozenset(m) for m in members]
-    n = lattice.matroid.n
-    for m in members:
-        if any(not 1 <= e <= n for e in m):
-            raise ParameterOutOfRange(f"member {sorted(m)} not inside [{n}]")
     witness = building_set_counterexample(lattice, members)
     if witness is None:
         return BuildingSet(lattice=lattice, members=frozenset(members))
+    if not witness <= lattice.matroid.ground:
+        raise ParameterOutOfRange(
+            f"member {sorted(witness)} not inside [{lattice.matroid.n}]")
     if not lattice.is_flat_mask(to_mask(witness)):
         raise InvalidBuildingSet(f"member {sorted(witness)} is not a flat")
     raise InvalidBuildingSet(
@@ -133,7 +135,7 @@ def _extends(lattice: FlatLattice, member_masks, chosen, new: int) -> bool:
 def is_nested(building: BuildingSet, subset) -> bool:
     """Antichains of size at least two must join outside the building set."""
     member_masks = set(building.member_masks())
-    masks = [to_mask(s) for s in subset]
+    masks = [building.lattice.flat_mask(s) for s in subset]
     return (all(m in member_masks for m in masks)
             and all(_extends(building.lattice, member_masks, masks[:k], m)
                     for k, m in enumerate(masks)))
@@ -164,29 +166,6 @@ def maximal_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]
     (Feichtner-Kozlov 2004), so these are exactly the maximal ones."""
     rank = len(building.lattice.by_rank) - 1
     return [s for s in all_nested_sets(building) if len(s) == rank]
-
-
-def nested_complex(building: BuildingSet) -> SimplicialComplex:
-    """The simplicial complex of nested sets on the building set.
-
-    A single loop is refused: its full flat is the bottom flat, so it is
-    the one connected matroid whose full flat lies in no nested set.
-    """
-    matroid = building.lattice.matroid
-    if matroid.n == 1 and matroid.rank_d == 0:
-        raise LoopsPresent("the full flat of a single loop is its bottom "
-                           "flat and lies in no nested set")
-    facets = maximal_nested_sets(building)
-    vertices = tuple(building.sorted_members())
-    return SimplicialComplex.from_faces(vertices, facets)
-
-
-def nested_complex_reduced(building: BuildingSet) -> SimplicialComplex:
-    """Nested sets not containing the full flat."""
-    top = building.lattice.matroid.ground
-    facets = [s - {top} for s in maximal_nested_sets(building)]
-    vertices = tuple(m for m in building.sorted_members() if m != top)
-    return SimplicialComplex.from_faces(vertices, facets)
 
 
 # -- nested fans ------------------------------------------------------------------
@@ -347,126 +326,6 @@ def fans_equal_condition(lattice: FlatLattice) -> ConditionReport:
                 return ConditionReport(holds=False,
                                        witness=(from_mask(xmask), y))
     return ConditionReport(holds=True, witness=None)
-
-
-# -- nested set structure ------------------------------------------------------------
-
-
-def _validate_nested_input(building: BuildingSet, subset) -> None:
-    if not is_nested(building, subset):
-        raise NotNested(f"{sorted(map(sorted, subset))} is not a nested set "
-                        "of the building set")
-
-
-def blocks_partition(building: BuildingSet, nested_set,
-                     extension=None) -> list[frozenset[int]]:
-    """Difference blocks of successive joins along a linear extension.
-
-    The blocks do not depend on the chosen extension as a set family.
-    """
-    lattice = building.lattice
-    _validate_nested_input(building, nested_set)
-    members = list(nested_set)
-    if extension is None:
-        extension = sorted(members,
-                           key=lambda f: (lattice.rank_in_lattice(to_mask(f)),
-                                          sorted(f)))
-    ext = [frozenset(x) for x in extension]
-    if sorted(map(sorted, ext)) != sorted(map(sorted, members)):
-        raise NotLinearExtension("extension must list the nested set exactly")
-    masks = [to_mask(x) for x in ext]
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if b != a and b & ~a == 0:
-                raise NotLinearExtension(
-                    f"{sorted(from_mask(b))} listed after a superset")
-    blocks = []
-    join = 0
-    for m in masks:
-        new_join = lattice.join_mask(join, m)
-        blocks.append(from_mask(new_join & ~join))
-        join = new_join
-    return blocks
-
-
-class NestedChainData(NamedTuple):
-    """Per-element chains S_i with their minima, plus Lemma-style indices."""
-
-    chains: dict
-    minima: dict
-    min_support_index: dict
-
-
-def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
-    """The sets S_i = {X in S : i in X} as chains, and minimal-support data.
-
-    ``min_support_index`` maps each building member G to the least element
-    i of G whose family S_i lies in every S_j, j in G.
-    """
-    lattice = building.lattice
-    _validate_nested_input(building, nested_set)
-    n = lattice.matroid.n
-    support: dict[int, list[frozenset[int]]] = {}
-    for i in range(1, n + 1):
-        si = [x for x in nested_set if i in x]
-        si.sort(key=len)
-        for a, b in zip(si, si[1:]):
-            if not a < b:
-                raise NotAChain(f"S_{i} is not a chain: {sorted(a)} and "
-                                f"{sorted(b)} both contain {i}")
-        if si:
-            support[i] = si
-    minima = {i: si[0] for i, si in support.items()}
-    # the minimal support family is unique inside every building member;
-    # other flats may have several
-    members = set(building.member_masks())
-    min_index: dict[frozenset[int], int] = {}
-    for fmask in lattice.flat_masks:
-        if not fmask or fmask not in members:
-            continue
-        flat = from_mask(fmask)
-        families = {i: frozenset(support.get(i, [])) for i in flat}
-        i0 = min(flat, key=lambda i: (len(families[i]), i))
-        if not all(families[i0] <= families[i] for i in flat):
-            raise NoMinimalSupport(
-                f"no unique minimal support family inside {sorted(flat)}")
-        min_index[flat] = i0
-    return NestedChainData(chains=support, minima=minima,
-                           min_support_index=min_index)
-
-
-def chain_to_nested(building: BuildingSet, chain):
-    """Canonical nested set and extension whose prefix joins give the chain.
-
-    Each chain element contributes all maximal building elements below it.
-    """
-    lattice = building.lattice
-    masks = [to_mask(c) for c in chain]
-    if not masks or masks[-1] != lattice.top:
-        raise NotAChain("chain must end at the full ground set")
-    for a, b in zip(masks, masks[1:]):
-        if not (a != b and a & ~b == 0):
-            raise NotAChain("chain must be strictly increasing")
-    if not all(map(lattice.is_flat_mask, masks)):
-        raise NotFlats("chain entries must be flats")
-    member_masks = set(building.member_masks())
-    extension: list[int] = []
-    for fmask in masks:
-        maximal = sorted(_maximal_members_below(member_masks, fmask),
-                         key=lambda m: (popcount(m), sorted(from_mask(m))))
-        for g in maximal:
-            if g not in extension:
-                extension.append(g)
-    join = 0
-    prefix_joins = set()
-    for g in extension:
-        join = lattice.join_mask(join, g)
-        prefix_joins.add(join)
-    if not prefix_joins.issuperset(masks):
-        raise InvalidBuildingSet("the prefix joins of the building members "
-                                 "below the chain miss one of its flats")
-    return (frozenset(from_mask(g) for g in extension),
-            tuple(from_mask(g) for g in extension))
 
 
 # -- weight polytopes -----------------------------------------------------------------

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from mfk import FlatLattice, corpus, order_complex
 from mfk.complexes import boundary_matrix
-from mfk.linalg import matvec, nullspace, rank, rref, solve
+from mfk.linalg import nullspace, rank, rref, solve
+
+
+def matvec(matrix, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in matrix]
 
 
 def _all_fractions(rows) -> bool:

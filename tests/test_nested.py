@@ -8,25 +8,25 @@ import pytest
 import mfk
 import minkowski_oracle
 import nested_oracle
-from theorem_checks import dcp_normal_refinement_check
+from theorem_checks import (NotAChain, NotLinearExtension, blocks_partition,
+                            chain_to_nested, dcp_normal_refinement_check,
+                            nested_chain_helpers, nested_complex,
+                            nested_complex_reduced)
 
 from mfk.bitset import from_mask, to_mask
 from mfk.bergman import bergman_fan, bergman_membership
-from mfk.errors import (InvalidBuildingSet, LoopsPresent, NotAChain,
-                        NotFlats, NotLinearExtension, ParameterOutOfRange)
+from mfk.errors import (EmptyInterval, InvalidBuildingSet, LoopsPresent,
+                        NotFlats, ParameterOutOfRange)
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
-from mfk.lattice import FlatLattice
+from mfk.lattice import FlatLattice, interval_product_check, order_complex
 from mfk.corpus import corpus
 from mfk.matroid import direct_sum, from_matrix, uniform
-from mfk.nested import (BuildingSet, all_nested_sets, blocks_partition,
-                        building_set, building_set_counterexample,
-                        chain_to_nested, compare_fans, dcp_weight_polytope,
-                        fans_equal_condition, is_building_set, is_nested,
-                        max_building,
-                        maximal_nested_sets, min_building,
-                        nested_chain_helpers, nested_complex,
-                        nested_complex_reduced, nested_fan, refines,
+from mfk.nested import (BuildingSet, all_nested_sets, building_set,
+                        building_set_counterexample, compare_fans,
+                        dcp_weight_polytope, fans_equal_condition,
+                        is_building_set, is_nested, max_building,
+                        maximal_nested_sets, min_building, nested_fan, refines,
                         supports_equal_on_generators)
 
 
@@ -83,6 +83,30 @@ def test_building_set_names_a_member_that_is_not_a_flat(u24_lattice,
     # the bottom flat is a flat, so it keeps the interval-product wording
     with pytest.raises(InvalidBuildingSet, match="fails at flat \\[\\]"):
         building_set(u24_lattice, [_f()])
+
+
+# (call on U(2,4) with one element, its refusal or None for a False answer)
+_ONE_ELEMENT_CALLS = {
+    "is_building_set": (lambda lat, e: is_building_set(lat, [[e]]), None),
+    "is_nested": (lambda lat, e: is_nested(min_building(lat), [{e}]), None),
+    "interval_product_check": (
+        lambda lat, e: interval_product_check(lat, {e}, []), NotFlats),
+    "order_complex": (
+        lambda lat, e: order_complex(lat, {e}, {1, 2, 3, 4}), EmptyInterval),
+}
+
+
+@pytest.mark.parametrize("element", [0, -1, 7])
+@pytest.mark.parametrize("routine", list(_ONE_ELEMENT_CALLS))
+def test_an_element_outside_the_ground_set_gets_the_routine_s_answer(
+        routine, element, u24_lattice):
+    # an element below 1 has no bit in a mask; it is answered as 7 is
+    call, refusal = _ONE_ELEMENT_CALLS[routine]
+    if refusal is None:
+        assert call(u24_lattice, element) is False
+    else:
+        with pytest.raises(refusal):
+            call(u24_lattice, element)
 
 
 def test_boolean_min_max_building():
@@ -315,13 +339,12 @@ _VALIDATION_PROBE = """
 from mfk.corpus import corpus
 from mfk.errors import MfkError
 from mfk.lattice import FlatLattice
-from mfk.nested import blocks_partition, min_building, nested_chain_helpers
+from mfk.nested import building_set
 from mfk.reciprocal import circuit_dependency
-building = min_building(FlatLattice(corpus("delA3").matroid))
-not_nested = [frozenset({1}), frozenset({2})]  # join {1,2,4} is a member
+lattice = FlatLattice(corpus("delA3").matroid)
 u24 = corpus("u24").realization
-for call in (lambda: blocks_partition(building, not_nested),
-             lambda: nested_chain_helpers(building, not_nested),
+for call in (lambda: building_set(lattice, [{1}, {7}]),  # 7 is outside [5]
+             lambda: building_set(lattice, [{1}, {1, 2}]),  # {1, 2} no flat
              lambda: circuit_dependency(u24, {1, 2}),
              lambda: circuit_dependency(u24, {1, 2, 3, 4})):
     try:
@@ -341,7 +364,7 @@ def test_input_validation_holds_under_optimize():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["NotNested", "NotNested",
+    assert done.stdout.split() == ["ParameterOutOfRange", "InvalidBuildingSet",
                                    "NotACircuit", "NotACircuit"]
 
 

@@ -9,12 +9,16 @@ the tests are the verify layer.
 No module imports ``dataclasses`` either: its import pulls ``inspect``,
 ``ast`` and ``dis`` into every CLI process, and each decorated class runs
 generated code at import.  Records are ``typing.NamedTuple``s.
+
+Every error type of ``errors.py`` is raised by some other module, so none
+outlives its last raiser.
 """
 
 import ast
 import os
 
 import mfk
+from mfk import errors
 
 PACKAGE = os.path.dirname(os.path.abspath(mfk.__file__))
 
@@ -55,3 +59,19 @@ def test_package_does_not_import_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_every_error_type_is_raised_in_the_package():
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.MfkError)
+               and obj is not errors.MfkError}
+    raised = set()
+    for name, tree in _module_trees():
+        if name == "errors.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                raised.update(n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node)
+                              if isinstance(n, (ast.Name, ast.Attribute)))
+    assert sorted(defined - raised) == []

@@ -18,9 +18,10 @@ from mfk.geometry import Cone, FaceLattice, RationalPolytope
 from mfk.lattice import MoebiusTable
 from mfk.matroid import (ComponentPartition, LinearRealization, from_matrix,
                          uniform)
-from mfk.nested import ConditionReport, FanComparison, NestedChainData
+from mfk.nested import ConditionReport, FanComparison
 from mfk.polytope import ConstancyChain, Degeneration, FacetDescription
 from mfk.reciprocal import CircuitPolynomial
+from theorem_checks import NestedChainData
 
 _U23 = uniform(2, 3)
 _REALIZATION = corpus("u23").realization
