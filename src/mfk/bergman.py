@@ -200,7 +200,7 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
         raise ParameterOutOfRange("amoeba sampling needs a nonempty ground set")
     if realization.matroid.loops():
         raise LoopsPresent("amoeba sampling needs a loop-free realization")
-    import numpy as np  # only the amoeba path needs numpy and scipy
+    import numpy as np  # only the amoeba path needs numpy
 
     rng = random.Random(seed)
     matrix = np.array([[float(x) for x in row] for row in realization.matrix])
@@ -237,9 +237,9 @@ def _face_projections(mat):
         yield from zip(inverses, np.eye(n) - subs @ inverses)
 
 
-def _cone_distances(targets, norms, mat):
+def _cone_distances(targets, bound, mat):
     """Euclidean distance of each row of ``targets`` from the cone over the
-    columns of ``mat``; ``norms`` (the distances to the apex) bound it.
+    columns of ``mat``, or the entry of ``bound`` when that is smaller.
 
     The nearest point of a polyhedral cone is the projection onto the span
     of a linearly independent set S of generators with nonnegative
@@ -249,7 +249,7 @@ def _cone_distances(targets, norms, mat):
     """
     import numpy as np
 
-    nearest = norms
+    nearest = bound
     for pinv, complement in _face_projections(mat):
         feasible = (targets @ pinv.T >= 0).all(axis=1)
         lengths = np.linalg.norm(targets @ complement, axis=1)
@@ -260,37 +260,21 @@ def _cone_distances(targets, norms, mat):
 def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
     """Distance of each negated sample point from the Bergman support.
 
-    The distance is the smallest ``nnls`` residual of the point over the
+    The distance is the smallest Euclidean distance of the point from the
     coarse cones (rays centered), or the point's norm when that is
-    smaller.  One numpy pass over the whole sample screens the cones: it
-    computes each cone's exact Euclidean distance for every point at once
-    (``_cone_distances``), and ``nnls`` then runs only on the cones within
-    ``1e-9 * (1 + |point|)`` of the nearest.  A cone left out is farther
-    than the nearest by far more than the float error of either
-    computation, so its residual could not have been the minimum; the
-    ``nnls`` residual stays the value of record, one call per point unless
-    cones tie.
+    smaller.  One numpy pass over the whole sample computes each cone's
+    exact distance for every point at once (``_cone_distances``); the
+    answer is their minimum.
     """
     if not sample.points:
         return []
     import numpy as np
-    from scipy.optimize import nnls
 
-    cones = []
+    targets = -np.array(sample.points)
+    nearest = np.linalg.norm(targets, axis=1)
     for cone in fan.cones:
         if cone.rays:
             mat = np.array([[float(x) for x in r] for r in cone.rays]).T
-            cones.append(mat - mat.mean(axis=0, keepdims=True))
-    targets = -np.array(sample.points)
-    norms = np.linalg.norm(targets, axis=1)
-    screened = np.array([_cone_distances(targets, norms, mat)
-                         for mat in cones]).reshape(len(cones), len(targets))
-    reach = screened.min(axis=0, initial=np.inf) + 1e-9 * (1 + norms)
-    out = []
-    for i, target in enumerate(targets):
-        best = float(np.linalg.norm(target))
-        for c in np.flatnonzero(screened[:, i] <= reach[i]):
-            _, residual = nnls(cones[c], target)
-            best = min(best, float(residual))
-        out.append(best)
-    return out
+            nearest = _cone_distances(
+                targets, nearest, mat - mat.mean(axis=0, keepdims=True))
+    return [float(x) for x in nearest]

@@ -105,9 +105,17 @@ class Matroid:
     def rank_mask(self, mask: int) -> int:
         return max(popcount(b & mask) for b in self.base_masks)
 
+    def _subset_mask(self, subset) -> int:
+        """The mask of a subset of [n]; an element outside [n] is refused."""
+        elems = set(subset)
+        for e in elems:
+            if e not in range(1, self.n + 1):
+                raise ParameterOutOfRange(f"element {e} not inside [{self.n}]")
+        return to_mask(elems)
+
     def rank(self, subset) -> int:
         """Rank of a subset of [n]."""
-        return self.rank_mask(to_mask(subset))
+        return self.rank_mask(self._subset_mask(subset))
 
     def closure_mask(self, mask: int) -> int:
         """Closure in one pass over the bases.
@@ -127,11 +135,11 @@ class Matroid:
 
     def closure(self, subset) -> frozenset[int]:
         """Smallest flat containing the subset."""
-        return from_mask(self.closure_mask(to_mask(subset)))
+        return from_mask(self.closure_mask(self._subset_mask(subset)))
 
     def is_independent(self, subset) -> bool:
         """Independent sets are the subsets of bases."""
-        return self._in_some_basis(to_mask(subset))
+        return self._in_some_basis(self._subset_mask(subset))
 
     def _in_some_basis(self, mask: int) -> bool:
         return any(mask & ~b == 0 for b in self.base_masks)
@@ -160,8 +168,8 @@ class Matroid:
 
     def restriction(self, subset) -> "Matroid":
         """Restriction to the subset, relabelled 1..|X| in sorted order."""
-        elems = sorted(set(subset))
-        mask = to_mask(elems)
+        mask = self._subset_mask(subset)
+        elems = list(iter_bits(mask))
         r = self.rank_mask(mask)
         pos = {e: i + 1 for i, e in enumerate(elems)}
         new_bases = set()
@@ -173,7 +181,7 @@ class Matroid:
 
     def contraction(self, subset) -> "Matroid":
         """Contraction by the subset, on [n]-X relabelled 1..n-|X|."""
-        mask = to_mask(subset)
+        mask = self._subset_mask(subset)
         r = self.rank_mask(mask)
         anchor = next(b & mask for b in self.base_masks
                       if popcount(b & mask) == r)

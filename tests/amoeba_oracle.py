@@ -1,14 +1,25 @@
-"""One ``nnls`` per (point, cone) pair: the differential oracle for
-``mfk.bergman.support_deviations``.
+"""Two differential oracles for ``mfk.bergman.support_deviations``.
 
-This is the distance loop ``support_deviations`` ran before it screened
-the cones by one numpy pass over the whole sample, kept only to check
-that pass: every cone's rays are centered, each negated point is fitted
-to every cone by nonnegative least squares, and the deviation is the
-smallest residual, or the point's norm when that is smaller.
+``support_deviations`` is the distance loop ``mfk`` ran before it computed
+the distances by one numpy pass over the whole sample: every cone's rays
+are centered, each negated point is fitted to every cone by nonnegative
+least squares (``scipy.optimize.nnls``), and the deviation is the smallest
+residual, or the point's norm when that is smaller.
+
+``exact_support_deviations`` computes the same distance in exact rational
+arithmetic, rounding only at the final square root: the nearest point of
+a cone is the projection onto the span of a linearly independent set of
+its generators with nonnegative coefficients, so the squared distance is
+the smallest squared residual over those sets, or the squared norm.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+
+import fraction_oracle
 
 
 def support_deviations(sample, fan) -> list[float]:
@@ -34,4 +45,46 @@ def support_deviations(sample, fan) -> list[float]:
             _, residual = nnls(mat, target)
             best = min(best, float(residual))
         out.append(best)
+    return out
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _independent_sets(rays):
+    """(S, inverse Gram matrix of S) for each linearly independent set S of
+    the rays, found by exact elimination of [Gram | I]."""
+    for size in range(1, len(rays) + 1):
+        for subset in combinations(rays, size):
+            augmented = [[_dot(u, v) for v in subset]
+                         + [Fraction(int(i == j)) for j in range(size)]
+                         for i, u in enumerate(subset)]
+            red, pivots = fraction_oracle.rref(augmented)
+            if pivots[:size] == list(range(size)):
+                yield subset, [row[size:] for row in red]
+
+
+def exact_support_deviations(sample, fan) -> list[float]:
+    """Distance of each negated sample point from the Bergman support, by
+    exact normal equations on every independent ray set of every cone."""
+    faces = []
+    for cone in fan.cones:
+        if cone.rays:
+            rays = [[Fraction(x) for x in r] for r in cone.rays]
+            rays = [[x - sum(r) / len(r) for x in r] for r in rays]
+            faces.extend(_independent_sets(rays))
+    out = []
+    for p in sample.points:
+        target = [-Fraction(x) for x in p]
+        best = _dot(target, target)
+        for subset, inverse in faces:
+            moments = [_dot(r, target) for r in subset]
+            coeffs = [_dot(row, moments) for row in inverse]
+            if min(coeffs) < 0:
+                continue
+            residual = [t - sum(c * r[i] for c, r in zip(coeffs, subset))
+                        for i, t in enumerate(target)]
+            best = min(best, _dot(residual, residual))
+        out.append(math.sqrt(best))
     return out

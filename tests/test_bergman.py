@@ -1,4 +1,8 @@
+import math
+import os
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -277,6 +281,11 @@ _AMOEBA_INPUTS = {
 }
 
 
+def _assert_within_float_error(sample, got, want):
+    for p, x, y in zip(sample.points, got, want, strict=True):
+        assert abs(x - y) <= 1e-12 * (1 + math.hypot(*p))
+
+
 @pytest.mark.parametrize("name", list(_AMOEBA_INPUTS))
 def test_support_deviations_equal_the_per_cone_nnls_oracle(name):
     real = _AMOEBA_INPUTS[name]()
@@ -284,28 +293,34 @@ def test_support_deviations_equal_the_per_cone_nnls_oracle(name):
     for t in (1.5, 1e3, 1e6):
         for seed in range(3):
             sample = amoeba_sample(real, t, 60, seed=seed)
-            assert (support_deviations(sample, fan)
-                    == amoeba_oracle.support_deviations(sample, fan))
+            _assert_within_float_error(
+                sample, support_deviations(sample, fan),
+                amoeba_oracle.support_deviations(sample, fan))
 
 
-@pytest.mark.parametrize("name", ["delA3", "braidK5"])
-def test_support_deviations_call_nnls_at_most_once_per_point(name,
-                                                            monkeypatch):
-    import scipy.optimize
-
-    calls = []
-    nnls = scipy.optimize.nnls
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return nnls(*args, **kwargs)
-
-    real = corpus(name).realization
+@pytest.mark.parametrize("name", ["u23", "delA3", "braidK4", "boolean_3",
+                                  "U23+U11"])
+@pytest.mark.parametrize("t", [1.5, 1e3])
+def test_support_deviations_match_the_exact_rational_distance(name, t):
+    real = _AMOEBA_INPUTS[name]()
     fan = bergman_fan(FlatLattice(real.matroid))
-    sample = amoeba_sample(real, 1e3, 1000, seed=0)
-    monkeypatch.setattr(scipy.optimize, "nnls", counted)
-    assert len(support_deviations(sample, fan)) == 1000
-    assert 0 < len(calls) <= 1000
+    sample = amoeba_sample(real, t, 20, seed=0)
+    exact = amoeba_oracle.exact_support_deviations(sample, fan)
+    _assert_within_float_error(sample, support_deviations(sample, fan), exact)
+    _assert_within_float_error(
+        sample, amoeba_oracle.support_deviations(sample, fan), exact)
+
+
+def test_the_amoeba_subcommand_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bergman.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys; from mfk.cli import main; "
+            "status = main(['amoeba', '--corpus', 'delA3', '--count', '5']); "
+            "print(status, 'scipy' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "0 False"
 
 
 @pytest.mark.parametrize("name", ["u23", "delA3", "braidK4", "boolean_4"])

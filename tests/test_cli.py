@@ -340,9 +340,11 @@ def test_isolated_vertices_allocate_nothing(tmp_path, capsys):
      "d33bae597021e97d376e4ba27d62d9f92e48bdd5c7eaf4505a111bc2e661c845"),
     (["bergman", "--corpus", "delA3", "--grid", "1"],
      "0b5c15f67f062fb29d5b7e4c802a9d4b2065fe83acb1447f9a35da202039598f"),
+    # the two amoeba pins were re-recorded when the distances stopped going
+    # through nnls: only the last ulps of max and median deviation moved
     (["amoeba", "--corpus", "u23", "--count", "1", "--t", "1.5",
       "--seed", "3"],
-     "0ca5816c96c40d85709c2c1de309f4bc888efbe08f82dc3b9b604003c1854d87"),
+     "4fc3324ae70d6def9c36192c5059d929aa62055380ea84d06e74230254a0ee13"),
     # recorded before the CLI ran on its parsed arguments directly
     (["matroid", "--corpus", "delA3"],
      "57fb0323aa90a06a3155a07008beb37d85274acf8da4162957649890eb2f7519"),
@@ -363,7 +365,7 @@ def test_isolated_vertices_allocate_nothing(tmp_path, capsys):
     (["circuits", "--corpus", "delA3"],
      "019fecc77ac43539444457c0688e912f1ac611b0429dd7593f2eb009a262bf53"),
     (["amoeba", "--corpus", "delA3", "--count", "5", "--seed", "7"],
-     "a293585112dd313376e97610d77202bd798fcb69d0155b057e4c8799d4db64d8"),
+     "bfd4dffcb33e8270c05639571db55835e70847039e78a97dd6d8d9fe3e6fb227"),
     (["circuits", "--uniform", "2", "5"],
      "80ea05eadf6851d8d61b402530721bc87f07df4e48ca649a0bc491f2fc952526"),
     (["amoeba", "--corpus", "u24", "--t", "50", "--count", "6", "--seed", "2"],
@@ -563,7 +565,7 @@ _EDGE_DIGESTS = {
         "nested": (0, "7f8d2f7e6a5623fe"),
         "compare-fans": (0, "bd4808be3904715e"),
         "circuits": (0, "c3fcfc154a8dee94"),
-        "amoeba": (0, "31d09ea4b13cb277"),
+        "amoeba": (0, "834fd7fbffb9e39b"),  # re-recorded without nnls
     },
     "uniform 1 1": {
         "matroid": (0, "606bad6616f578da"),
@@ -596,7 +598,7 @@ _EDGE_DIGESTS = {
         "nested": (0, "5bf27255a5821650"),
         "compare-fans": (0, "bd4808be3904715e"),
         "circuits": (0, "eb4cbd48264ebd96"),
-        "amoeba": (0, "cc510e3cf5c921ed"),
+        "amoeba": (0, "014fdcee3a51e3a2"),  # re-recorded without nnls
     },
 }
 

@@ -217,6 +217,16 @@ def test_contraction_nonflat_gives_loops(u24):
     assert c.loops() == {1}
 
 
+@pytest.mark.parametrize("method", ["rank", "closure", "is_independent",
+                                    "restriction", "contraction"])
+@pytest.mark.parametrize("element", [0, -1, 5])
+def test_set_methods_name_an_element_outside_the_ground_set(method, element):
+    m = uniform(2, 4)
+    with pytest.raises(ParameterOutOfRange,
+                       match=rf"element {element} not inside \[4\]"):
+        getattr(m, method)({1, element})
+
+
 def test_direct_sum_and_components():
     u11 = uniform(1, 1)
     s = direct_sum(u11, u11)

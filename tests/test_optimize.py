@@ -8,7 +8,9 @@ the tests are the verify layer.
 
 No module imports ``dataclasses`` either: its import pulls ``inspect``,
 ``ast`` and ``dis`` into every CLI process, and each decorated class runs
-generated code at import.  Records are ``typing.NamedTuple``s.
+generated code at import.  Records are ``typing.NamedTuple``s.  Nor does
+any module import ``scipy``: numpy alone computes the amoeba distances,
+and ``scipy.optimize`` cost each amoeba process about half a second.
 
 Every error type of ``errors.py`` is raised by some other module, so none
 outlives its last raiser.
@@ -46,7 +48,8 @@ def test_package_has_no_assert_and_no_debug_flag():
     assert found == []
 
 
-def test_package_does_not_import_dataclasses():
+def _imports_of(root):
+    """``file:line`` of every import of ``root`` or a submodule of it."""
     found = []
     for name, tree in _module_trees():
         for node in ast.walk(tree):
@@ -56,9 +59,17 @@ def test_package_does_not_import_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in modules):
+            if any(m.split(".")[0] == root for m in modules):
                 found.append(f"{name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_package_does_not_import_dataclasses():
+    assert _imports_of("dataclasses") == []
+
+
+def test_package_does_not_import_scipy():
+    assert _imports_of("scipy") == []
 
 
 def test_every_error_type_is_raised_in_the_package():
