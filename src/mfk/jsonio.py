@@ -53,6 +53,8 @@ def matrix_from_json(data: dict) -> tuple[Matroid, LinearRealization]:
     rows, cols = _integer(data["rows"], 0), _integer(data["cols"], 0)
     if len(entries) != rows or any(len(row) != cols for row in entries):
         raise ValueError("matrix entries do not match the declared shape")
+    if any(isinstance(x, bool) for row in entries for x in row):
+        raise TypeError("a matrix entry is a boolean, not an exact rational")
     return from_matrix([[frac(x) for x in row] for row in entries])
 
 

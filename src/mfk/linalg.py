@@ -5,8 +5,8 @@ scaled to integers by the lcm of its denominators and kept sparse, as
 ``{column: nonzero int}``; :func:`_echelon` eliminates such rows with
 fraction-free integer row operations, dividing every new row by the gcd of
 its entries.  Rationals reappear only at the end, when ``rref`` divides each
-pivot row by its pivot, so every entry that ``rref``, ``nullspace`` and
-``solve`` return is an exact :class:`~fractions.Fraction`.  ``rank`` needs
+pivot row by its pivot, so every entry that ``rref`` and ``nullspace``
+return is an exact :class:`~fractions.Fraction`.  ``rank`` needs
 no division at all and also takes sparse rows (order-complex boundary
 matrices).  Smith normal form needs unimodular steps, which the kernel's
 gcd-normalised rows are not, so it reduces by Euclid on the corner in
@@ -168,20 +168,6 @@ def nullspace(matrix) -> list[list[Fraction]]:
             v[p] = -red[i][f]
         basis.append(v)
     return basis
-
-
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """One solution of Mx = b, or None if inconsistent."""
-    if not matrix:
-        return [] if all(frac(x) == 0 for x in rhs) else None
-    ncols = len(matrix[0])
-    red, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return x
 
 
 def determinant(matrix) -> int:

@@ -42,11 +42,12 @@ def _check_ground(n: int) -> None:
 
 
 class Matroid:
-    """A matroid on ground set [n], stored by its set of bases."""
+    """A matroid on ground set [n], stored by its set of bases; the
+    constructor trusts them, and ``from_bases`` validates a base list."""
 
     __slots__ = ("n", "base_masks", "rank_d", "__dict__")
 
-    def __init__(self, n: int, base_masks, _validated: bool = False):
+    def __init__(self, n: int, base_masks):
         _check_ground(n)
         masks = tuple(sorted(set(base_masks)))
         if not masks:
@@ -54,31 +55,6 @@ class Matroid:
         self.n = n
         self.base_masks = masks
         self.rank_d = popcount(masks[0])
-        if not _validated:
-            self._validate()
-
-    def _validate(self) -> None:
-        d = self.rank_d
-        universe = full_mask(self.n)
-        for b in self.base_masks:
-            if b & ~universe:
-                raise ParameterOutOfRange(
-                    f"basis {sorted(from_mask(b))} not inside [{self.n}]")
-            if popcount(b) != d:
-                raise CardinalityMismatch(
-                    f"bases of sizes {d} and {popcount(b)} both present")
-        base_set = set(self.base_masks)
-        for b1 in self.base_masks:
-            for b2 in self.base_masks:
-                if b1 == b2:
-                    continue
-                out = b1 & ~b2
-                for x in iter_bits(out):
-                    xbit = 1 << (x - 1)
-                    stripped = b1 & ~xbit
-                    if not any(stripped | ybit in base_set
-                               for ybit in _single_bits(b2 & ~b1)):
-                        raise ExchangeViolation(from_mask(b1), from_mask(b2), x)
 
     # -- canonical equality ------------------------------------------------
 
@@ -163,8 +139,7 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         universe = full_mask(self.n)
-        return Matroid(self.n, (universe & ~b for b in self.base_masks),
-                       _validated=True)
+        return Matroid(self.n, (universe & ~b for b in self.base_masks))
 
     def restriction(self, subset) -> "Matroid":
         """Restriction to the subset, relabelled 1..|X| in sorted order."""
@@ -177,7 +152,7 @@ class Matroid:
             inter = b & mask
             if popcount(inter) == r:
                 new_bases.add(to_mask(pos[e] for e in iter_bits(inter)))
-        return Matroid(len(elems), new_bases, _validated=True)
+        return Matroid(len(elems), new_bases)
 
     def contraction(self, subset) -> "Matroid":
         """Contraction by the subset, on [n]-X relabelled 1..n-|X|."""
@@ -192,7 +167,7 @@ class Matroid:
         for b in self.base_masks:
             if b & mask == anchor:
                 new_bases.add(to_mask(pos[e] for e in iter_bits(b & ~mask)))
-        return Matroid(len(rest), new_bases, _validated=True)
+        return Matroid(len(rest), new_bases)
 
     # -- connectivity ---------------------------------------------------------
 
@@ -312,7 +287,7 @@ def _nonzero_minors(matrix, ncols: int) -> dict[int, int]:
 
 
 def from_bases(n: int, bases) -> Matroid:
-    """Validated matroid from explicit bases; exchange checked exhaustively."""
+    """Validated matroid from explicit bases: range, one size, exchange."""
     masks = []
     for base in bases:
         base = set(base)
@@ -324,7 +299,16 @@ def from_bases(n: int, bases) -> Matroid:
     sizes = {popcount(m) for m in masks}
     if len(sizes) > 1:
         raise CardinalityMismatch(f"basis sizes {sorted(sizes)} differ")
-    return Matroid(n, masks)
+    matroid = Matroid(n, masks)
+    base_set = set(matroid.base_masks)
+    for b1 in matroid.base_masks:
+        for b2 in matroid.base_masks:
+            for x in iter_bits(b1 & ~b2):
+                stripped = b1 & ~(1 << (x - 1))
+                if not any(stripped | ybit in base_set
+                           for ybit in _single_bits(b2 & ~b1)):
+                    raise ExchangeViolation(from_mask(b1), from_mask(b2), x)
+    return matroid
 
 
 def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
@@ -344,7 +328,7 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     if len(mat) != d:
         mat = red[:d]
     minors = _nonzero_minors(mat, ncols)
-    matroid = Matroid(ncols, minors.keys(), _validated=True)
+    matroid = Matroid(ncols, minors.keys())
     realization = LinearRealization(
         matrix=tuple(tuple(row) for row in mat), matroid=matroid)
     realization.plucker = minors  # fills the cache of ``plucker``
@@ -378,8 +362,7 @@ def uniform(d: int, n: int) -> Matroid:
     """Uniform matroid: every d-subset of [n] is a basis."""
     if not 1 <= d <= n:
         raise ParameterOutOfRange(f"uniform({d}, {n}) needs 1 <= d <= n")
-    return Matroid(n, (to_mask(c) for c in combinations(range(1, n + 1), d)),
-                   _validated=True)
+    return Matroid(n, (to_mask(c) for c in combinations(range(1, n + 1), d)))
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -388,4 +371,4 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     # a generator, so that the ground-set cap is checked before any pair
     masks = (b1 | (b2 << shift) for b1 in m1.base_masks
              for b2 in m2.base_masks)
-    return Matroid(m1.n + m2.n, masks, _validated=True)
+    return Matroid(m1.n + m2.n, masks)

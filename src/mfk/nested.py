@@ -8,15 +8,17 @@ reduce to that membership for ray generators.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .bitset import from_mask, popcount, to_mask
+from .bitset import from_mask, full_mask, iter_bits, popcount, to_mask
 from .errors import InvalidBuildingSet, ParameterOutOfRange
 from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
-from .linalg import frac, solve
+from .linalg import frac
+from .polytope import require_weight_length
 
 
 # -- building sets ---------------------------------------------------------------
@@ -181,63 +183,87 @@ class NestedFan(Fan):
         self.nested_sets = nested_sets
 
     @cached_property
-    def _free_rays(self) -> frozenset[tuple[int, ...]]:
-        """Rays whose coefficients are free in every cone, if any.
-
-        A building set without the full flat has its maximal members in
-        every maximal nested set.  When their indicators sum to the
-        all-ones vector (no loops), each cone modulo that vector is a
-        simplicial cone plus the span of these indicators.
-        """
-        top = self.building.lattice.top
-        masks = set(self.building.member_masks())
-        vectors = [_flat_vector(self.n, from_mask(g))
-                   for g in _maximal_members_below(masks, top)]
-        if top in masks or [sum(c) for c in zip(*vectors)] != [1] * self.n:
-            return frozenset()
-        return frozenset(vectors)
-
-    @cached_property
-    def _ray_supports(self) -> tuple[int, ...]:
-        """Per cone, the mask of the coordinates some ray is nonzero on."""
-        return tuple(sum(1 << j for j in range(self.n)
-                         if any(r[j] for r in cone.rays))
-                     for cone in self.cones)
+    def _forests(self) -> tuple[tuple[int, tuple], ...]:
+        """Per cone, its nested set as a forest (incomparable members meet in
+        the loops only, or their join would be a building member): the mask
+        of the root part, the non-loops in no member but the full flat, and,
+        parents first, each member's private part (its indices in none of its
+        children) with its parent (None for a root)."""
+        bottom, top = self.building.lattice.bottom, self.building.lattice.top
+        forests = []
+        for nested in self.nested_sets:
+            members = sorted((to_mask(g) & ~bottom for g in nested
+                              if to_mask(g) != top),
+                             key=popcount, reverse=True)
+            root = full_mask(self.n) & ~bottom
+            private, parents = members[:], []
+            for k, g in enumerate(members):
+                parent = next((p for p in reversed(range(k))
+                               if g & ~members[p] == 0), None)
+                if parent is None:
+                    root &= ~g
+                else:
+                    private[parent] &= ~g
+                parents.append(parent)
+            forests.append((root, tuple(zip(map(_indices, private), parents))))
+        return tuple(forests)
 
     def contains(self, vec) -> bool:
-        """Support membership, asking only the cones whose rays cover every
-        coordinate above the minimum of vec."""
-        above = _above_minimum(vec)[1]
-        return any(self.cone_contains(i, vec)
-                   for i, support in enumerate(self._ray_supports)
-                   if above & ~support == 0)
+        """Support membership; ``w`` is read once, and a cone whose root
+        part misses its minimum is passed over without a call."""
+        w, low, at_min = self._point(vec)
+        return any(self._holds(forest, w, low, at_min)
+                   for forest in self._forests if not forest[0] & ~at_min)
 
     def cone_contains(self, i: int, vec) -> bool:
-        """Exact membership in the i-th cone, by one linear solve.
+        """Exact membership in the i-th cone, read off its forest."""
+        return self._holds(self._forests[i], *self._point(vec))
 
-        The columns are the rays, then the all-ones vector (no pivot when
-        ``_free_rays`` sum to it); the coefficients must be nonnegative on
-        every ray that is not free.  Most cones are ruled out first: modulo
-        the all-ones vector, a point of the cone takes its minimum at every
-        coordinate its rays miss.
-        """
-        w, above = _above_minimum(vec)
-        if above & ~self._ray_supports[i]:
+    def _point(self, vec) -> tuple[list, object, int]:
+        """The weight with exact entries, its minimum and the mask of the
+        coordinates at the minimum; a weight of another length is refused."""
+        require_weight_length(self.building.lattice.matroid, vec)
+        w = [x if isinstance(x, int) else frac(x) for x in vec]
+        low = min(w, default=0)
+        return w, low, sum(1 << j for j, x in enumerate(w) if x == low)
+
+    def _holds(self, forest, w, low, at_min: int) -> bool:
+        """Is ``w = λ·1 + Σ c_G 1_G`` with every ``c_G >= 0``?  Exactly when
+        the root part takes the minimum λ of ``w``, ``w`` is constant on each
+        private part, each ``c_G = w(P_G) - w(P_parent)`` is nonnegative (a
+        root's parent value being λ), and each loop coordinate, lying in
+        every member, is λ + Σ c_G.  With an empty root part the loops fix
+        λ; with no loops either, the roots' coefficients are free."""
+        root, members = forest
+        if root & ~at_min:
             return False
-        cone = self.cones[i]
-        free = self._free_rays
-        solution = solve(list(zip(*cone.rays, (1,) * len(w))), w)
-        return (solution is not None
-                and all(c >= 0 for c, r in zip(solution, cone.rays)
-                        if r not in free))
+        levels, total = [], 0
+        for part, parent in members:
+            level = w[part[0]]
+            if any(w[j] != level for j in part):
+                return False
+            if parent is not None:
+                if level < levels[parent]:
+                    return False
+                total -= levels[parent]
+            levels.append(level)
+            total += level
+        loops = _indices(self.building.lattice.bottom)
+        if not loops:
+            return True
+        # Σ c_G = total - r·λ over the r roots; with the root part empty,
+        # r != 1, for a single root would be the full flat
+        roots = [x for x, (_, p) in zip(levels, members) if p is None]
+        top, r = w[loops[0]], len(roots)
+        lam = low if root else Fraction(total - top, r - 1)
+        return (all(w[j] == top for j in loops)
+                and all(x >= lam for x in roots)
+                and top == total - (r - 1) * lam)
 
 
-def _above_minimum(vec) -> tuple[list, int]:
-    """The weight with exact entries, and the mask of its coordinates
-    above its minimum."""
-    w = [x if isinstance(x, int) else frac(x) for x in vec]
-    low = min(w, default=0)
-    return w, sum(1 << j for j, x in enumerate(w) if x != low)
+def _indices(mask: int) -> tuple[int, ...]:
+    """0-based positions of the set bits of a mask."""
+    return tuple(e - 1 for e in iter_bits(mask))
 
 
 def nested_fan(building: BuildingSet) -> NestedFan:

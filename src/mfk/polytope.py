@@ -1,10 +1,10 @@
 """Matroid polytopes, weight-vector degenerations, and facet classification.
 
-Weight vectors follow the minimizing convention throughout: the chain of a
-weight vector lists its sublevel sets in ascending order, and the attached
-degeneration is the matroid of the face on which the vector is minimized.
-Outer-normal-fan questions are reduced to this convention by negating the
-weight in one documented place (the Bergman module).
+A weight vector's chain lists its sublevel sets in ascending order, and its
+degeneration is the matroid of the face on which it is minimized.
+``heaviest_bases`` maximizes, as the coarse Bergman cones read it, so a sign
+is flipped where the two meet: in ``degeneration``, and in the Bergman
+module's ``bergman_membership`` and ``support_deviations``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,7 @@ def degeneration(matroid: Matroid, u) -> Degeneration:
                             chain=ConstancyChain(sets=(frozenset(),)),
                             loop_free=True)
     matroid_u = Matroid(matroid.n, heaviest_bases(matroid,
-                                                  [-frac(x) for x in u]),
-                        _validated=True)
+                                                  [-frac(x) for x in u]))
     return Degeneration(matroid_u=matroid_u, chain=constancy_chain(u),
                         loop_free=not matroid_u.loops())
 

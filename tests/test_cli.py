@@ -289,7 +289,7 @@ def test_input_and_output_faults_exit_one_with_error_json(case, tmp_path):
 
 
 # JSON numbers that the file formats require to be (nonnegative) integers,
-# and the elements of a basis
+# the elements of a basis, and a matrix entry
 _NON_INTEGERS = {
     "fractional n": ("--bases", {"n": 3.5, "bases": [[1]]}),
     "boolean n": ("--bases", {"n": True, "bases": [[1]]}),
@@ -306,6 +306,8 @@ _NON_INTEGERS = {
                                   "entries": [["1"]]}),
     "negative rows": ("--matrix", {"rows": -1, "cols": 0, "entries": []}),
     "boolean element": ("--bases", {"n": 2, "bases": [[True, 2]]}),
+    "boolean entry": ("--matrix", {"rows": 2, "cols": 2,
+                                   "entries": [[True, 0], [0, 1]]}),
     "fractional element": ("--bases", {"n": 2, "bases": [[1.0, 2]]}),
 }
 

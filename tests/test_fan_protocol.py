@@ -2,7 +2,9 @@
 
 Each kind of fan decides membership in its own maximal cones
 (``cone_contains``): the Bergman fan by maximal bases, the nested fan by
-one linear solve; a bare ``geometry.Fan`` has no membership rule.
+the forest of its nested set (constancy on the private parts, nonnegative
+steps from each member to its parent, and the loop coordinates), with no
+elimination and no LP; a bare ``geometry.Fan`` has no membership rule.
 ``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
 that rule only; here they are checked against references that test each ray
 with ``geometry.cone_contains``, the exact LP, which stays only as this
@@ -11,6 +13,8 @@ from the one structure it reads: ``bergman_fan`` from a lattice of flats,
 ``nested_fan`` from a building set in it.
 """
 
+import sys
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 
@@ -19,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nested_oracle
-from mfk import geometry
+from mfk import geometry, linalg
 from mfk.bergman import bergman_fan
 from mfk.bitset import from_mask
 from mfk.corpus import corpus
+from mfk.errors import DimensionMismatch
 from mfk.geometry import cone_contains
 from mfk.lattice import FlatLattice
 from mfk.matroid import direct_sum, from_bases, uniform
@@ -42,12 +47,23 @@ MATROIDS = {
     "U_2,3+U_2,3": lambda: direct_sum(uniform(2, 3), uniform(2, 3)),
 }
 
+_LOOP = from_bases(1, [[]])
+
+# a loop lies in every flat, the full flat included; these matroids have
+# nested fans only
+LOOPED = {
+    "U_2,3+loop": lambda: direct_sum(uniform(2, 3), _LOOP),
+    "U_2,4+loop": lambda: direct_sum(uniform(2, 4), _LOOP),
+}
+
 
 def _fans(matroid):
     lattice = FlatLattice(matroid)
-    return {"min": nested_fan(min_building(lattice)),
-            "max": nested_fan(max_building(lattice)),
-            "bergman": bergman_fan(lattice)}
+    fans = {"min": nested_fan(min_building(lattice)),
+            "max": nested_fan(max_building(lattice))}
+    if not matroid.loops():
+        fans["bergman"] = bergman_fan(lattice)
+    return fans
 
 
 def _lp_oracle(fan):
@@ -111,39 +127,91 @@ def test_connected_comparison_solves_no_lp(name, monkeypatch):
         supports_equal_on_generators(fan_a, fan_b)
 
 
+@pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "U_3,6",
+                                  "boolean_4", "U_2,3+U_1,1", "U_2,3+loop"])
+def test_nested_rule_runs_without_elimination(name, monkeypatch):
+    matroid = {**MATROIDS, **LOOPED}[name]()
+    lattice = FlatLattice(matroid)
+    # built before the patch: from_matrix eliminates, and bergman_fan of a
+    # disconnected matroid uses the LP
+    bergman = [] if matroid.loops() else [bergman_fan(lattice)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination on a nested fan path")
+
+    # every binding of the elimination entry points, aliases included
+    originals = [getattr(linalg, entry)
+                 for entry in ("rref", "rank", "nullspace", "lp_feasible")]
+    for key, module in list(sys.modules.items()):
+        if key == "mfk" or key.startswith("mfk."):
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+    nested = [nested_fan(min_building(lattice)),
+              nested_fan(max_building(lattice))]
+    weights = list(product(range(-1, 2), repeat=matroid.n))
+    weights.append(tuple(Fraction(j, 3) for j in range(matroid.n)))
+    for fan in nested:
+        for w in weights:
+            fan.contains(w)
+            for i in range(len(fan.cones)):
+                fan.cone_contains(i, w)
+    for fan_a, fan_b in permutations(nested + bergman, 2):
+        compare_fans(fan_a, fan_b)
+
+
+@pytest.mark.parametrize("offset", [-2, 1, 3])
+def test_weights_of_the_wrong_length_are_refused(offset):
+    matroid = corpus("u24").matroid
+    lattice = FlatLattice(matroid)
+    w = (0,) * (matroid.n + offset)
+    for fan in (nested_fan(min_building(lattice)), bergman_fan(lattice)):
+        with pytest.raises(DimensionMismatch):
+            fan.contains(w)
+        for i in range(len(fan.cones)):
+            with pytest.raises(DimensionMismatch):
+                fan.cone_contains(i, w)
+
+
 @cache
 def _cached_fans(name):
-    return tuple(_fans(MATROIDS[name]()).values())
+    return tuple(_fans({**MATROIDS, **LOOPED}[name]()).values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["U_2,3", "U_2,5", "U_3,5", "u24", "delA3", "braidK4",
-                        "boolean_3", "U_2,3+U_1,1", "U_2,3+U_2,3"]),
+                        "boolean_3", "U_2,3+U_1,1", "U_2,3+U_2,3",
+                        *LOOPED]),
        st.data())
 def test_cone_rules_match_lp_on_random_weights(name, data):
     fans = _cached_fans(name)
     n = fans[0].n
-    w = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    entries = st.one_of(st.integers(-4, 4),
+                        st.fractions(-4, 4, max_denominator=3))
+    w = data.draw(st.lists(entries, min_size=n, max_size=n))
     for fan in fans:
         for i, cone in enumerate(fan.cones):
             assert fan.cone_contains(i, w) == cone_contains(cone, w), (i, w)
-
-
-_LOOP = from_bases(1, [[]])
 
 
 @pytest.mark.parametrize("matroid", [
     direct_sum(direct_sum(uniform(1, 1), uniform(1, 1)), _LOOP),
     direct_sum(direct_sum(uniform(1, 2), uniform(1, 1)), _LOOP),
     direct_sum(direct_sum(uniform(2, 2), _LOOP), _LOOP),
-], ids=["U11+U11+loop", "U12+U11+loop", "U22+loop+loop"])
+    LOOPED["U_2,3+loop"](),
+    LOOPED["U_2,4+loop"](),
+], ids=["U11+U11+loop", "U12+U11+loop", "U22+loop+loop", "U23+loop",
+        "U24+loop"])
 def test_every_building_set_cone_rule_matches_lp(matroid):
-    # with a loop the maximal members of a building set without the full
-    # flat share the loop, so their indicators do not sum to the all-ones
-    # vector and the cone keeps the all-ones column
+    # a loop lies in every member, so its coordinate is the sum of all the
+    # coefficients; when the maximal members cover every other element it
+    # fixes the multiple of the all-ones vector (U23+loop and U24+loop
+    # have the full flat in their only building set)
     lattice = FlatLattice(matroid)
     flats = [from_mask(f) for level in lattice.by_rank[1:] for f in level]
     grid = list(product(range(-1, 3), repeat=matroid.n))
+    grid += product((Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2)),
+                    repeat=matroid.n)
     for size in range(1, len(flats) + 1):
         for members in combinations(flats, size):
             if not is_building_set(lattice, members):

@@ -49,6 +49,14 @@ def test_matrix_shape_mismatch():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [["1", "0"]]})
 
 
+def test_matrix_refuses_boolean_entries():
+    # a JSON boolean is not an integer entry, as in the other readers
+    for entry in (True, False):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            matrix_from_json({"rows": 2, "cols": 2,
+                              "entries": [[entry, 0], [0, 1]]})
+
+
 def test_graph_payload():
     vertices, edges = graph_from_json(
         {"vertices": 3, "edges": [[1, 2], [2, 3]]})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from mfk import FlatLattice, corpus, order_complex
 from mfk.complexes import boundary_matrix
-from mfk.linalg import nullspace, rank, rref, solve
+from mfk.linalg import nullspace, rank, rref
 
 
 def matvec(matrix, vec):
@@ -39,12 +39,6 @@ def test_nullspace_of_ints_is_exact():
     kernel = nullspace([[3, 1, 1]])
     assert kernel == [[Fraction(-1, 3), 1, 0], [Fraction(-1, 3), 0, 1]]
     assert _all_fractions(kernel)
-
-
-def test_solve_of_ints_is_exact():
-    x = solve([[3, 1], [1, 2]], [1, 0])
-    assert x == [Fraction(2, 5), Fraction(-1, 5)]
-    assert _all_fractions([x])
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,31 +99,6 @@ def test_nullspace_matches_oracle(matrix):
         assert all(y == 0 for y in matvec(exact, v))
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices(), st.data())
-def test_solve_matches_oracle(matrix, data):
-    rhs = [data.draw(ENTRIES) for _ in matrix]
-    x = solve(matrix, rhs)
-    assert x == oracle.solve(matrix, rhs)
-    if x is not None:
-        assert _all_fractions([x])
-        exact = [[Fraction(v) for v in row] for row in matrix]
-        assert matvec(exact, x) == [Fraction(b) for b in rhs]
-
-
-@settings(max_examples=150, deadline=None)
-@given(matrices(max_rows=3).filter(lambda m: m and m[0]), st.data())
-def test_solve_detects_inconsistent_systems(matrix, data):
-    rhs = [data.draw(ENTRIES) for _ in matrix]
-    # a last equation that sums the others, off by one
-    summed = [sum(Fraction(row[j]) for row in matrix)
-              for j in range(len(matrix[0]))]
-    system = matrix + [summed]
-    off = rhs + [sum(Fraction(b) for b in rhs) + 1]
-    assert solve(system, off) is None
-    assert oracle.solve(system, off) is None
-
-
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_of_sparse_rows_matches_dense(matrix):
@@ -145,9 +114,6 @@ def test_empty_and_degenerate_shapes():
     assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
     assert nullspace([]) == [] and nullspace([[], []]) == []
     assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
-    assert solve([], []) == [] and solve([], [1]) is None
-    assert solve([[0, 0]], [0]) == [0, 0]
-    assert solve([[0, 0]], [1]) is None
 
 
 # -- order-complex boundary matrices of the corpus --------------------------------------

@@ -11,6 +11,8 @@ No module imports ``dataclasses`` either: its import pulls ``inspect``,
 generated code at import.  Records are ``typing.NamedTuple``s.  Nor does
 any module import ``scipy``: numpy alone computes the amoeba distances,
 and ``scipy.optimize`` cost each amoeba process about half a second.
+``mfk.nested`` imports no elimination entry point of ``mfk.linalg`` (nor
+the module itself): its cones decide membership from their nested sets.
 
 Every error type of ``errors.py`` is raised by some other module, so none
 outlives its last raiser.
@@ -49,18 +51,24 @@ def test_package_has_no_assert_and_no_debug_flag():
 
 
 def _imports_of(root):
-    """``file:line`` of every import of ``root`` or a submodule of it."""
+    """``(file:line, imported names)`` of every import of ``root`` or a
+    submodule of it; a relative import is read as one from ``mfk``."""
     found = []
     for name, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
+                base = node.module or ""
+                if node.level:
+                    base = "mfk." + base if base else "mfk"
+                modules = [base] + [f"{base}.{alias.name}"
+                                    for alias in node.names]
             else:
                 continue
-            if any(m.split(".")[0] == root for m in modules):
-                found.append(f"{name}:{node.lineno}")
+            if any(m == root or m.startswith(root + ".") for m in modules):
+                found.append((f"{name}:{node.lineno}",
+                              {alias.name for alias in node.names}))
     return found
 
 
@@ -70,6 +78,15 @@ def test_package_does_not_import_dataclasses():
 
 def test_package_does_not_import_scipy():
     assert _imports_of("scipy") == []
+
+
+def test_nested_imports_no_elimination_entry_point():
+    # a nested cone is read off the forest of its nested set
+    refused = {"rref", "rank", "nullspace", "solve", "lp_feasible",
+               "linalg", "mfk.linalg"}
+    found = [site for site, names in _imports_of("mfk.linalg")
+             if site.startswith("nested.py:") and names & refused]
+    assert found == []
 
 
 def test_every_error_type_is_raised_in_the_package():
