@@ -4,8 +4,9 @@ A weight w lies in the Bergman support when the chain of -w consists of
 flats; equivalently, the face on which w is maximized carries a loop-free
 matroid.  Cones over flags of proper flats are the fine structure; grouping
 flags with a common degeneration gives the coarse fan, whose maximal cones
-are the loop-free outer normal cones of the matroid polytope.  On a
-connected matroid a coarse cone is spanned by the flacets among its flags.
+are the loop-free outer normal cones of the matroid polytope.  A coarse
+cone is spanned by the flacets among its flags, each joined to the other
+components, and by the co-components.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .bitset import from_mask, full_mask, iter_bits, to_mask
 from .errors import LoopsPresent, ParameterOutOfRange, SingularSample
-from .geometry import Cone, Fan, _flat_vector, irredundant_rays
+from .geometry import Cone, Fan, _flat_vector
 from .lattice import FlatLattice
 from .linalg import frac, rref
 from .matroid import LinearRealization, Matroid, from_matrix
@@ -38,7 +39,7 @@ def bergman_membership(matroid: Matroid, w) -> bool:
         raise LoopsPresent("Bergman membership needs a loop-free matroid")
     require_weight_length(matroid, w)
     ground = full_mask(matroid.n)
-    negated = [-(x if isinstance(x, int) else frac(x)) for x in w]
+    negated = [-(x if type(x) is int else frac(x)) for x in w]
     return all(m == ground or matroid.closure_mask(m) == m
                for m in sublevel_masks(negated))
 
@@ -84,43 +85,39 @@ class BergmanFan(Fan):
 
 
 def bergman_fan(lattice: FlatLattice) -> BergmanFan:
-    """Coarse Bergman fan from flag cones grouped by degeneration bases."""
+    """Coarse Bergman fan from flag cones grouped by degeneration bases.
+
+    On a connected matroid the rays of a coarse cone are the flacets among
+    its group's flags (Feichtner-Sturmfels 2005).  A coarse cone of a direct
+    sum is the product of its components' cones, each holding the line of
+    its component C: modulo 1 the co-components E - C span those lines, and
+    a flacet F of C spans the ray of the flat F + (E - C).
+    """
     matroid = lattice.matroid
     if matroid.loops():
         raise LoopsPresent("Bergman fan needs a loop-free matroid")
-    flags = lattice.maximal_chains(lattice.bottom, lattice.top)
-    n = matroid.n
+    ground, n = lattice.top, matroid.n
+    flags = lattice.maximal_chains(lattice.bottom, ground)
     groups: dict[tuple[int, ...], list[int]] = {}
     for idx, flag in enumerate(flags):
-        key = _flag_transversals(flag, lattice.top)
-        groups.setdefault(key, []).append(idx)
-
-    # On a connected matroid the rays of a coarse cone are the flacets among
-    # its group's flags (Feichtner-Sturmfels 2005).  Otherwise every coarse
-    # cone holds the span of the component indicators, and the rays are the
-    # generating set the LP greedy keeps.
-    ray_flats = set(flacets(lattice)) if matroid.is_connected() else None
+        groups.setdefault(_flag_transversals(flag, ground), []).append(idx)
+    parts = [to_mask(c) for c in matroid.components().blocks]
+    lifts = {f: f | ground & ~c for f in flacets(lattice)
+             for c in parts if f & c}
+    co_components = {ground & ~c for c in parts} - {0}
     order = sorted(groups, key=lambda bs: (len(groups[bs]), bs))
-    group_list: list[tuple[int, ...]] = []
-    base_list = []
     cones = []
     for bases in order:
-        members = tuple(groups[bases])
-        if ray_flats is None:
-            rays = irredundant_rays([_flat_vector(n, from_mask(f))
-                                     for i in members for f in flags[i]])
-        else:
-            rays = tuple(sorted({_flat_vector(n, from_mask(f))
-                                 for i in members for f in flags[i]
-                                 if f in ray_flats}))
-        group_list.append(members)
-        base_list.append(tuple(from_mask(b) for b in bases))
-        cones.append(Cone(rays=rays))
+        ray_flats = co_components.union(
+            lifts[f] for i in groups[bases] for f in flags[i] if f in lifts)
+        cones.append(Cone(rays=tuple(sorted(
+            _flat_vector(n, from_mask(f)) for f in ray_flats))))
     return BergmanFan(n=n, cones=tuple(cones), matroid=matroid,
                       fine_chains=tuple(tuple(from_mask(f) for f in flag)
                                         for flag in flags),
-                      groups=tuple(group_list),
-                      group_bases=tuple(base_list))
+                      groups=tuple(tuple(groups[bs]) for bs in order),
+                      group_bases=tuple(tuple(from_mask(b) for b in bs)
+                                        for bs in order))
 
 
 def _flag_transversals(flag: tuple[int, ...], top: int) -> tuple[int, ...]:
@@ -199,7 +196,7 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     if realization.matroid.n == 0:
         raise ParameterOutOfRange("amoeba sampling needs a nonempty ground set")
     if realization.matroid.loops():
-        raise LoopsPresent("amoeba sampling needs a loop-free realization")
+        raise LoopsPresent("amoeba sampling needs a loop-free matroid")
     import numpy as np  # only the amoeba path needs numpy
 
     rng = random.Random(seed)

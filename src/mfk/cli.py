@@ -17,7 +17,7 @@ from itertools import product
 
 from .corpus import corpus as corpus_entry, corpus_names, vandermonde
 from .bergman import amoeba_sample, bergman_fan, support_deviations
-from .errors import InvalidInput, LoopsPresent, MfkError, UnwritableOutput
+from .errors import InvalidInput, MfkError, UnwritableOutput
 from .jsonio import (_integer, amoeba_to_json, bergman_to_json,
                      circuits_to_json, comparison_to_json,
                      degeneration_to_json, facets_to_json, graph_from_json,
@@ -145,8 +145,6 @@ def _dispatch(args) -> dict:
 
     # amoeba: the only subcommand left
     real = _require_realization(realization)
-    if real.matroid.loops():
-        raise LoopsPresent("amoeba sampling needs a loop-free matroid")
     sample = amoeba_sample(real, args.t, args.count, seed=args.seed)
     fan = bergman_fan(FlatLattice(real.matroid))
     return amoeba_to_json(sample, support_deviations(sample, fan), args.seed)

@@ -1,9 +1,9 @@
 """Exact rational polytopes, cones in Z^n modulo the all-ones vector, fans.
 
-The convex hull is brute force over candidate supporting hyperplanes, with
-one LP per point; ``cone_contains`` is exact LP membership.  They serve the
-DCP weight polytope and disconnected Bergman rays, and are the test oracles
-of the matroid polytope and of every fan's own cone rule.
+The convex hull is brute force over supporting hyperplanes, one LP per
+point, and serves the DCP weight polytope.  It, ``cone_contains`` (LP
+membership) and ``irredundant_rays`` (LP greedy) are the test oracles of
+the matroid polytope, of each fan's own cone rule and of the Bergman rays.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+from .errors import DimensionMismatch
 from .linalg import (_integer, content, frac, lp_feasible, nullspace,
                      primitive_integer, rref, smith_normal_form)
 
@@ -64,18 +65,21 @@ class Cone(NamedTuple):
 
 
 def cone_contains(cone: Cone, vec) -> bool:
-    """Exact membership: is vec a nonnegative combination of rays modulo e?"""
+    """Test oracle: is vec a nonnegative combination of rays modulo e?"""
     target = [frac(x) for x in vec]
     n = len(target)
     if not cone.rays:
         return len(set(target)) <= 1
+    if n != len(cone.rays[0]):
+        raise DimensionMismatch(
+            f"vector has {n} entries, the cone's rays {len(cone.rays[0])}")
     a_eq = [[frac(r[i]) for r in cone.rays] + [Fraction(1)]
             for i in range(n)]
     return lp_feasible(a_eq, target, num_nonneg=len(cone.rays)) is not None
 
 
 def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
-    """Drop generators lying in the cone of the remaining ones.
+    """Test oracle (LP greedy): drop generators in the cone of the others.
 
     One pass suffices: once a ray survives against the current generator
     set, later removals only shrink that set.

@@ -23,12 +23,10 @@ from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions, or 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions or 'p/q' strings, never a bool, to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) or isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -58,7 +56,7 @@ def _integer_row(row) -> dict[int, int]:
     entries = []
     denom = 1
     for j, x in items:
-        if not isinstance(x, (int, Fraction)):
+        if type(x) is not int and not isinstance(x, Fraction):
             x = frac(x)
         if x:
             if x.denominator != 1:
@@ -258,7 +256,7 @@ def primitive_integer(vec, sign_first_positive: bool = True) -> list[int]:
     With ``sign_first_positive`` the first nonzero entry is made positive.
     The zero vector is returned unchanged.
     """
-    fracs = [x if isinstance(x, int) else frac(x) for x in vec]
+    fracs = [x if type(x) is int else frac(x) for x in vec]
     denom = lcm(*(x.denominator for x in fracs))
     ints = [x.numerator * (denom // x.denominator) for x in fracs]
     g = content(ints)
@@ -276,7 +274,8 @@ def lp_feasible(a_eq, b_eq, num_nonneg: int) -> list[Fraction] | None:
     """Exact feasibility of ``A x = b`` with ``x[:num_nonneg] >= 0``.
 
     Remaining variables are free.  Returns a feasible x, or None.
-    Phase-1 simplex with Bland's rule; all arithmetic is rational.
+    Phase-1 simplex with Bland's rule; all arithmetic is rational.  The hull
+    and the test oracles ``cone_contains`` and ``irredundant_rays`` use it.
     """
     if not a_eq:
         return []

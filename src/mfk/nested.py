@@ -223,7 +223,7 @@ class NestedFan(Fan):
         """The weight with exact entries, its minimum and the mask of the
         coordinates at the minimum; a weight of another length is refused."""
         require_weight_length(self.building.lattice.matroid, vec)
-        w = [x if isinstance(x, int) else frac(x) for x in vec]
+        w = [x if type(x) is int else frac(x) for x in vec]
         low = min(w, default=0)
         return w, low, sum(1 << j for j, x in enumerate(w) if x == low)
 

@@ -71,7 +71,7 @@ def sublevel_masks(u) -> list[int]:
     """
     by_value: dict = {}
     for i, x in enumerate(u):
-        if not isinstance(x, int):
+        if type(x) is not int:
             x = frac(x)
         by_value[x] = by_value.get(x, 0) | 1 << i
     masks, cumulative = [], 0
@@ -147,12 +147,14 @@ class FacetDescription(NamedTuple):
 
 
 def flacets(lattice: FlatLattice) -> list[int]:
-    """The flacets in lattice order: the proper flats F of positive rank
-    with (M|F)/loops and M/F connected, read off the lattice."""
-    bottom, top = lattice.bottom, lattice.top
-    return [f for level in lattice.by_rank[1:-1] for f in level
-            if lattice.is_connected_minor(bottom, f)
-            and lattice.is_connected_minor(f, top)]
+    """The flacets of each component C (with the loops) in lattice order:
+    the flats F of positive rank short of C with (M|F)/loops and (M|C)/F
+    connected.  On a connected matroid C is the ground set."""
+    bottom = lattice.bottom
+    parts = [to_mask(c) | bottom for c in lattice.matroid.components().blocks]
+    return [f for level in lattice.by_rank[1:] for f in level
+            if lattice.is_connected_minor(bottom, f) for c in parts
+            if f & ~c == 0 and f != c and lattice.is_connected_minor(f, c)]
 
 
 def facets(matroid: Matroid) -> list[FacetDescription]:

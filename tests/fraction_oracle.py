@@ -64,24 +64,6 @@ def nullspace(matrix) -> list[list[Fraction]]:
     return basis
 
 
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """One solution of Mx = b, or None if inconsistent."""
-    if not matrix:
-        return [] if all(Fraction(x) == 0 for x in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    for i in range(len(red)):
-        if all(red[i][c] == 0 for c in range(ncols)) and red[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        if p == ncols:
-            return None
-        x[p] = red[i][ncols]
-    return x
-
-
 def determinant(matrix) -> Fraction:
     """Determinant by Gaussian elimination in Fractions: the product of the
     pivots, negated once per row swap."""

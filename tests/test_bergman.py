@@ -4,7 +4,7 @@ import statistics
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +15,7 @@ import laurent_oracle
 from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          bergman_membership, initial_subspace,
                          support_deviations)
-from mfk import bergman, geometry
+from mfk import bergman, geometry, linalg
 from mfk.bitset import to_mask
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
@@ -345,16 +345,47 @@ _CONNECTED = {
 }
 
 
-@pytest.mark.parametrize("name", list(_CONNECTED))
-def test_flacet_rays_match_the_lp_rays(name):
-    # the LP greedy over every flag ray of a group is the oracle of the
-    # flacet rule
-    m = _CONNECTED[name]()
+def _sum(*parts):
+    m = parts[0]
+    for part in parts[1:]:
+        m = direct_sum(m, part)
+    return m
+
+
+# U1,2 is a parallel pair; the matrix adds a parallel pair to a U2,3
+_PIECES = {"U11": lambda: uniform(1, 1), "U12": lambda: uniform(1, 2),
+           "U22": lambda: uniform(2, 2), "U23": lambda: uniform(2, 3),
+           "U24": lambda: uniform(2, 4),
+           "U23 with a parallel pair": lambda: from_matrix(
+               [[1, 0, 1, 2], [0, 1, 1, 0]])[0]}
+# direct sums up to n = 7: the LP oracle takes about 1 s at n = 8
+_DISCONNECTED = {
+    **{f"boolean_{k}": (lambda k=k: corpus(f"boolean_{k}").matroid)
+       for k in range(2, 6)},
+    **{"+".join(names): (lambda names=names: _sum(*(_PIECES[p]()
+                                                   for p in names)))
+       for size in (2, 3)
+       for names in combinations_with_replacement(_PIECES, size)
+       if sum(_PIECES[p]().n for p in names) <= 7},
+    "U23+U11": lambda: direct_sum(uniform(2, 3), uniform(1, 1)),
+}
+
+
+def _assert_lp_rays(m):
+    """The LP greedy over every flag ray of a group is the oracle of the
+    flacet rule, lifted by the other components on a direct sum."""
     fan = bergman_fan(FlatLattice(m))
     for cone, group in zip(fan.cones, fan.groups):
-        vectors = [_flat_vector(m.n, flat) for i in group
-                   for flat in fan.fine_chains[i]]
-        assert cone.rays == irredundant_rays(vectors)
+        assert cone.rays == irredundant_rays(
+            [_flat_vector(m.n, flat) for i in group
+             for flat in fan.fine_chains[i]])
+
+
+@pytest.mark.parametrize("name", [*_CONNECTED, *_DISCONNECTED])
+def test_flacet_rays_match_the_lp_rays(name):
+    m = {**_CONNECTED, **_DISCONNECTED}[name]()
+    assert m.is_connected() == (name in _CONNECTED)
+    _assert_lp_rays(m)
 
 
 _rational_matrices = st.integers(1, 4).flatmap(
@@ -369,21 +400,52 @@ _rational_matrices = st.integers(1, 4).flatmap(
 @given(_rational_matrices)
 def test_flacet_rays_match_the_lp_rays_on_matrices(rows):
     m, _ = from_matrix(rows)
-    assume(m.is_connected() and not m.loops())
-    fan = bergman_fan(FlatLattice(m))
-    for cone, group in zip(fan.cones, fan.groups):
-        assert cone.rays == irredundant_rays(
-            [_flat_vector(m.n, flat) for i in group
-             for flat in fan.fine_chains[i]])
+    assume(not m.loops())
+    _assert_lp_rays(m)
 
 
-@pytest.mark.parametrize("name", list(_CONNECTED))
+_integer_blocks = st.integers(1, 3).flatmap(
+    lambda rows: st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-2, 2), min_size=cols,
+                                       max_size=cols),
+                              min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_integer_blocks, min_size=2, max_size=3))
+def test_flacet_rays_match_the_lp_rays_on_block_sums(blocks):
+    # the block-diagonal matrix realizes the direct sum of the blocks
+    width = sum(len(b[0]) for b in blocks)
+    assume(width <= 7)
+    rows, left = [], 0
+    for block in blocks:
+        cols = len(block[0])
+        rows += [[0] * left + row + [0] * (width - left - cols)
+                 for row in block]
+        left += cols
+    m, _ = from_matrix(rows)
+    assume(not m.loops())
+    _assert_lp_rays(m)
+
+
+@pytest.mark.parametrize("name", [*_CONNECTED, "boolean_3", "boolean_4",
+                                  "U23+U11"])
 def test_connected_bergman_fan_solves_no_lp(name, monkeypatch):
+    # connected or not, the rays are read off the flacets
+    m = {**_CONNECTED, **_DISCONNECTED}[name]()
+    lattice = FlatLattice(m)
+
     def no_lp(*args, **kwargs):
         raise AssertionError("bergman_fan called the LP")
 
-    monkeypatch.setattr(geometry, "lp_feasible", no_lp)
-    bergman_fan(FlatLattice(_CONNECTED[name]()))
+    originals = (linalg.lp_feasible, geometry.cone_contains,
+                 geometry.irredundant_rays)
+    for key, module in list(sys.modules.items()):
+        if key == "mfk" or key.startswith("mfk."):
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, no_lp)
+    bergman_fan(lattice)
 
 
 @pytest.mark.parametrize("name, rays", [

@@ -422,6 +422,14 @@ def _edge_args(case, tmp_path):
     return [*args, str(path)]
 
 
+def test_amoeba_on_a_looped_matrix_keeps_its_error_bytes(tmp_path, capsys):
+    # recorded while the CLI refused loops itself; the library refuses now
+    assert main(["amoeba", *_edge_args("matrix with a loop", tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "error": "LoopsPresent",\n'
+        '  "message": "amoeba sampling needs a loop-free matroid"\n}\n')
+
+
 @pytest.mark.parametrize("command", _SUBCOMMANDS)
 @pytest.mark.parametrize("case", list(_EDGE_INPUTS))
 def test_edge_inputs_exit_zero_or_one_with_error_json(case, command,
@@ -440,27 +448,43 @@ def test_edge_inputs_exit_zero_or_one_with_error_json(case, command,
 _CONNECTED = {"u23": 3, "u24": 4, "delA3": 5, "braidK4": 6,
               "uniform_3_6": 6}
 
+# disconnected inputs: facets refuses them, the other subcommands answer
+_DISCONNECTED = {"boolean_3": 3, "boolean_4": 4, "U23+U11": 4}
+_U23_PLUS_U11 = {"rows": 3, "cols": 4,
+                 "entries": [["1", "0", "1", "0"], ["0", "1", "1", "0"],
+                             ["0", "0", "0", "1"]]}
 
-@pytest.mark.parametrize("name", list(_CONNECTED))
-def test_connected_inputs_reach_no_lp_and_no_hull(name, monkeypatch, capsys):
-    # only a disconnected Bergman fan and the DCP weight polytope still
-    # reach the generic solvers; every subcommand answers a connected
-    # input from structure, with the same bytes
+
+@pytest.mark.parametrize("name", [*_CONNECTED, *_DISCONNECTED])
+def test_connected_inputs_reach_no_lp_and_no_hull(name, monkeypatch, capsys,
+                                                  tmp_path):
+    # only the DCP weight polytope, which no subcommand builds, still
+    # reaches the generic solvers; every subcommand answers a connected or
+    # a disconnected input from structure, with the same status and bytes
+    source = ["--corpus", name]
+    if name == "U23+U11":
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(_U23_PLUS_U11))
+        source = ["--matrix", str(path)]
+    n = {**_CONNECTED, **_DISCONNECTED}[name]
+
     def outputs():
         out = {}
         for command in _SUBCOMMANDS:
-            assert main([command, "--corpus", name,
-                         *_options(command, _CONNECTED[name])]) == 0
-            out[command] = capsys.readouterr().out
+            status = main([command, *source, *_options(command, n)])
+            out[command] = status, capsys.readouterr().out
         return out
 
     def refuse(*args, **kwargs):
         raise AssertionError("a generic solver was called")
 
     reference = outputs()
+    assert {command: status for command, (status, _) in reference.items()
+            if status} == ({} if name in _CONNECTED else {"facets": 1})
     for module in [m for key, m in sys.modules.items()
                    if key == "mfk" or key.startswith("mfk.")]:
-        for solver in ("lp_feasible", "convex_hull", "irredundant_rays"):
+        for solver in ("lp_feasible", "convex_hull", "irredundant_rays",
+                       "cone_contains"):
             if hasattr(module, solver):
                 monkeypatch.setattr(module, solver, refuse)
     assert outputs() == reference

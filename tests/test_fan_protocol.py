@@ -8,9 +8,8 @@ elimination and no LP; a bare ``geometry.Fan`` has no membership rule.
 ``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
 that rule only; here they are checked against references that test each ray
 with ``geometry.cone_contains``, the exact LP, which stays only as this
-oracle and for the rays of a disconnected Bergman fan.  Each fan is built
-from the one structure it reads: ``bergman_fan`` from a lattice of flats,
-``nested_fan`` from a building set in it.
+oracle.  Each fan is built from the one structure it reads: ``bergman_fan``
+from a lattice of flats, ``nested_fan`` from a building set in it.
 """
 
 import sys
@@ -115,13 +114,13 @@ def test_protocol_matches_lp_oracle(name):
 @pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "U_3,6",
                                   "boolean_4", "U_2,3+U_1,1"])
 def test_connected_comparison_solves_no_lp(name, monkeypatch):
-    # built before the patch: bergman_fan of a disconnected matroid uses the LP
-    fans = _fans(MATROIDS[name]())
+    matroid = MATROIDS[name]()
 
     def no_lp(*args, **kwargs):
-        raise AssertionError("fan comparison called the LP")
+        raise AssertionError("fan construction or comparison called the LP")
 
     monkeypatch.setattr(geometry, "lp_feasible", no_lp)
+    fans = _fans(matroid)
     for fan_a, fan_b in permutations(fans.values(), 2):
         compare_fans(fan_a, fan_b)
         supports_equal_on_generators(fan_a, fan_b)
@@ -130,11 +129,9 @@ def test_connected_comparison_solves_no_lp(name, monkeypatch):
 @pytest.mark.parametrize("name", ["u24", "delA3", "braidK4", "U_3,6",
                                   "boolean_4", "U_2,3+U_1,1", "U_2,3+loop"])
 def test_nested_rule_runs_without_elimination(name, monkeypatch):
+    # built before the patch: from_matrix eliminates
     matroid = {**MATROIDS, **LOOPED}[name]()
     lattice = FlatLattice(matroid)
-    # built before the patch: from_matrix eliminates, and bergman_fan of a
-    # disconnected matroid uses the LP
-    bergman = [] if matroid.loops() else [bergman_fan(lattice)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("elimination on a nested fan path")
@@ -147,6 +144,7 @@ def test_nested_rule_runs_without_elimination(name, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if any(value is original for original in originals):
                     monkeypatch.setattr(module, attr, refuse)
+    bergman = [] if matroid.loops() else [bergman_fan(lattice)]
     nested = [nested_fan(min_building(lattice)),
               nested_fan(max_building(lattice))]
     weights = list(product(range(-1, 2), repeat=matroid.n))

@@ -221,6 +221,13 @@ def test_antipodal_ray_not_contained():
     assert cone_contains(c, (0, 5))
 
 
+@pytest.mark.parametrize("w", [(1, 0), (1, 0, 0, 0, 0, 0)])
+def test_cone_contains_refuses_a_vector_of_another_length(w):
+    c = Cone.over([(1, 0, 0, 0), (1, 1, 0, 1)])
+    with pytest.raises(DimensionMismatch):
+        cone_contains(c, w)
+
+
 def test_cone_subset():
     # a cone lies inside another exactly when all its generators do
     big = Cone.over([(1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 1, 0)])

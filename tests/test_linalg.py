@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from mfk import FlatLattice, corpus, order_complex
+from mfk.bergman import bergman_membership
 from mfk.complexes import boundary_matrix
-from mfk.linalg import nullspace, rank, rref
+from mfk.linalg import frac, nullspace, rank, rref
+from mfk.matroid import from_matrix, uniform
+from mfk.nested import min_building, nested_fan
+from mfk.polytope import degeneration, heaviest_bases
 
 
 def matvec(matrix, vec):
@@ -134,3 +138,23 @@ def test_boundary_ranks_match_oracle(name):
         dense = [[row.get(j, 0) for j in range(len(levels[k]))]
                  for row in sparse]
         assert rank(sparse) == rank(dense) == oracle.rank(dense), (name, k)
+
+
+# -- booleans are not rationals ----------------------------------------------------
+
+_U23 = uniform(2, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: frac(True),
+    lambda: from_matrix([[True, 0], [0, 1]]),
+    lambda: degeneration(_U23, [True, False, 0]),
+    lambda: heaviest_bases(_U23, [0, True, 0]),
+    lambda: bergman_membership(_U23, [False, 0, 1]),
+    lambda: nested_fan(min_building(FlatLattice(_U23))).contains([1, 0, True]),
+], ids=["frac", "from_matrix", "degeneration", "heaviest_bases",
+        "bergman_membership", "NestedFan.contains"])
+def test_a_boolean_entry_is_refused(call):
+    # bool subclasses int; the int shortcuts must not let it through
+    with pytest.raises(TypeError, match="not an exact rational"):
+        call()

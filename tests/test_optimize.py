@@ -13,6 +13,8 @@ any module import ``scipy``: numpy alone computes the amoeba distances,
 and ``scipy.optimize`` cost each amoeba process about half a second.
 ``mfk.nested`` imports no elimination entry point of ``mfk.linalg`` (nor
 the module itself): its cones decide membership from their nested sets.
+``mfk.bergman`` imports none of the LP test oracles: its rays are the
+lifted flacets of the components.
 
 Every error type of ``errors.py`` is raised by some other module, so none
 outlives its last raiser.
@@ -86,6 +88,17 @@ def test_nested_imports_no_elimination_entry_point():
                "linalg", "mfk.linalg"}
     found = [site for site, names in _imports_of("mfk.linalg")
              if site.startswith("nested.py:") and names & refused]
+    assert found == []
+
+
+def test_bergman_imports_no_lp_oracle():
+    # the coarse rays are read off the flacets, connected input or not; a
+    # whole-module import would reach the oracles by attribute
+    refused = {"irredundant_rays", "cone_contains", "lp_feasible",
+               "geometry", "linalg", "mfk.geometry", "mfk.linalg"}
+    found = [site for root in ("mfk.geometry", "mfk.linalg")
+             for site, names in _imports_of(root)
+             if site.startswith("bergman.py:") and names & refused]
     assert found == []
 
 
