@@ -24,9 +24,9 @@ def quotient_rep(vec) -> tuple[int, ...]:
     """Canonical class representative: minimum coordinate zero.
 
     Coordinates must be integers (ints or integral rationals); any other
-    entry raises ValueError.
+    entry, a bool included, raises ValueError.
     """
-    ints = [x if isinstance(x, int) else _integer(x) for x in vec]
+    ints = [x if type(x) is int else _integer(x) for x in vec]
     m = min(ints)
     return tuple(x - m for x in ints)
 

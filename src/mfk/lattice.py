@@ -13,11 +13,7 @@ from .matroid import Matroid
 
 class FlatLattice:
     """All flats of a matroid, graded by rank, found in one pass with each
-    cover pair (recorded both ways) and mu(0, G) by Weisner's rule.
-    Joins are memoized per instance as they are asked for; the memo maps
-    x | y to its closure, a pure value, so shared instances stay safe for
-    concurrent reads.
-    """
+    cover pair (recorded both ways) and mu(0, G) by Weisner's rule."""
 
     def __init__(self, matroid: Matroid):
         self.matroid = matroid
@@ -61,7 +57,6 @@ class FlatLattice:
         self.cover_pairs: tuple[tuple[int, int], ...] = tuple(sorted(
             (f, g) for f, covers in upper_covers.items() for g in covers))
         self._moebius = mu
-        self._joins: dict[int, int] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -86,11 +81,7 @@ class FlatLattice:
         return self._rank_of[mask]
 
     def join_mask(self, x: int, y: int) -> int:
-        union = x | y
-        join = self._joins.get(union)
-        if join is None:
-            join = self._joins[union] = self.matroid.closure_mask(union)
-        return join
+        return self.matroid.closure_mask(x | y)
 
     def interval_masks(self, lower: int, upper: int) -> list[int]:
         """Flats Z with lower <= Z <= upper, in rank order."""

@@ -33,7 +33,9 @@ def frac(x) -> Fraction:
 
 def _integer(x) -> int:
     """An integral number (an int, or a Fraction or float with denominator
-    1) as an int; any other entry raises ValueError."""
+    1) as an int; any other entry, a bool included, raises ValueError."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not an integer")
     value = Fraction(x)
     if value.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, permutations
+from itertools import permutations, product
 from typing import NamedTuple
 
 from .bitset import from_mask, full_mask, iter_bits, popcount, to_mask
@@ -109,65 +109,40 @@ def max_building(lattice: FlatLattice) -> BuildingSet:
 # -- nested sets -------------------------------------------------------------------
 
 
-def _incomparable(a: int, b: int) -> bool:
-    return a & ~b != 0 and b & ~a != 0
-
-
-def _extends(lattice: FlatLattice, member_masks, chosen, new: int) -> bool:
-    """Does ``new`` keep the nested set ``chosen`` nested?
-
-    It does when no antichain made of ``new`` and members of ``chosen``
-    joins to a building member.  A set is nested exactly when each of its
-    elements extends the elements before it.
-    """
-    incomp = [m for m in chosen if _incomparable(m, new)]
-    for size in range(1, len(incomp) + 1):
-        for combo in combinations(incomp, size):
-            if not all(_incomparable(a, b)
-                       for a, b in combinations(combo, 2)):
-                continue
-            join = new
-            for m in combo:
-                join = lattice.join_mask(join, m)
-            if join in member_masks:
-                return False
-    return True
-
-
 def is_nested(building: BuildingSet, subset) -> bool:
-    """Antichains of size at least two must join outside the building set."""
-    member_masks = set(building.member_masks())
-    masks = [building.lattice.flat_mask(s) for s in subset]
-    return (all(m in member_masks for m in masks)
-            and all(_extends(building.lattice, member_masks, masks[:k], m)
-                    for k, m in enumerate(masks)))
-
-
-def all_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
-    """Every nested set, the empty one included, in deterministic order."""
-    lattice = building.lattice
-    member_masks = set(building.member_masks())
-    ordered = [to_mask(m) for m in building.sorted_members()]
-    out: list[frozenset[frozenset[int]]] = []
-
-    def grow(chosen, start):
-        out.append(frozenset(from_mask(m) for m in chosen))
-        for k in range(start, len(ordered)):
-            cand = ordered[k]
-            if _extends(lattice, member_masks, chosen, cand):
-                chosen.append(cand)
-                grow(chosen, k + 1)
-                chosen.pop()
-
-    grow([], 0)
-    return out
+    """Is the subset inside a maximal nested set?  The nested set complex
+    is closed under subsets and pure, so that is being nested."""
+    chosen = frozenset(map(frozenset, subset))
+    return any(chosen <= s for s in maximal_nested_sets(building))
 
 
 def maximal_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
-    """The nested sets with rk L members: the nested set complex is pure
-    (Feichtner-Kozlov 2004), so these are exactly the maximal ones."""
-    rank = len(building.lattice.by_rank) - 1
-    return [s for s in all_nested_sets(building) if len(s) == rank]
+    """The maximal nested sets, in the order of their members' positions
+    in ``building.sorted_members()``.
+
+    One below a flat X picks, for each maximal member G inside X, G and a
+    maximal nested set below a flat that G covers; the choices for the G
+    are independent (Feichtner-Kozlov 2004).  Below the bottom there is
+    only the empty set.
+    """
+    lattice = building.lattice
+    ordered = [to_mask(m) for m in building.sorted_members()]
+    lower_covers: dict[int, list[int]] = {}
+    for f, g in lattice.cover_pairs:
+        lower_covers.setdefault(g, []).append(f)
+
+    @cache
+    def below(x: int) -> list[tuple[int, ...]]:
+        if x == lattice.bottom:
+            return [()]
+        choices = [[(g, *s) for h in lower_covers[g] for s in below(h)]
+                   for g in _maximal_members_below(ordered, x)]
+        return [sum(parts, ()) for parts in product(*choices)]
+
+    position = {g: k for k, g in enumerate(ordered)}
+    found = sorted(sorted(map(position.__getitem__, s))
+                   for s in below(lattice.top))
+    return [frozenset(from_mask(ordered[k]) for k in s) for s in found]
 
 
 # -- nested fans ------------------------------------------------------------------

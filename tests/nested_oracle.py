@@ -1,18 +1,20 @@
 """The nested-layer decisions as ``mfk`` made them by search before the
 structure theorems replaced them: the differential oracle for
-``lattice.interval_product_check`` and ``nested.maximal_nested_sets``.
+``lattice.interval_product_check``, ``nested.maximal_nested_sets`` and
+``nested.is_nested``.
 
 The product check enumerates the whole product of the lower intervals and
-compares every pair of tuples with their joins; the maximal nested sets are
-the nested sets that no other nested set strictly contains.
+compares every pair of tuples with their joins.  The nested sets are grown
+one building member at a time, each kept when no antichain it forms with
+the members already chosen joins to a building member; the maximal nested
+sets are the nested sets that no other nested set strictly contains.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
-from mfk.bitset import to_mask
-from mfk.nested import all_nested_sets
+from mfk.bitset import from_mask, to_mask
 
 
 def interval_product_check(lattice, flat, factors) -> bool:
@@ -46,6 +48,51 @@ def interval_product_check(lattice, flat, factors) -> bool:
             if le_tuple != le_join:
                 return False
     return True
+
+
+def _incomparable(a: int, b: int) -> bool:
+    return a & ~b != 0 and b & ~a != 0
+
+
+def _extends(lattice, member_masks, chosen, new: int) -> bool:
+    """Does ``new`` keep the nested set ``chosen`` nested?
+
+    It does when no antichain made of ``new`` and members of ``chosen``
+    joins to a building member.  A set is nested exactly when each of its
+    elements extends the elements before it.
+    """
+    incomp = [m for m in chosen if _incomparable(m, new)]
+    for size in range(1, len(incomp) + 1):
+        for combo in combinations(incomp, size):
+            if not all(_incomparable(a, b)
+                       for a, b in combinations(combo, 2)):
+                continue
+            join = new
+            for m in combo:
+                join = lattice.join_mask(join, m)
+            if join in member_masks:
+                return False
+    return True
+
+
+def all_nested_sets(building) -> list[frozenset[frozenset[int]]]:
+    """Every nested set, the empty one included, in deterministic order."""
+    lattice = building.lattice
+    member_masks = set(building.member_masks())
+    ordered = [to_mask(m) for m in building.sorted_members()]
+    out: list[frozenset[frozenset[int]]] = []
+
+    def grow(chosen, start):
+        out.append(frozenset(from_mask(m) for m in chosen))
+        for k in range(start, len(ordered)):
+            cand = ordered[k]
+            if _extends(lattice, member_masks, chosen, cand):
+                chosen.append(cand)
+                grow(chosen, k + 1)
+                chosen.pop()
+
+    grow([], 0)
+    return out
 
 
 def maximal_nested_sets(building) -> list:

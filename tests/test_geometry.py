@@ -10,7 +10,8 @@ from minkowski_oracle import minkowski_sum
 from mfk.errors import DimensionMismatch
 from mfk.geometry import (Cone, Fan, cone_contains, cone_unimodular,
                           convex_hull, face_lattice, irredundant_rays,
-                          quotient_ray, quotient_rep, smith_normal_form)
+                          quotient_coordinates, quotient_ray, quotient_rep,
+                          smith_normal_form)
 from mfk.linalg import lp_feasible
 
 
@@ -300,3 +301,25 @@ def test_quotient_rep_refuses_fractional_coordinates():
             quotient_ray(vec)
     assert quotient_rep((Fraction(4, 2), 1, 3)) == (1, 0, 2)
     assert quotient_ray((Fraction(6, 1), 2, Fraction(4))) == (2, 0, 1)
+
+
+_BOOLEAN_CALLS = {
+    "quotient_rep": lambda: quotient_rep((True, 0, 2)),
+    "quotient_ray": lambda: quotient_ray((True, False)),
+    "quotient_coordinates": lambda: quotient_coordinates((1, False, 0)),
+    "smith_normal_form": lambda: smith_normal_form([[True, 0], [0, 2]]),
+}
+
+
+@pytest.mark.parametrize("routine", list(_BOOLEAN_CALLS))
+def test_integer_helpers_refuse_booleans(routine):
+    # a bool is an int subclass; as a coordinate it is a mistake, not 1 or 0
+    with pytest.raises(ValueError, match="is not an integer"):
+        _BOOLEAN_CALLS[routine]()
+
+
+def test_integer_helpers_answer_the_same_ints():
+    assert quotient_rep((1, 0, 2)) == (1, 0, 2)
+    assert quotient_ray((1, 0)) == (1, 0)
+    assert quotient_coordinates((1, 0, 0)) == (1, 0)
+    assert smith_normal_form([[1, 0], [0, 2]]) == (1, 2)

@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
 import pytest
 
 import mfk
 import minkowski_oracle
 import nested_oracle
+from nested_oracle import all_nested_sets
 from theorem_checks import (NotAChain, NotLinearExtension, blocks_partition,
                             chain_to_nested, dcp_normal_refinement_check,
                             nested_chain_helpers, nested_complex,
@@ -21,8 +23,9 @@ from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
 from mfk.lattice import FlatLattice, interval_product_check, order_complex
 from mfk.corpus import corpus
-from mfk.matroid import direct_sum, from_matrix, uniform
-from mfk.nested import (BuildingSet, all_nested_sets, building_set,
+from mfk.matroid import (Matroid, direct_sum, from_graph, from_matrix,
+                         uniform)
+from mfk.nested import (BuildingSet, building_set,
                         building_set_counterexample, compare_fans,
                         dcp_weight_polytope, fans_equal_condition,
                         is_building_set, is_nested, max_building,
@@ -158,11 +161,34 @@ def test_antichain_with_building_join_not_nested(dela3_lattice):
 
 
 def test_boolean_gmax_maximal_nested_count():
-    for n in (3, 4):
+    # the maximal nested sets of all flats are the maximal chains: n!
+    for n in range(1, 7):
         lattice = FlatLattice(uniform(n, n))
         gmax = max_building(lattice)
-        assert len(maximal_nested_sets(gmax)) == \
-            __import__("math").factorial(n)
+        assert len(maximal_nested_sets(gmax)) == factorial(n)
+
+
+def _complete_graph(n):
+    return from_graph(n, list(combinations(range(1, n + 1), 2)))
+
+
+@pytest.mark.parametrize("n, count", [(4, 15), (5, 105), (6, 945)])
+def test_braid_gmin_maximal_nested_count(n, count):
+    # the minimal building set of K_n: the maximal nested sets index the
+    # 0-dimensional strata of the moduli space of n + 1 marked points,
+    # (2n - 3)!! of them
+    lattice = FlatLattice(_complete_graph(n))
+    assert count == prod(range(1, 2 * n - 2, 2))
+    assert len(maximal_nested_sets(min_building(lattice))) == count
+
+
+@pytest.mark.parametrize("d, n, count", [(4, 10, 120), (6, 12, 792)])
+def test_uniform_gmin_maximal_nested_count(d, n, count):
+    # for n > d the irreducible flats of U(d, n) are the points and the full
+    # flat, and a maximal nested set is the full flat and d - 1 points
+    lattice = FlatLattice(uniform(d, n))
+    assert count == comb(n, d - 1)
+    assert len(maximal_nested_sets(min_building(lattice))) == count
 
 
 def test_gmax_nested_sets_are_chains(dela3_lattice):
@@ -644,10 +670,26 @@ def test_nested_chain_helpers_accepts_every_nested_set(name):
                 assert all(low <= set(data.chains.get(j, [])) for j in flat)
 
 
-@pytest.mark.parametrize("name", list(_SUPPORT_INPUTS))
+_LOOP = from_matrix([[0]])[0]
+
+_LOOPED_INPUTS = {
+    "U23+loop": lambda: direct_sum(uniform(2, 3), _LOOP),
+    "U24+loop+loop": lambda: direct_sum(uniform(2, 4),
+                                        direct_sum(_LOOP, _LOOP)),
+    "delA3+loop": lambda: direct_sum(corpus("delA3").matroid, _LOOP),
+    "U12+U11+loop": lambda: direct_sum(
+        direct_sum(uniform(1, 2), uniform(1, 1)), _LOOP),
+    "U11+U11+loop": lambda: direct_sum(
+        direct_sum(uniform(1, 1), uniform(1, 1)), _LOOP),
+    "loop": lambda: _LOOP,
+}
+
+
+@pytest.mark.parametrize("name", [*_SUPPORT_INPUTS, *_LOOPED_INPUTS])
 def test_maximal_nested_sets_match_the_oracle(name):
-    # purity: the maximal nested sets are those with rk L members
-    lattice = FlatLattice(_SUPPORT_INPUTS[name]())
+    # the recursion on maximal members against the antichain-join search,
+    # list and order; every member of a looped input holds the loops
+    lattice = FlatLattice({**_SUPPORT_INPUTS, **_LOOPED_INPUTS}[name]())
     for building in _building_sets_up_to_symmetry(lattice):
         assert maximal_nested_sets(building) == \
             nested_oracle.maximal_nested_sets(building)
@@ -668,9 +710,6 @@ def test_chain_to_nested_refuses_a_building_set_that_misses_the_chain():
     building = BuildingSet(lattice=FlatLattice(m), members=frozenset())
     with pytest.raises(InvalidBuildingSet):
         chain_to_nested(building, [_f(1, 4), _f(1, 2, 3, 4)])
-
-
-_LOOP = from_matrix([[0]])[0]
 
 
 @pytest.mark.parametrize("matroid", [
@@ -698,16 +737,18 @@ def test_min_building_with_loops_is_a_building_set(matroid):
 
 
 def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
-    # is_nested and all_nested_sets share one extension rule; every subset
-    # of at most three members is nested exactly when it is enumerated
-    for lattice in (dela3_lattice, braid_k4_lattice):
-        building = min_building(lattice)
-        enumerated = set(all_nested_sets(building))
-        members = building.sorted_members()
-        for size in range(4):
-            for subset in combinations(members, size):
-                assert is_nested(building, subset) == \
-                    (frozenset(subset) in enumerated)
+    # is_nested looks for a maximal nested set above the subset, and the
+    # oracle grows nested sets by the antichain-join rule; every subset of
+    # at most three members is nested exactly when the oracle lists it
+    looped = FlatLattice(_LOOPED_INPUTS["delA3+loop"]())
+    for lattice in (dela3_lattice, braid_k4_lattice, looped):
+        for building in (min_building(lattice), max_building(lattice)):
+            enumerated = set(all_nested_sets(building))
+            members = building.sorted_members()
+            for size in range(4):
+                for subset in combinations(members, size):
+                    assert is_nested(building, subset) == \
+                        (frozenset(subset) in enumerated)
 
 
 # acceptance criterion 05 makes the same check on every U_{d,n} with
@@ -731,3 +772,23 @@ def test_fans_equal_condition_matches_the_comparison(name):
                               bergman_fan(lattice))
     assert report.holds == comparison.equal
     assert (report.witness is None) == report.holds
+
+
+@pytest.mark.parametrize("name", ["delA3", "braidK4", "braidK5", "boolean_4",
+                                  "uniform_3_6"])
+def test_nested_paths_close_no_set_once_the_lattice_is_built(name,
+                                                             monkeypatch):
+    # the maximal nested sets are read off the cover pairs and the building
+    # members; no join is closed after the lattice pass
+    lattice = FlatLattice(corpus(name).matroid)
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a nested path closed a set")
+
+    monkeypatch.setattr(Matroid, "closure_mask", no_closure)
+    monkeypatch.setattr(FlatLattice, "join_mask", no_closure)
+    for building in (min_building(lattice), max_building(lattice)):
+        fan = nested_fan(building)
+        assert all(is_nested(building, s) for s in fan.nested_sets[:3])
+    assert compare_fans(nested_fan(min_building(lattice)),
+                        bergman_fan(lattice)).refines_ab
