@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -186,11 +186,23 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     Points are drawn from complex Gaussian row combinations; draws on a
     hyperplane are rejected.  The log vectors are centered to represent
     classes modulo the all-ones vector.
+
+    The draws form one stream of candidates, d complex coefficients each
+    (real part first), and a rejected draw is replaced by the next
+    candidate: the sample is the first ``count`` candidates off the
+    hyperplanes, and ``_MAX_RETRIES`` rejections in a row make it
+    singular.  Each round draws the shortfall and evaluates it in one
+    numpy pass, so a smaller ``count`` gives a prefix of the sample.
     """
-    if not (isinstance(t, Real) and math.isfinite(t) and t > 1):
+    try:
+        base = float(t) if isinstance(t, Real) else math.nan
+    except OverflowError:  # an integer or rational past the float range
+        base = math.inf
+    if not (math.isfinite(base) and base > 1):
         raise ParameterOutOfRange(
             f"logarithm base must be a finite number > 1, got {t!r}")
-    if not (isinstance(count, Integral) and count >= 1):
+    if not (isinstance(count, Integral) and not isinstance(count, bool)
+            and count >= 1):
         raise ParameterOutOfRange(
             f"sample size must be an integer >= 1, got {count!r}")
     if realization.matroid.n == 0:
@@ -202,21 +214,28 @@ def amoeba_sample(realization: LinearRealization, t: float, count: int,
     rng = random.Random(seed)
     matrix = np.array([[float(x) for x in row] for row in realization.matrix])
     d, n = matrix.shape
-    points = []
-    logt = np.log(t)
-    for _ in range(count):
-        for _ in range(_MAX_RETRIES):
-            coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                               for _ in range(d)])
-            z = coeffs @ matrix
-            if np.all(np.abs(z) > 1e-12):
-                break
-        else:
-            raise SingularSample("too many draws hit the hyperplane union")
-        logs = np.log(np.abs(z)) / logt
-        centered = logs - logs.mean()
-        points.append(tuple(float(x) for x in centered))
-    return AmoebaSample(base=float(t), points=tuple(points))
+    accepted = []
+    need, rejected = int(count), 0
+    while need:
+        size = 2 * d * need
+        draws = np.fromiter(map(rng.gauss, repeat(0, size), repeat(1, size)),
+                            float, count=size)
+        # the stacked product keeps the bits of the per-candidate 1-D product
+        z = (draws.view(complex).reshape(need, 1, d) @ matrix)[:, 0]
+        off = (np.abs(z) > 1e-12).all(axis=1)
+        if not off.all():
+            for ok in off.tolist():
+                rejected = 0 if ok else rejected + 1
+                if rejected == _MAX_RETRIES:
+                    raise SingularSample(
+                        "too many draws hit the hyperplane union")
+            z = z[off]
+        accepted.append(z)
+        need -= len(z)
+    logs = np.log(np.abs(np.concatenate(accepted))) / np.log(base)
+    centered = logs - logs.mean(axis=1, keepdims=True)
+    return AmoebaSample(base=base,
+                        points=tuple(map(tuple, centered.tolist())))
 
 
 def _face_projections(mat):

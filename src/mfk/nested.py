@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .bitset import from_mask, full_mask, iter_bits, popcount, to_mask
 from .errors import InvalidBuildingSet, ParameterOutOfRange
-from .geometry import Cone, Fan, RationalPolytope, _flat_vector, convex_hull
+from .geometry import (Cone, Fan, RationalPolytope, _flat_vector, convex_hull,
+                       quotient_ray)
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
 from .linalg import frac
 from .polytope import require_weight_length
@@ -242,12 +243,23 @@ def _indices(mask: int) -> tuple[int, ...]:
 
 
 def nested_fan(building: BuildingSet) -> NestedFan:
-    """Cone over the nested-set complex, one cone per maximal nested set."""
+    """Cone over the nested-set complex, one cone per maximal nested set.
+
+    Each member's ray is built once; the member whose indicator is
+    constant (the ground set) is zero in the quotient and spans no ray.
+    """
     n = building.lattice.matroid.n
     sets = maximal_nested_sets(building)
     key = lambda s: sorted((len(f), sorted(f)) for f in s)
     sets = sorted(sets, key=key)
-    cones = tuple(Cone.over([_flat_vector(n, f) for f in s]) for s in sets)
+    ray_of = {}
+    for member in building.members:
+        ray = quotient_ray(_flat_vector(n, member))
+        if any(ray):
+            ray_of[member] = ray
+    cones = tuple(
+        Cone(rays=tuple(sorted({ray_of[f] for f in s if f in ray_of})))
+        for s in sets)
     return NestedFan(n=n, cones=cones, building=building,
                      nested_sets=tuple(sets))
 

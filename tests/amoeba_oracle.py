@@ -1,4 +1,10 @@
-"""Two differential oracles for ``mfk.bergman.support_deviations``.
+"""Differential oracles for ``mfk.bergman.amoeba_sample`` and
+``mfk.bergman.support_deviations``.
+
+``amoeba_sample`` is the per-point sampler ``mfk`` ran before it drew the
+whole sample as one stream of candidates: each point draws d complex
+Gaussian coefficients at a time, rejects a draw on a hyperplane, and gives
+up after ``_MAX_RETRIES`` draws for one point.
 
 ``support_deviations`` is the distance loop ``mfk`` ran before it computed
 the distances by one numpy pass over the whole sample: every cone's rays
@@ -16,10 +22,38 @@ the smallest squared residual over those sets, or the squared norm.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import fraction_oracle
+from mfk.bergman import _MAX_RETRIES, AmoebaSample
+from mfk.errors import SingularSample
+
+
+def amoeba_sample(realization, t, count, seed=0) -> AmoebaSample:
+    """Log-magnitude images of ``count`` complement points, drawn point by
+    point (no validation: ``mfk.bergman.amoeba_sample`` validates)."""
+    import numpy as np
+
+    rng = random.Random(seed)
+    matrix = np.array([[float(x) for x in row] for row in realization.matrix])
+    d, n = matrix.shape
+    points = []
+    logt = np.log(t)
+    for _ in range(count):
+        for _ in range(_MAX_RETRIES):
+            coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                               for _ in range(d)])
+            z = coeffs @ matrix
+            if np.all(np.abs(z) > 1e-12):
+                break
+        else:
+            raise SingularSample("too many draws hit the hyperplane union")
+        logs = np.log(np.abs(z)) / logt
+        centered = logs - logs.mean()
+        points.append(tuple(float(x) for x in centered))
+    return AmoebaSample(base=float(t), points=tuple(points))
 
 
 def support_deviations(sample, fan) -> list[float]:

@@ -19,7 +19,8 @@ from mfk import bergman, geometry, linalg
 from mfk.bitset import to_mask
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
-from mfk.errors import DimensionMismatch, LoopsPresent, ParameterOutOfRange
+from mfk.errors import (DimensionMismatch, LoopsPresent, ParameterOutOfRange,
+                        SingularSample)
 from mfk.geometry import _flat_vector, cone_contains, irredundant_rays
 from mfk.lattice import FlatLattice, moebius, order_complex
 from mfk.linalg import rref
@@ -250,16 +251,90 @@ def test_amoeba_requires_loop_free():
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"),
-                               1, 1.0, 0.5, -3, "1000", None])
+                               1, 1.0, 0.5, -3, "1000", None, True,
+                               pytest.param(10**400, id="10**400"),
+                               pytest.param(Fraction(10**400, 3),
+                                            id="10**400/3")])
 def test_amoeba_sample_refuses_a_bad_base(t):
     with pytest.raises(ParameterOutOfRange):
         amoeba_sample(corpus("u23").realization, t, 10, seed=0)
 
 
-@pytest.mark.parametrize("count", [0, -1, 2.0, "5", None])
+@pytest.mark.parametrize("count", [0, -1, 2.0, "5", None, True, False])
 def test_amoeba_sample_refuses_a_bad_count(count):
     with pytest.raises(ParameterOutOfRange):
         amoeba_sample(corpus("u23").realization, 1e3, count, seed=0)
+
+
+def test_amoeba_sample_takes_a_rational_base_as_its_float():
+    real = corpus("delA3").realization
+    sample = amoeba_sample(real, Fraction(3, 2), 40, seed=2)
+    assert sample == amoeba_sample(real, 1.5, 40, seed=2)
+    assert type(sample.base) is float
+
+
+def _sample_or_error(sampler, real, t, count, seed):
+    try:
+        return sampler(real, t, count, seed=seed)
+    except SingularSample as error:
+        return type(error), str(error)
+
+
+def _tiny_column(eps):
+    """A realization of U(2,4) whose fourth column is (eps, 0): a draw is
+    rejected when its first coefficient has modulus <= 1e-12 / eps, which
+    for eps = 1/10**12 is 1 - exp(-1/2), about 39 %, of the draws."""
+    return from_matrix([[1, 0, 1, eps], [0, 1, 1, 0]])[1]
+
+
+@pytest.mark.parametrize("name", ["u23", "u24", "delA3", "braidK4",
+                                  "braidK5", "boolean_3", "boolean_4",
+                                  "uniform_3_6", "uniform_2_5"])
+def test_amoeba_sample_equals_the_per_point_oracle(name):
+    real = corpus(name).realization
+    for t in (1.5, 50, 1e3):
+        for seed in range(4):
+            assert (amoeba_sample(real, t, 150, seed=seed)
+                    == amoeba_oracle.amoeba_sample(real, t, 150, seed=seed))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**12), Fraction(3, 10**13),
+                                 Fraction(1, 10**20)])
+def test_amoeba_sample_rejects_and_gives_up_like_the_oracle(eps):
+    real = _tiny_column(eps)
+    for seed in range(6):
+        assert (_sample_or_error(amoeba_sample, real, 1e3, 120, seed)
+                == _sample_or_error(amoeba_oracle.amoeba_sample, real, 1e3,
+                                    120, seed))
+
+
+@pytest.mark.parametrize("retries", [1, 2, 3])
+def test_a_small_retry_budget_ends_where_the_oracle_ends(retries, monkeypatch):
+    # with room for only a few draws per point, some seeds give up and some
+    # do not, so a budget off by one in either sampler shows
+    monkeypatch.setattr(bergman, "_MAX_RETRIES", retries)
+    monkeypatch.setattr(amoeba_oracle, "_MAX_RETRIES", retries)
+    real = _tiny_column(Fraction(1, 10**12))
+    outcomes = [_sample_or_error(amoeba_oracle.amoeba_sample, real, 1e3, 4,
+                                 seed) for seed in range(30)]
+    assert {type(o) for o in outcomes} == {AmoebaSample, tuple}
+    assert outcomes == [_sample_or_error(amoeba_sample, real, 1e3, 4, seed)
+                        for seed in range(30)]
+
+
+def test_amoeba_sample_gives_up_after_the_retry_budget():
+    with pytest.raises(SingularSample,
+                       match="too many draws hit the hyperplane union"):
+        amoeba_sample(_tiny_column(Fraction(1, 10**20)), 1e3, 5, seed=0)
+
+
+@pytest.mark.parametrize("real", [corpus("delA3").realization,
+                                  _tiny_column(Fraction(1, 10**12))],
+                         ids=["delA3", "tiny column"])
+def test_a_smaller_amoeba_sample_is_a_prefix(real):
+    full = amoeba_sample(real, 1e3, 300, seed=3).points
+    for count in (1, 2, 57, 299):
+        assert amoeba_sample(real, 1e3, count, seed=3).points == full[:count]
 
 
 def _block_sum(r1, r2):

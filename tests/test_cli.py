@@ -687,3 +687,24 @@ def test_cli_import_leaves_numeric_stacks_unloaded():
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_subcommand_but_amoeba_imports_numpy():
+    # numpy's import costs about 180 ms per process; one process runs every
+    # other subcommand on the corpus inputs above and must leave it unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mfk.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = [["corpus", "list"]] + [
+        [command, "--corpus", name, *_options(command, n)]
+        for command in _SUBCOMMANDS if command != "amoeba"
+        for name, n in {**_CONNECTED, **_DISCONNECTED}.items()
+        if name != "U23+U11"]
+    code = ("import sys\n"
+            "from mfk.cli import main\n"
+            f"statuses = [main(argv) for argv in {runs!r}]\n"
+            "print(sorted(set(statuses)), 'numpy' in sys.modules, "
+            "file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "[0, 1] False"
