@@ -77,6 +77,10 @@ class FlatLattice:
         mask = to_mask(elements) if elements <= self.matroid.ground else None
         return mask if mask in self._rank_of else None
 
+    def lower_covers(self, flat: int) -> tuple[int, ...]:
+        """The flats the given flat covers, in ascending order."""
+        return tuple(self._lower_covers[flat])
+
     def rank_in_lattice(self, mask: int) -> int:
         return self._rank_of[mask]
 

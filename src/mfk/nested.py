@@ -8,12 +8,11 @@ reduce to that membership for ray generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .bitset import from_mask, full_mask, iter_bits, popcount, to_mask
+from .bitset import from_mask, popcount, to_mask
 from .errors import InvalidBuildingSet, ParameterOutOfRange
 from .geometry import (Cone, Fan, RationalPolytope, _flat_vector, convex_hull,
                        quotient_ray)
@@ -32,6 +31,7 @@ class BuildingSet:
                  members: frozenset[frozenset[int]]):
         self.lattice = lattice
         self.members = members
+        self._factors: dict[int, tuple[int, ...]] = {}
 
     def member_masks(self) -> list[int]:
         return sorted(to_mask(m) for m in self.members)
@@ -40,6 +40,24 @@ class BuildingSet:
         lat = self.lattice
         return sorted(self.members,
                       key=lambda f: (lat.rank_in_lattice(to_mask(f)), sorted(f)))
+
+    @cached_property
+    def _mask_set(self) -> frozenset[int]:
+        return frozenset(map(to_mask, self.members))
+
+    def factors(self, flat: int) -> tuple[int, ...]:
+        """F(X) for the flat mask X: the members inside X that lie in no
+        other such member, as ascending masks; ``(X,)`` for a member X.
+        Each flat's answer is found by one scan and kept."""
+        if flat in self._mask_set:
+            return (flat,)
+        found = self._factors.get(flat)
+        if found is None:
+            inside = [g for g in self._mask_set if g & ~flat == 0]
+            found = self._factors[flat] = tuple(sorted(
+                g for g in inside
+                if not any(h != g and g & ~h == 0 for h in inside)))
+        return found
 
 
 def building_set_counterexample(lattice: FlatLattice, members):
@@ -57,21 +75,15 @@ def building_set_counterexample(lattice: FlatLattice, members):
     bad = next((m for m in member_masks if not lattice.is_flat_mask(m)), None)
     if bad is not None:
         return from_mask(bad)
+    candidate = BuildingSet(lattice=lattice, members=frozenset(members))
     for flat in lattice.flat_masks:
         if flat == bottom:
             continue
-        maximal = _maximal_members_below(member_masks, flat)
-        if not interval_product_check(lattice, from_mask(flat),
-                                      [from_mask(g) for g in maximal]):
+        if not interval_product_check(
+                lattice, from_mask(flat),
+                [from_mask(g) for g in candidate.factors(flat)]):
             return from_mask(flat)
     return None
-
-
-def _maximal_members_below(member_masks, flat: int) -> list[int]:
-    """Building members inside the flat that lie in no other such member."""
-    inside = [g for g in member_masks if g & ~flat == 0]
-    return [g for g in inside
-            if not any(h != g and g & ~h == 0 for h in inside)]
 
 
 def is_building_set(lattice: FlatLattice, members) -> bool:
@@ -111,35 +123,46 @@ def max_building(lattice: FlatLattice) -> BuildingSet:
 
 
 def is_nested(building: BuildingSet, subset) -> bool:
-    """Is the subset inside a maximal nested set?  The nested set complex
-    is closed under subsets and pure, so that is being nested."""
+    """Is the subset a nested set of the building set?  Exactly when, below
+    each chosen member and below the full flat, the maximal chosen members
+    are F(X) for their union X, a flat (Feichtner-Kozlov 2004)."""
     chosen = frozenset(map(frozenset, subset))
-    return any(chosen <= s for s in maximal_nested_sets(building))
+    if not chosen <= building.members:
+        return False
+    lattice = building.lattice
+    masks = [to_mask(g) for g in chosen]
+    for upper in {*masks, lattice.top}:
+        inside = [g for g in masks if g != upper and g & ~upper == 0]
+        maximal = [g for g in inside
+                   if not any(h != g and g & ~h == 0 for h in inside)]
+        union = lattice.bottom
+        for g in maximal:
+            union |= g
+        if not (lattice.is_flat_mask(union)
+                and tuple(sorted(maximal)) == building.factors(union)):
+            return False
+    return True
 
 
 def maximal_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
     """The maximal nested sets, in the order of their members' positions
     in ``building.sorted_members()``.
 
-    One below a flat X picks, for each maximal member G inside X, G and a
-    maximal nested set below a flat that G covers; the choices for the G
-    are independent (Feichtner-Kozlov 2004).  Below the bottom there is
-    only the empty set.
+    One below a flat X picks, for each G in F(X), G and a maximal nested
+    set below a flat that G covers; the choices for the G are independent
+    (Feichtner-Kozlov 2004).  Below the bottom there is only the empty set.
     """
     lattice = building.lattice
-    ordered = [to_mask(m) for m in building.sorted_members()]
-    lower_covers: dict[int, list[int]] = {}
-    for f, g in lattice.cover_pairs:
-        lower_covers.setdefault(g, []).append(f)
 
     @cache
     def below(x: int) -> list[tuple[int, ...]]:
         if x == lattice.bottom:
             return [()]
-        choices = [[(g, *s) for h in lower_covers[g] for s in below(h)]
-                   for g in _maximal_members_below(ordered, x)]
+        choices = [[(g, *s) for h in lattice.lower_covers(g) for s in below(h)]
+                   for g in building.factors(x)]
         return [sum(parts, ()) for parts in product(*choices)]
 
+    ordered = [to_mask(m) for m in building.sorted_members()]
     position = {g: k for k, g in enumerate(ordered)}
     found = sorted(sorted(map(position.__getitem__, s))
                    for s in below(lattice.top))
@@ -159,87 +182,54 @@ class NestedFan(Fan):
         self.nested_sets = nested_sets
 
     @cached_property
-    def _forests(self) -> tuple[tuple[int, tuple], ...]:
-        """Per cone, its nested set as a forest (incomparable members meet in
-        the loops only, or their join would be a building member): the mask
-        of the root part, the non-loops in no member but the full flat, and,
-        parents first, each member's private part (its indices in none of its
-        children) with its parent (None for a root)."""
-        bottom, top = self.building.lattice.bottom, self.building.lattice.top
-        forests = []
-        for nested in self.nested_sets:
-            members = sorted((to_mask(g) & ~bottom for g in nested
-                              if to_mask(g) != top),
-                             key=popcount, reverse=True)
-            root = full_mask(self.n) & ~bottom
-            private, parents = members[:], []
-            for k, g in enumerate(members):
-                parent = next((p for p in reversed(range(k))
-                               if g & ~members[p] == 0), None)
-                if parent is None:
-                    root &= ~g
-                else:
-                    private[parent] &= ~g
-                parents.append(parent)
-            forests.append((root, tuple(zip(map(_indices, private), parents))))
-        return tuple(forests)
+    def _cone_masks(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(map(to_mask, s)) for s in self.nested_sets)
 
     def contains(self, vec) -> bool:
-        """Support membership; ``w`` is read once, and a cone whose root
-        part misses its minimum is passed over without a call."""
-        w, low, at_min = self._point(vec)
-        return any(self._holds(forest, w, low, at_min)
-                   for forest in self._forests if not forest[0] & ~at_min)
+        """Support membership: every superlevel set of ``w`` is a flat, and
+        the loops take no surplus that the roots cannot absorb."""
+        return self._flag_nested(vec) is not None
 
     def cone_contains(self, i: int, vec) -> bool:
-        """Exact membership in the i-th cone, read off its forest."""
-        return self._holds(self._forests[i], *self._point(vec))
+        """Exact membership in the i-th cone: N(w) lies in its nested set."""
+        nested = self._flag_nested(vec)
+        return nested is not None and nested <= self._cone_masks[i]
 
-    def _point(self, vec) -> tuple[list, object, int]:
-        """The weight with exact entries, its minimum and the mask of the
-        coordinates at the minimum; a weight of another length is refused."""
-        require_weight_length(self.building.lattice.matroid, vec)
+    def _flag_nested(self, vec) -> set[int] | None:
+        """N(w), the union of F(X_j) over the superlevel sets X_j of ``w``,
+        or None when ``w`` lies outside the support; ``w`` lies in a cone
+        exactly when N(w) lies in its nested set.
+
+        With a_1 > ... > a_k the values of ``w``, every X_j must be a flat,
+        and ``w = a_k·1 + Σ_G c_G 1_G - D·1_L`` with c_G >= 0, L the loops
+        and D = Σ_{j<k} (a_j - a_{j+1})(|F(X_j)| - 1), since each
+        ``1_X = Σ_{G in F(X)} 1_G - (|F(X)| - 1)·1_L``.  Only the relation
+        ``Σ_R 1_r = 1 + (|R| - 1)·1_L`` over the roots R = F(E) absorbs
+        D != 0: it takes D/(|R| - 1) from each root's coefficient
+        c_r = min_r w - a_k, and the root holding the minimum of ``w`` has
+        c_r = 0.  So D > 0 is outside, and D < 0 needs two roots.  A weight
+        of another length is refused.
+        """
+        lattice, factors = self.building.lattice, self.building.factors
+        require_weight_length(lattice.matroid, vec)
         w = [x if type(x) is int else frac(x) for x in vec]
-        low = min(w, default=0)
-        return w, low, sum(1 << j for j, x in enumerate(w) if x == low)
-
-    def _holds(self, forest, w, low, at_min: int) -> bool:
-        """Is ``w = λ·1 + Σ c_G 1_G`` with every ``c_G >= 0``?  Exactly when
-        the root part takes the minimum λ of ``w``, ``w`` is constant on each
-        private part, each ``c_G = w(P_G) - w(P_parent)`` is nonnegative (a
-        root's parent value being λ), and each loop coordinate, lying in
-        every member, is λ + Σ c_G.  With an empty root part the loops fix
-        λ; with no loops either, the roots' coefficients are free."""
-        root, members = forest
-        if root & ~at_min:
-            return False
-        levels, total = [], 0
-        for part, parent in members:
-            level = w[part[0]]
-            if any(w[j] != level for j in part):
-                return False
-            if parent is not None:
-                if level < levels[parent]:
-                    return False
-                total -= levels[parent]
-            levels.append(level)
-            total += level
-        loops = _indices(self.building.lattice.bottom)
-        if not loops:
-            return True
-        # Σ c_G = total - r·λ over the r roots; with the root part empty,
-        # r != 1, for a single root would be the full flat
-        roots = [x for x, (_, p) in zip(levels, members) if p is None]
-        top, r = w[loops[0]], len(roots)
-        lam = low if root else Fraction(total - top, r - 1)
-        return (all(w[j] == top for j in loops)
-                and all(x >= lam for x in roots)
-                and top == total - (r - 1) * lam)
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    """0-based positions of the set bits of a mask."""
-    return tuple(e - 1 for e in iter_bits(mask))
+        nested: set[int] = set()
+        surplus, flat, previous = 0, 0, None
+        for j in sorted(range(len(w)), key=w.__getitem__, reverse=True):
+            if flat and w[j] != previous:
+                # flat is the superlevel set of the value just passed
+                if not lattice.is_flat_mask(flat):
+                    return None
+                parts = factors(flat)
+                nested.update(parts)
+                surplus += (previous - w[j]) * (len(parts) - 1)
+            flat |= 1 << j
+            previous = w[j]
+        nested.update(factors(flat))
+        if lattice.bottom and surplus and (
+                surplus > 0 or len(factors(lattice.top)) < 2):
+            return None
+        return nested
 
 
 def nested_fan(building: BuildingSet) -> NestedFan:

@@ -2,9 +2,10 @@
 
 Each kind of fan decides membership in its own maximal cones
 (``cone_contains``): the Bergman fan by maximal bases, the nested fan by
-the forest of its nested set (constancy on the private parts, nonnegative
-steps from each member to its parent, and the loop coordinates), with no
-elimination and no LP; a bare ``geometry.Fan`` has no membership rule.
+the flag of the weight (every superlevel set a flat, the union N(w) of
+their building-set factors inside the cone's nested set, and the surplus
+on the loops absorbed by the roots), with no elimination and no LP; a bare
+``geometry.Fan`` has no membership rule.
 ``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
 that rule only; here they are checked against references that test each ray
 with ``geometry.cone_contains``, the exact LP, which stays only as this
@@ -53,6 +54,11 @@ _LOOP = from_bases(1, [[]])
 LOOPED = {
     "U_2,3+loop": lambda: direct_sum(uniform(2, 3), _LOOP),
     "U_2,4+loop": lambda: direct_sum(uniform(2, 4), _LOOP),
+    # two components with loops: the surplus D on the loops decides
+    "U12+U12+loop": lambda: direct_sum(
+        direct_sum(uniform(1, 2), uniform(1, 2)), _LOOP),
+    "U23+U11+loop+loop": lambda: direct_sum(
+        direct_sum(uniform(2, 3), uniform(1, 1)), direct_sum(_LOOP, _LOOP)),
 }
 
 
@@ -190,6 +196,33 @@ def test_cone_rules_match_lp_on_random_weights(name, data):
     for fan in fans:
         for i, cone in enumerate(fan.cones):
             assert fan.cone_contains(i, w) == cone_contains(cone, w), (i, w)
+
+
+@pytest.mark.parametrize("name", ["U12+U12+loop", "U23+U11+loop+loop"])
+def test_loop_surplus_matches_lp_on_flag_weights(name):
+    # w = a·1_X + b·1_Y over pairs of flats X <= Y, with the loops moved by
+    # t: each 1_X costs (|F(X)| - 1) on the loops, which only the roots
+    # can absorb, so t decides membership around the boundary
+    matroid = LOOPED[name]()
+    lattice = FlatLattice(matroid)
+    loops = lattice.bottom
+    flats = lattice.flat_masks
+    weights = set()
+    for x, y in product(flats, repeat=2):
+        if x & ~y:
+            continue
+        for a, b, t in product((1, 2), (1, 3), (-2, -1, 0, 1, 2)):
+            weights.add(tuple(a * (x >> j & 1) + b * (y >> j & 1)
+                              + t * (loops >> j & 1)
+                              for j in range(matroid.n)))
+    for fan in _cached_fans(name):
+        inside = 0
+        for w in sorted(weights):
+            for i, cone in enumerate(fan.cones):
+                expected = cone_contains(cone, w)
+                assert fan.cone_contains(i, w) == expected, (i, w)
+                inside += expected
+        assert inside
 
 
 @pytest.mark.parametrize("matroid", [

@@ -12,8 +12,8 @@ import nested_oracle
 from nested_oracle import all_nested_sets
 from theorem_checks import (NotAChain, NotLinearExtension, blocks_partition,
                             chain_to_nested, dcp_normal_refinement_check,
-                            nested_chain_helpers, nested_complex,
-                            nested_complex_reduced)
+                            maximal_members_below, nested_chain_helpers,
+                            nested_complex, nested_complex_reduced)
 
 from mfk.bitset import from_mask, to_mask
 from mfk.bergman import bergman_fan, bergman_membership
@@ -736,19 +736,74 @@ def test_min_building_with_loops_is_a_building_set(matroid):
         assert is_nested(building, nested)
 
 
+_CORPUS_BUILDINGS = ("u23", "u24", "delA3", "braidK4", "braidK5", "boolean_4",
+                     "uniform_3_6")
+
+
+def _buildings(name):
+    """Min and max of a corpus entry; every building set of a small or
+    looped matroid."""
+    if name in _CORPUS_BUILDINGS:
+        lattice = FlatLattice(corpus(name).matroid)
+        return [min_building(lattice), max_building(lattice)]
+    if name in _LOOPED_INPUTS:
+        return list(_all_building_sets(_LOOPED_INPUTS[name]()))
+    return list(_all_building_sets(_SMALL_MATROIDS[name]))
+
+
 def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
-    # is_nested looks for a maximal nested set above the subset, and the
-    # oracle grows nested sets by the antichain-join rule; every subset of
-    # at most three members is nested exactly when the oracle lists it
+    # is_nested checks F(X) below each chosen member and the full flat, and
+    # the oracle grows nested sets by the antichain-join rule; every subset
+    # of at most three members, with a flat outside the building set among
+    # the candidates, is nested exactly when the oracle lists it
     looped = FlatLattice(_LOOPED_INPUTS["delA3+loop"]())
-    for lattice in (dela3_lattice, braid_k4_lattice, looped):
-        for building in (min_building(lattice), max_building(lattice)):
-            enumerated = set(all_nested_sets(building))
-            members = building.sorted_members()
-            for size in range(4):
-                for subset in combinations(members, size):
-                    assert is_nested(building, subset) == \
-                        (frozenset(subset) in enumerated)
+    buildings = [which(lattice)
+                 for lattice in (dela3_lattice, braid_k4_lattice, looped)
+                 for which in (min_building, max_building)]
+    for name in (*_SMALL_MATROIDS, *_LOOPED_INPUTS):
+        buildings += _buildings(name)
+    for building in buildings:
+        enumerated = set(all_nested_sets(building))
+        outsider = next((from_mask(f) for f in building.lattice.flat_masks
+                         if from_mask(f) not in building.members), None)
+        candidates = building.sorted_members()
+        if outsider is not None:
+            candidates.append(outsider)
+        for size in range(4):
+            for subset in combinations(candidates, size):
+                assert is_nested(building, subset) == \
+                    (frozenset(subset) in enumerated), subset
+
+
+@pytest.mark.parametrize("name", [*_SMALL_MATROIDS, *_LOOPED_INPUTS,
+                                  *_CORPUS_BUILDINGS])
+def test_factors_match_the_member_scan(name):
+    for building in _buildings(name):
+        masks = building.member_masks()
+        for flat in building.lattice.flat_masks[1:]:
+            assert building.factors(flat) == \
+                tuple(sorted(maximal_members_below(masks, flat)))
+
+
+@pytest.mark.parametrize("name", ["delA3", "braidK4", "boolean_4", "U23+loop"])
+def test_nested_answers_list_no_nested_sets(name, monkeypatch):
+    # is_nested and the cone rules read F(X); only nested_fan lists
+    matroid = (_LOOPED_INPUTS[name]() if name in _LOOPED_INPUTS
+               else corpus(name).matroid)
+    lattice = FlatLattice(matroid)
+    buildings = (min_building(lattice), max_building(lattice))
+    fans = [nested_fan(building) for building in buildings]
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a nested answer listed the maximal nested sets")
+
+    monkeypatch.setattr(mfk.nested, "maximal_nested_sets", no_listing)
+    weights = list(product(range(-1, 2), repeat=matroid.n))
+    for building, fan in zip(buildings, fans):
+        assert all(is_nested(building, s) for s in fan.nested_sets)
+        for w in weights:
+            inside = [fan.cone_contains(i, w) for i in range(len(fan.cones))]
+            assert fan.contains(w) == any(inside)
 
 
 # acceptance criterion 05 makes the same check on every U_{d,n} with

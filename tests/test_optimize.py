@@ -83,7 +83,7 @@ def test_package_does_not_import_scipy():
 
 
 def test_nested_imports_no_elimination_entry_point():
-    # a nested cone is read off the forest of its nested set
+    # a nested cone is read off the flag of the weight
     refused = {"rref", "rank", "nullspace", "solve", "lp_feasible",
                "linalg", "mfk.linalg"}
     found = [site for site, names in _imports_of("mfk.linalg")

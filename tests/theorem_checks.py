@@ -18,6 +18,9 @@ no subcommand needs them.  Their refusals are ``ValueError``s:
   linear extension of a nested set;
 * ``nested_chain_helpers``: the chains S_i of a nested set and the index of
   the minimal support family inside each building member;
+* ``maximal_members_below``: the building members inside a flat that lie
+  in no other, by a scan of their own (the oracle of
+  ``BuildingSet.factors``);
 * ``chain_to_nested``: the canonical nested set whose prefix joins give a
   chain of flats;
 * ``nested_complex`` and ``nested_complex_reduced``: the simplicial complex
@@ -35,8 +38,7 @@ from mfk.complexes import SimplicialComplex
 from mfk.errors import InvalidBuildingSet, LoopsPresent, NotFlats
 from mfk.linalg import frac
 from mfk.matroid import LinearRealization, Matroid
-from mfk.nested import (BuildingSet, NestedFan, _maximal_members_below,
-                        is_nested, maximal_nested_sets)
+from mfk.nested import BuildingSet, NestedFan, is_nested, maximal_nested_sets
 from mfk.polytope import degeneration, indicator_vertex
 
 
@@ -214,6 +216,14 @@ def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
                            min_support_index=min_index)
 
 
+def maximal_members_below(member_masks, flat: int) -> list[int]:
+    """Building members inside the flat that lie in no other such member:
+    a scan of its own, the oracle of ``BuildingSet.factors``."""
+    inside = [g for g in member_masks if g & ~flat == 0]
+    return [g for g in inside
+            if not any(h != g and g & ~h == 0 for h in inside)]
+
+
 def chain_to_nested(building: BuildingSet, chain):
     """Canonical nested set and extension whose prefix joins give the chain.
 
@@ -231,7 +241,7 @@ def chain_to_nested(building: BuildingSet, chain):
     member_masks = set(building.member_masks())
     extension: list[int] = []
     for fmask in masks:
-        maximal = sorted(_maximal_members_below(member_masks, fmask),
+        maximal = sorted(maximal_members_below(member_masks, fmask),
                          key=lambda m: (popcount(m), sorted(from_mask(m))))
         for g in maximal:
             if g not in extension:
