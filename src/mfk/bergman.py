@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -66,9 +66,6 @@ class BergmanFan(Fan):
     def contains(self, w) -> bool:
         return bergman_membership(self.matroid, w)
 
-    def cone_contains(self, i: int, w) -> bool:
-        return self.coarse_contains(i, w)
-
     @cached_property
     def _group_masks(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(to_mask(b) for b in bases)
@@ -78,10 +75,11 @@ class BergmanFan(Fan):
         """Closed-cone membership: the group's bases are all w-maximal."""
         return self._group_masks[group_index] <= heaviest_bases(self.matroid, w)
 
-    def any_coarse_contains(self, w) -> bool:
-        """Some coarse cone contains w; the w-maximal bases are found once."""
-        heaviest = heaviest_bases(self.matroid, w)
-        return any(group <= heaviest for group in self._group_masks)
+    def cones_containing(self, w) -> frozenset[int]:
+        """The coarse cones holding w; the w-maximal bases are found once."""
+        holds = heaviest_bases(self.matroid, w).issuperset
+        return frozenset(compress(range(len(self._group_masks)),
+                                  map(holds, self._group_masks)))
 
 
 def bergman_fan(lattice: FlatLattice) -> BergmanFan:

@@ -122,7 +122,7 @@ def _dispatch(args) -> dict:
         if args.grid:
             radius = args.grid
             agrees = all(
-                fan.contains(w) == fan.any_coarse_contains(w)
+                fan.contains(w) == bool(fan.cones_containing(w))
                 for w in product(range(-radius, radius + 1),
                                  repeat=matroid.n))
             data["support_grid_radius"] = radius

@@ -96,8 +96,8 @@ def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
 class Fan:
     """A fan given by its maximal cones; face closure is left implicit.
 
-    Each kind of fan decides membership in its own cones, by
-    ``cone_contains(i, w)`` and ``contains(w)``; every fan comparison asks it.
+    Each kind of fan answers ``contains(w)`` for its support and
+    ``cones_containing(w)``, the maximal cones holding w, for comparisons.
     """
 
     def __init__(self, n: int, cones: tuple[Cone, ...]):

@@ -2,8 +2,8 @@
 
 Flats are frozensets of 1-based elements; a nested set is a frozenset of
 flats validated against its building set.  Every fan is a ``geometry.Fan``
-that decides membership in its own maximal cones, and refinement questions
-reduce to that membership for ray generators.
+that names the maximal cones holding a weight, and refinement questions
+reduce to that one query, asked once per ray generator.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from .bitset import from_mask, popcount, to_mask
-from .errors import InvalidBuildingSet, ParameterOutOfRange
+from .errors import DimensionMismatch, InvalidBuildingSet, ParameterOutOfRange
 from .geometry import (Cone, Fan, RationalPolytope, _flat_vector, convex_hull,
                        quotient_ray)
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
@@ -190,10 +190,11 @@ class NestedFan(Fan):
         the loops take no surplus that the roots cannot absorb."""
         return self._flag_nested(vec) is not None
 
-    def cone_contains(self, i: int, vec) -> bool:
-        """Exact membership in the i-th cone: N(w) lies in its nested set."""
+    def cones_containing(self, vec) -> frozenset[int]:
+        """The cones holding ``w``: those whose nested set holds N(w)."""
         nested = self._flag_nested(vec)
-        return nested is not None and nested <= self._cone_masks[i]
+        return frozenset(i for i, cone in enumerate(self._cone_masks)
+                         if nested is not None and nested <= cone)
 
     def _flag_nested(self, vec) -> set[int] | None:
         """N(w), the union of F(X_j) over the superlevel sets X_j of ``w``,
@@ -257,16 +258,23 @@ def nested_fan(building: BuildingSet) -> NestedFan:
 # -- fan comparison ----------------------------------------------------------------
 
 
+def _require_same_ground(fan_a: Fan, fan_b: Fan) -> None:
+    if fan_a.n != fan_b.n:
+        raise DimensionMismatch(
+            f"fans on {fan_a.n} and {fan_b.n} elements cannot be compared")
+
+
 def _uncovered_cone(fan_a: Fan, fan_b: Fan) -> Cone | None:
     """First maximal cone of fan_a inside no single maximal cone of fan_b.
 
-    A cone lies inside another exactly when all its rays do; fan_b decides
-    each (cone, ray) membership once, by its own rule.
+    A cone lies inside another exactly when all its rays do: it is covered
+    when the cones of fan_b holding its rays, each ray asked once, meet.
     """
-    inside = cache(fan_b.cone_contains)
+    _require_same_ground(fan_a, fan_b)
+    holders = {r: fan_b.cones_containing(r) for r in fan_a.rays()}
+    every = frozenset(range(len(fan_b.cones)))
     for cone in fan_a.cones:
-        if not any(all(inside(j, r) for r in cone.rays)
-                   for j in range(len(fan_b.cones))):
+        if not every.intersection(*map(holders.__getitem__, cone.rays)):
             return cone
     return None
 
@@ -278,6 +286,7 @@ def refines(fan_a: Fan, fan_b: Fan) -> bool:
 
 def supports_equal_on_generators(fan_a: Fan, fan_b: Fan) -> bool:
     """Symmetric containment of all ray generators in the opposite support."""
+    _require_same_ground(fan_a, fan_b)
     return (all(fan_b.contains(r) for r in fan_a.rays())
             and all(fan_a.contains(r) for r in fan_b.rays()))
 

@@ -1,16 +1,17 @@
 """The fan protocol against the generic LP membership oracle.
 
-Each kind of fan decides membership in its own maximal cones
-(``cone_contains``): the Bergman fan by maximal bases, the nested fan by
+Each kind of fan names the maximal cones that hold a weight
+(``cones_containing``): the Bergman fan by maximal bases, the nested fan by
 the flag of the weight (every superlevel set a flat, the union N(w) of
 their building-set factors inside the cone's nested set, and the surplus
 on the loops absorbed by the roots), with no elimination and no LP; a bare
 ``geometry.Fan`` has no membership rule.
 ``refines``, ``compare_fans`` and ``supports_equal_on_generators`` go through
-that rule only; here they are checked against references that test each ray
-with ``geometry.cone_contains``, the exact LP, which stays only as this
-oracle.  Each fan is built from the one structure it reads: ``bergman_fan``
-from a lattice of flats, ``nested_fan`` from a building set in it.
+that query only, once per ray; here they are checked against references
+that test each (cone, ray) pair with ``geometry.cone_contains``, the exact
+LP, which stays only as this oracle.  Each fan is built from the one
+structure it reads: ``bergman_fan`` from a lattice of flats, ``nested_fan``
+from a building set in it.
 """
 
 import sys
@@ -23,15 +24,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nested_oracle
+import mfk.bergman
 from mfk import geometry, linalg
 from mfk.bergman import bergman_fan
 from mfk.bitset import from_mask
-from mfk.corpus import corpus
+from mfk.corpus import corpus, vandermonde
 from mfk.errors import DimensionMismatch
 from mfk.geometry import cone_contains
 from mfk.lattice import FlatLattice
 from mfk.matroid import direct_sum, from_bases, uniform
-from mfk.nested import (BuildingSet, compare_fans, is_building_set,
+from mfk.nested import (BuildingSet, NestedFan, compare_fans, is_building_set,
                         max_building, maximal_nested_sets, min_building,
                         nested_fan, refines, supports_equal_on_generators)
 
@@ -74,6 +76,11 @@ def _fans(matroid):
 def _lp_oracle(fan):
     """(i, w) -> is w in the i-th cone of fan, by LP; each pair asked once."""
     return cache(lambda i, w: cone_contains(fan.cones[i], w))
+
+
+def _lp_holders(fan, w):
+    """The indices of the cones of fan holding w, by LP."""
+    return {i for i, cone in enumerate(fan.cones) if cone_contains(cone, w)}
 
 
 def _lp_uncovered(fan_a, fan_b, inside_b):
@@ -158,10 +165,48 @@ def test_nested_rule_runs_without_elimination(name, monkeypatch):
     for fan in nested:
         for w in weights:
             fan.contains(w)
-            for i in range(len(fan.cones)):
-                fan.cone_contains(i, w)
+            fan.cones_containing(w)
     for fan_a, fan_b in permutations(nested + bergman, 2):
         compare_fans(fan_a, fan_b)
+
+
+@pytest.mark.parametrize("name", ["braidK5", "delA3", "U(4,12)"])
+def test_comparison_asks_each_fan_once_per_ray(name, monkeypatch):
+    # each fan answers a ray of the other with one scan of the bases (the
+    # Bergman fan) or one read of the flag (the nested fan), not one per
+    # (cone, ray) pair
+    matroid = (vandermonde(4, 12).matroid if name == "U(4,12)"
+               else corpus(name).matroid)
+    lattice = FlatLattice(matroid)
+    nfan, bfan = nested_fan(min_building(lattice)), bergman_fan(lattice)
+    calls = {"heaviest": 0, "flag": 0}
+
+    def counted(key, kernel):
+        def wrapper(*args):
+            calls[key] += 1
+            return kernel(*args)
+        return wrapper
+
+    monkeypatch.setattr(mfk.bergman, "heaviest_bases",
+                        counted("heaviest", mfk.bergman.heaviest_bases))
+    monkeypatch.setattr(NestedFan, "_flag_nested",
+                        counted("flag", NestedFan._flag_nested))
+    compare_fans(nfan, bfan)
+    assert 0 < calls["heaviest"] <= len(nfan.rays())
+    assert 0 < calls["flag"] <= len(bfan.rays())
+
+
+@pytest.mark.parametrize("pair", ["U11-U24", "U23-U24"])
+def test_fans_on_different_ground_sets_are_refused(pair):
+    # the U(1,1) fan's only cone has no rays, so only the sizes can tell
+    small = (nested_fan(min_building(FlatLattice(uniform(1, 1))))
+             if pair == "U11-U24" else bergman_fan(FlatLattice(uniform(2, 3))))
+    large = bergman_fan(FlatLattice(uniform(2, 4)))
+    for fan_a, fan_b in ((small, large), (large, small)):
+        for compare in (refines, compare_fans, supports_equal_on_generators):
+            with pytest.raises(DimensionMismatch,
+                               match=f"{fan_a.n} and {fan_b.n} elements"):
+                compare(fan_a, fan_b)
 
 
 @pytest.mark.parametrize("offset", [-2, 1, 3])
@@ -172,9 +217,8 @@ def test_weights_of_the_wrong_length_are_refused(offset):
     for fan in (nested_fan(min_building(lattice)), bergman_fan(lattice)):
         with pytest.raises(DimensionMismatch):
             fan.contains(w)
-        for i in range(len(fan.cones)):
-            with pytest.raises(DimensionMismatch):
-                fan.cone_contains(i, w)
+        with pytest.raises(DimensionMismatch):
+            fan.cones_containing(w)
 
 
 @cache
@@ -194,8 +238,7 @@ def test_cone_rules_match_lp_on_random_weights(name, data):
                         st.fractions(-4, 4, max_denominator=3))
     w = data.draw(st.lists(entries, min_size=n, max_size=n))
     for fan in fans:
-        for i, cone in enumerate(fan.cones):
-            assert fan.cone_contains(i, w) == cone_contains(cone, w), (i, w)
+        assert fan.cones_containing(w) == _lp_holders(fan, w), w
 
 
 @pytest.mark.parametrize("name", ["U12+U12+loop", "U23+U11+loop+loop"])
@@ -218,10 +261,9 @@ def test_loop_surplus_matches_lp_on_flag_weights(name):
     for fan in _cached_fans(name):
         inside = 0
         for w in sorted(weights):
-            for i, cone in enumerate(fan.cones):
-                expected = cone_contains(cone, w)
-                assert fan.cone_contains(i, w) == expected, (i, w)
-                inside += expected
+            expected = _lp_holders(fan, w)
+            assert fan.cones_containing(w) == expected, w
+            inside += len(expected)
         assert inside
 
 
@@ -252,7 +294,6 @@ def test_every_building_set_cone_rule_matches_lp(matroid):
             assert maximal_nested_sets(building) == \
                 nested_oracle.maximal_nested_sets(building)
             fan = nested_fan(building)
-            for i, cone in enumerate(fan.cones):
-                for w in grid:
-                    assert fan.cone_contains(i, w) == \
-                        cone_contains(cone, w), (members, i, w)
+            for w in grid:
+                assert fan.cones_containing(w) == _lp_holders(fan, w), \
+                    (members, w)
