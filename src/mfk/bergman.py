@@ -33,7 +33,7 @@ def bergman_membership(matroid: Matroid, w) -> bool:
     """Does w lie in the Bergman support?
 
     True exactly when every set in the chain of -w is a flat (the ground
-    set always is).
+    set always is), so the answer depends only on the weak order of w.
     """
     if matroid.loops():
         raise LoopsPresent("Bergman membership needs a loop-free matroid")
@@ -76,7 +76,10 @@ class BergmanFan(Fan):
         return self._group_masks[group_index] <= heaviest_bases(self.matroid, w)
 
     def cones_containing(self, w) -> frozenset[int]:
-        """The coarse cones holding w; the w-maximal bases are found once."""
+        """The coarse cones holding w; the w-maximal bases are found once.
+
+        The answer depends only on the weak order of w.
+        """
         holds = heaviest_bases(self.matroid, w).issuperset
         return frozenset(compress(range(len(self._group_masks)),
                                   map(holds, self._group_masks)))

@@ -120,11 +120,14 @@ def _dispatch(args) -> dict:
         fan = bergman_fan(FlatLattice(matroid))
         data = bergman_to_json(fan)
         if args.grid:
+            # both answers depend only on the weak order of w and not on
+            # w + c*1: the w with values exactly 0..k-1 stand for the grid
             radius = args.grid
             agrees = all(
                 fan.contains(w) == bool(fan.cones_containing(w))
-                for w in product(range(-radius, radius + 1),
-                                 repeat=matroid.n))
+                for w in product(range(min(matroid.n, 2 * radius + 1)),
+                                 repeat=matroid.n)
+                if len(set(w)) == max(w, default=-1) + 1)
             data["support_grid_radius"] = radius
             data["support_grid_agrees"] = agrees
         return data
@@ -231,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", metavar="K",
                            type=_checked(int, lambda k: k >= 0,
                                          "must be an integer >= 0"),
-                           help="verify support equality on the grid {-K..K}^n")
+                           help="verify support equality on the grid "
+                                "{-K..K}^n, decided once per weak order")
         if name == "nested":
             p.add_argument("--building", default="min",
                            help="min, max, or a JSON file of flats")

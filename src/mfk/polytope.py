@@ -105,7 +105,8 @@ def heaviest_bases(matroid: Matroid, w) -> set[int]:
     """Masks of the bases of largest total weight under w.
 
     w is first scaled to a primitive integer vector; a positive scaling
-    leaves the set of w-maximal bases unchanged.
+    leaves the set of w-maximal bases unchanged.  The greedy algorithm finds
+    them from the weak order of w alone.
     """
     require_weight_length(matroid, w)
     ints = primitive_integer(w, sign_first_positive=False)

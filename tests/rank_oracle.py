@@ -8,11 +8,15 @@ definition directly: the closure adds every element that keeps the rank,
 and a set is dependent when its rank is below its size.  ``circuit_scan``
 is the one exception: the subset scan ``Matroid.circuit_masks`` made before
 it walked down from the bases, which tests dependence by basis containment.
+
+``grid_agrees_pointwise`` is the Bergman grid check as the CLI made it
+before it took one weight per weak order: both support rules at every point
+of {-K..K}^n.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from mfk.bitset import from_mask, popcount
 
@@ -68,3 +72,8 @@ def loops(matroid) -> frozenset[int]:
     return from_mask(sum(1 << (e - 1) for e in range(1, matroid.n + 1)
                          if matroid.rank_mask(1 << (e - 1)) == 0))
 
+
+def grid_agrees_pointwise(fan, radius: int) -> bool:
+    """Do ``contains`` and ``cones_containing`` agree on all of {-K..K}^n?"""
+    return all(fan.contains(w) == bool(fan.cones_containing(w))
+               for w in product(range(-radius, radius + 1), repeat=fan.n))

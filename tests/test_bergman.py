@@ -125,6 +125,31 @@ def test_bergman_support_equals_coarse_union(u24, dela3):
             assert bergman_membership(m, w) == bool(fan.cones_containing(w))
 
 
+def _weak_order(w):
+    """The ordered partition of the positions by value, as level indices."""
+    levels = sorted(set(w))
+    return tuple(levels.index(x) for x in w)
+
+
+@pytest.mark.parametrize("name", ["u23", "u24", "delA3", "braidK4",
+                                  "boolean_3", "U23+U12"])
+def test_support_answers_depend_only_on_the_weak_order(name):
+    # every Bergman cone is a union of braid cones, so both rules are
+    # constant on a weak-order class and blind to w + c*1 and to 2w
+    m = (direct_sum(uniform(2, 3), uniform(1, 2)) if name == "U23+U12"
+         else corpus(name).matroid)
+    assert name != "U23+U12" or m.components().kappa == 2
+    fan = bergman_fan(FlatLattice(m))
+    by_order = {}
+    for w in product(range(-2, 3), repeat=m.n):
+        answer = (fan.contains(w), fan.cones_containing(w))
+        assert by_order.setdefault(_weak_order(w), answer) == answer, w
+        for image in ([x - 3 for x in w], [x + 1 for x in w],
+                      [2 * x for x in w]):
+            assert (fan.contains(image),
+                    fan.cones_containing(image)) == answer, (w, image)
+
+
 def test_bergman_groups_share_degeneration(dela3):
     from mfk.polytope import degeneration
     fan = bergman_fan(FlatLattice(dela3.matroid))

@@ -100,6 +100,19 @@ def test_bergman_grid_flag(capsys):
     assert payload["support_grid_agrees"] is True
 
 
+def test_a_huge_grid_radius_answers_at_once(capsys):
+    # one weight per weak order: at 2K + 1 >= n the radius adds no work
+    start = time.perf_counter()
+    assert main(["bergman", "--corpus", "u24", "--grid", "100000"]) == 0
+    assert time.perf_counter() - start < 0.5
+    huge = json.loads(capsys.readouterr().out)
+    assert main(["bergman", "--corpus", "u24", "--grid", "3"]) == 0
+    small = json.loads(capsys.readouterr().out)
+    assert huge.pop("support_grid_radius") == 100000
+    assert small.pop("support_grid_radius") == 3
+    assert huge == small
+
+
 def test_degenerate_subcommand(capsys):
     assert main(["degenerate", "--uniform", "2", "4", "--u", "1,0,0,0"]) == 0
     payload = json.loads(capsys.readouterr().out)

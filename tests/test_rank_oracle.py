@@ -5,21 +5,25 @@
 agree with it on every subset, the circuit walk must agree with the subset
 scan it replaced, and the work counts guard the one-pass forms:
 ``closure_mask`` and ``circuit_masks`` call ``rank_mask`` never, and the
-Bergman grid check finds the heaviest bases once per grid point.
+Bergman grid check finds the heaviest bases once per weak order.  The grid
+check itself must answer as ``rank_oracle.grid_agrees_pointwise`` does.
 """
 
 import contextlib
 import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rank_oracle
 from mfk import bergman, cli
-from mfk.bergman import bergman_fan, bergman_membership
+from mfk.bergman import BergmanFan, bergman_fan, bergman_membership
 from mfk.bitset import from_mask
 from mfk.corpus import corpus
 from mfk.lattice import FlatLattice
@@ -172,11 +176,69 @@ def test_closure_and_circuits_make_no_rank_scan(monkeypatch):
     assert calls == []
 
 
-def test_bergman_grid_finds_the_heaviest_bases_once_per_point(monkeypatch):
-    m = corpus("u24").matroid
+@pytest.mark.parametrize("radius", ["2", "40"])
+def test_bergman_grid_finds_the_heaviest_bases_once_per_weak_order(
+        monkeypatch, radius):
     calls = _count_calls(monkeypatch, bergman, "heaviest_bases")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["bergman", "--corpus", "u24", "--grid", "2"]) == 0
+        assert cli.main(["bergman", "--corpus", "u24", "--grid", radius]) == 0
     # the flags are grouped by their transversals, with no call; then one
-    # call per grid point
-    assert len(calls) == 5 ** m.n
+    # call per weak order of [4], at any radius with 2K + 1 >= 4 levels
+    assert len(calls) == 75
+
+
+# -- the grid check against the pointwise sweep ------------------------------
+
+
+def _cli_grid(input_args, radius):
+    """``support_grid_radius`` and ``support_grid_agrees`` of the CLI."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["bergman", *input_args, "--grid", str(radius)]) == 0
+    data = json.loads(out.getvalue())
+    return data["support_grid_radius"], data["support_grid_agrees"]
+
+
+_SMALL_CORPUS = ["u23", "u24", "delA3", "braidK4",
+                 *(f"boolean_{n}" for n in range(1, 7)),
+                 *(f"uniform_{d}_{n}" for n in range(1, 7)
+                   for d in range(1, n + 1))]
+
+
+@pytest.mark.parametrize("name", _SMALL_CORPUS)
+def test_grid_check_matches_the_pointwise_sweep_on_the_corpus(name):
+    fan = bergman_fan(FlatLattice(corpus(name).matroid))
+    for radius in (1, 2, 3):
+        assert _cli_grid(["--corpus", name], radius) == (
+            radius, rank_oracle.grid_agrees_pointwise(fan, radius))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_matrices(), st.integers(min_value=1, max_value=2))
+def test_grid_check_matches_the_pointwise_sweep_on_matrices(rows, radius):
+    m = from_matrix(rows)[0]
+    assume(m.n <= 5 and not m.loops())
+    fan = bergman_fan(FlatLattice(m))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "matrix.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"rows": len(rows), "cols": m.n,
+                       "entries": [[str(x) for x in row] for row in rows]},
+                      handle)
+        assert _cli_grid(["--matrix", path], radius) == (
+            radius, rank_oracle.grid_agrees_pointwise(fan, radius))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_reduced_grid_check_still_catches_a_fault(monkeypatch, radius):
+    # a fault only at weights with n distinct values: on the free matroid
+    # those lie in the support, so both checks must see it
+    honest = BergmanFan.cones_containing
+
+    def faulty(fan, w):
+        return frozenset() if len(set(w)) == fan.n else honest(fan, w)
+
+    monkeypatch.setattr(BergmanFan, "cones_containing", faulty)
+    fan = bergman_fan(FlatLattice(corpus("boolean_3").matroid))
+    assert rank_oracle.grid_agrees_pointwise(fan, radius) is False
+    assert _cli_grid(["--corpus", "boolean_3"], radius) == (radius, False)
