@@ -13,16 +13,17 @@ import math
 import os
 import sys
 import tempfile
-from itertools import product
+from itertools import permutations
 
 from .corpus import corpus as corpus_entry, corpus_names, vandermonde
 from .bergman import amoeba_sample, bergman_fan, support_deviations
 from .errors import InvalidInput, MfkError, UnwritableOutput
 from .jsonio import (_integer, amoeba_to_json, bergman_to_json,
                      circuits_to_json, comparison_to_json,
-                     degeneration_to_json, facets_to_json, graph_from_json,
-                     lattice_to_json, matrix_from_json, matroid_from_json,
-                     matroid_to_json, nested_fan_to_json, polytope_to_json)
+                     degeneration_to_json, dumps, facets_to_json,
+                     graph_from_json, lattice_to_json, matrix_from_json,
+                     matroid_from_json, matroid_to_json, nested_fan_to_json,
+                     polytope_to_json)
 from .lattice import FlatLattice, moebius
 from .geometry import face_lattice
 from .linalg import frac
@@ -83,6 +84,17 @@ def _building_for(building: str, lattice: FlatLattice):
         lattice, [frozenset(_integer(e, 1) for e in f) for f in flats]))
 
 
+def _weak_orders(n: int, levels: int):
+    """Each w in range(levels)^n with values exactly 0..k-1, once: the k
+    blocks of a restricted growth string labelled by a permutation."""
+    strings = [()]
+    for _ in range(n):
+        strings = (s + (b,) for s in strings
+                   for b in range(min(max(s, default=-1) + 2, levels)))
+    return (tuple(map(labels.__getitem__, s)) for s in strings
+            for labels in permutations(range(max(s, default=-1) + 1)))
+
+
 def _error_artifact(err: MfkError) -> dict:
     return {"error": type(err).__name__, "message": str(err)}
 
@@ -125,9 +137,8 @@ def _dispatch(args) -> dict:
             radius = args.grid
             agrees = all(
                 fan.contains(w) == bool(fan.cones_containing(w))
-                for w in product(range(min(matroid.n, 2 * radius + 1)),
-                                 repeat=matroid.n)
-                if len(set(w)) == max(w, default=-1) + 1)
+                for w in _weak_orders(matroid.n, min(matroid.n,
+                                                     2 * radius + 1)))
             data["support_grid_radius"] = radius
             data["support_grid_agrees"] = agrees
         return data
@@ -154,7 +165,7 @@ def _dispatch(args) -> dict:
 
 
 def _emit(artifact: dict, output: str | None) -> None:
-    text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+    text = dumps(artifact) + "\n"
     if output is None:
         sys.stdout.write(text)
         return

@@ -8,6 +8,8 @@ inputs give identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .bergman import AmoebaSample, BergmanFan
 from .geometry import FaceLattice, Fan, RationalPolytope
@@ -16,6 +18,36 @@ from .linalg import frac
 from .matroid import LinearRealization, Matroid, from_bases, from_matrix
 from .nested import FanComparison, NestedFan
 from .polytope import Degeneration, FacetDescription
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _level(depth: int) -> tuple:
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return inner, outer, "," + inner, c_make_encoder(
+        None, JSONEncoder().default, encode_basestring_ascii, None, ": ",
+        "," + inner, False, False, True)
+
+
+def dumps(artifact) -> str:
+    """``json.dumps(artifact, sort_keys=True, indent=2)`` for dicts with str
+    keys, lists, tuples and JSON scalars; other values raise TypeError."""
+    return _dumps(artifact, 0)
+
+
+def _dumps(o, depth: int) -> str:
+    if not isinstance(o, (list, tuple, dict)) or not o:
+        return "".join(_level(0)[3](o, 0))  # the C encoder returns chunks
+    inner, outer, sep, scalars = _level(depth)
+    if isinstance(o, dict):
+        return "{" + inner + sep.join([
+            encode_basestring_ascii(k) + ": " + _dumps(o[k], depth + 1)
+            for k in sorted(o)]) + outer + "}"
+    body = ("".join(scalars(o, 0))[1:-1] if set(map(type, o)) <= _SCALARS
+            else sep.join([_dumps(x, depth + 1) for x in o]))
+    return "[" + inner + body + outer + "]"
 
 
 def _rational_str(x: Fraction):
@@ -153,11 +185,11 @@ def comparison_to_json(cmp: FanComparison) -> dict:
 
 
 def circuits_to_json(generators) -> dict:
+    keyed = sorted(((sorted(g.circuit), g) for g in generators),
+                   key=lambda pair: pair[0])
     return {"generators": [
-        {"circuit": sorted(g.circuit),
-         "coefficients": [[i, g.coefficients[i]] for i in sorted(g.circuit)],
-         "degree": g.degree()}
-        for g in sorted(generators, key=lambda g: sorted(g.circuit))]}
+        {"circuit": c, "coefficients": [[i, g.coefficients[i]] for i in c],
+         "degree": g.degree()} for c, g in keyed]}
 
 
 def amoeba_to_json(sample: AmoebaSample, deviations: list[float],

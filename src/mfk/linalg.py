@@ -246,10 +246,7 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
 
 
 def content(ints) -> int:
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*ints)
 
 
 def primitive_integer(vec, sign_first_positive: bool = True) -> list[int]:
@@ -258,17 +255,16 @@ def primitive_integer(vec, sign_first_positive: bool = True) -> list[int]:
     With ``sign_first_positive`` the first nonzero entry is made positive.
     The zero vector is returned unchanged.
     """
-    fracs = [x if type(x) is int else frac(x) for x in vec]
-    denom = lcm(*(x.denominator for x in fracs))
-    ints = [x.numerator * (denom // x.denominator) for x in fracs]
+    ints = list(vec)
+    if any(type(x) is not int for x in ints):
+        fracs = [x if type(x) is int else frac(x) for x in ints]
+        denom = lcm(*(x.denominator for x in fracs))
+        ints = [x.numerator * (denom // x.denominator) for x in fracs]
     g = content(ints)
-    if g == 0:
-        return ints
-    ints = [x // g for x in ints]
-    if sign_first_positive:
-        lead = next((x for x in ints if x != 0), 0)
-        if lead < 0:
-            ints = [-x for x in ints]
+    if g > 1:
+        ints = [x // g for x in ints]
+    if sign_first_positive and next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
     return ints
 
 

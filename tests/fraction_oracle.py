@@ -3,13 +3,15 @@
 
 This is the elimination ``mfk.linalg`` used before its integer kernel,
 kept only to check that kernel; ``determinant`` checks the Bareiss
-determinant the same way.  Every entry is coerced to a ``Fraction``
+determinant the same way, and ``primitive_integer`` the integer shortcut
+of its namesake.  Every entry is coerced to a ``Fraction``
 first, so the oracle is exact on ints, Fractions and ``'p/q'`` strings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _fractions(matrix) -> list[list[Fraction]]:
@@ -81,3 +83,20 @@ def determinant(matrix) -> Fraction:
             f = m[i][k] / m[k][k]
             m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return det
+
+
+def primitive_integer(vec, sign_first_positive: bool = True) -> list[int]:
+    """The vector scaled through Fractions to integers with content 1, its
+    first nonzero entry made positive on request; zero stays zero."""
+    fracs = [Fraction(x) for x in vec]
+    denom = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * denom) for x in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return ints
+    ints = [x // g for x in ints]
+    if sign_first_positive and next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return ints

@@ -10,7 +10,7 @@ import fraction_oracle as oracle
 from mfk import FlatLattice, corpus, order_complex
 from mfk.bergman import bergman_membership
 from mfk.complexes import boundary_matrix
-from mfk.linalg import frac, nullspace, rank, rref
+from mfk.linalg import frac, nullspace, primitive_integer, rank, rref
 from mfk.matroid import from_matrix, uniform
 from mfk.nested import min_building, nested_fan
 from mfk.polytope import degeneration, heaviest_bases
@@ -109,6 +109,18 @@ def test_rank_of_sparse_rows_matches_dense(matrix):
     sparse = [{j: x for j, x in enumerate(row) if Fraction(x)}
               for row in matrix]
     assert rank(sparse) == rank(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=6),
+                 st.lists(st.one_of(ENTRIES, ZEROS), max_size=6),
+                 st.lists(ZEROS, max_size=4)),
+       st.booleans())
+def test_primitive_integer_matches_oracle(vec, sign_first_positive):
+    # int vectors take the shortcut; Fractions, strings and mixed ones do not
+    ints = primitive_integer(vec, sign_first_positive)
+    assert ints == oracle.primitive_integer(vec, sign_first_positive)
+    assert all(type(x) is int for x in ints)
 
 
 def test_empty_and_degenerate_shapes():

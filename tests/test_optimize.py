@@ -17,7 +17,9 @@ the module itself): its cones decide membership from their nested sets.
 lifted flacets of the components.
 
 Every error type of ``errors.py`` is raised by some other module, so none
-outlives its last raiser.
+outlives its last raiser.  No module calls ``json.dumps`` or ``json.dump``:
+every artifact is written by ``jsonio.dumps``, which ``test_jsonio.py``
+checks byte for byte against ``json.dumps(sort_keys=True, indent=2)``.
 """
 
 import ast
@@ -116,3 +118,14 @@ def test_every_error_type_is_raised_in_the_package():
                               for n in ast.walk(node)
                               if isinstance(n, (ast.Name, ast.Attribute)))
     assert sorted(defined - raised) == []
+
+
+def test_package_emits_through_jsonio_dumps_alone():
+    writers = {"dumps", "dump"}
+    found = [site for site, names in _imports_of("json") if names & writers]
+    for name, tree in _module_trees():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in writers
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "json"]
+    assert found == []

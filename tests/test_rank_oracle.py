@@ -187,6 +187,18 @@ def test_bergman_grid_finds_the_heaviest_bases_once_per_weak_order(
     assert len(calls) == 75
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_weak_orders_are_the_filtered_grid_each_once(n):
+    # the grid check visits these in place of the filtered product
+    for radius in range(4):
+        levels = min(n, 2 * radius + 1)
+        orders = list(cli._weak_orders(n, levels))
+        assert len(orders) == len(set(orders))
+        assert set(orders) == {
+            w for w in product(range(levels), repeat=n)
+            if len(set(w)) == max(w, default=-1) + 1}
+
+
 # -- the grid check against the pointwise sweep ------------------------------
 
 
