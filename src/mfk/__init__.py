@@ -16,8 +16,8 @@ from .bergman import (AmoebaSample, BergmanFan, amoeba_sample, bergman_fan,
                       bergman_membership, initial_subspace, support_deviations)
 from .reciprocal import (CircuitPolynomial, minimal_generator_count,
                          reciprocal_generators)
-from .nested import (BuildingSet, FanComparison, NestedFan, building_set,
-                     compare_fans, dcp_weight_polytope, fans_equal_condition,
+from .nested import (BuildingSet, FanComparison, NestedFan, compare_fans,
+                     dcp_weight_polytope, fans_equal_condition,
                      is_building_set, is_nested, max_building,
                      maximal_nested_sets, min_building, nested_fan, refines,
                      supports_equal_on_generators)

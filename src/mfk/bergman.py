@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, compress, repeat
 from numbers import Integral, Real
 from typing import NamedTuple
 
-from .bitset import from_mask, full_mask, iter_bits, to_mask
+from .bitset import full_mask, iter_bits, to_mask
 from .errors import LoopsPresent, ParameterOutOfRange, SingularSample
 from .geometry import Cone, Fan, _flat_vector
 from .lattice import FlatLattice
@@ -47,16 +46,17 @@ def bergman_membership(matroid: Matroid, w) -> bool:
 class BergmanFan(Fan):
     """Fine flag cones grouped into the coarse Bergman fan.
 
-    ``fine_chains[i]`` is a maximal chain of proper flats; ``groups[g]``
-    lists the fine indices whose interior weights share one degeneration
-    base-set ``group_bases[g]``; ``cones[g]`` carries the irredundant ray
-    generators of the union, the coarse cone of the group.
+    ``fine_chains[i]`` is a maximal chain of proper flats, as masks from
+    the bottom up; ``groups[g]`` lists the fine indices whose interior
+    weights share one degeneration base-set ``group_bases[g]``, ascending
+    basis masks; ``cones[g]`` carries the irredundant ray generators of the
+    union, the coarse cone of the group.
     """
 
     def __init__(self, n: int, cones: tuple[Cone, ...], matroid: Matroid,
-                 fine_chains: tuple[tuple[frozenset[int], ...], ...],
+                 fine_chains: tuple[tuple[int, ...], ...],
                  groups: tuple[tuple[int, ...], ...],
-                 group_bases: tuple[tuple[frozenset[int], ...], ...]):
+                 group_bases: tuple[tuple[int, ...], ...]):
         super().__init__(n, cones)
         self.matroid = matroid
         self.fine_chains = fine_chains
@@ -66,14 +66,10 @@ class BergmanFan(Fan):
     def contains(self, w) -> bool:
         return bergman_membership(self.matroid, w)
 
-    @cached_property
-    def _group_masks(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(to_mask(b) for b in bases)
-                     for bases in self.group_bases)
-
     def coarse_contains(self, group_index: int, w) -> bool:
         """Closed-cone membership: the group's bases are all w-maximal."""
-        return self._group_masks[group_index] <= heaviest_bases(self.matroid, w)
+        return heaviest_bases(self.matroid, w).issuperset(
+            self.group_bases[group_index])
 
     def cones_containing(self, w) -> frozenset[int]:
         """The coarse cones holding w; the w-maximal bases are found once.
@@ -81,8 +77,8 @@ class BergmanFan(Fan):
         The answer depends only on the weak order of w.
         """
         holds = heaviest_bases(self.matroid, w).issuperset
-        return frozenset(compress(range(len(self._group_masks)),
-                                  map(holds, self._group_masks)))
+        return frozenset(compress(range(len(self.group_bases)),
+                                  map(holds, self.group_bases)))
 
 
 def bergman_fan(lattice: FlatLattice) -> BergmanFan:
@@ -112,13 +108,11 @@ def bergman_fan(lattice: FlatLattice) -> BergmanFan:
         ray_flats = co_components.union(
             lifts[f] for i in groups[bases] for f in flags[i] if f in lifts)
         cones.append(Cone(rays=tuple(sorted(
-            _flat_vector(n, from_mask(f)) for f in ray_flats))))
+            _flat_vector(n, f) for f in ray_flats))))
     return BergmanFan(n=n, cones=tuple(cones), matroid=matroid,
-                      fine_chains=tuple(tuple(from_mask(f) for f in flag)
-                                        for flag in flags),
+                      fine_chains=tuple(flags),
                       groups=tuple(tuple(groups[bs]) for bs in order),
-                      group_bases=tuple(tuple(from_mask(b) for b in bs)
-                                        for bs in order))
+                      group_bases=tuple(order))
 
 
 def _flag_transversals(flag: tuple[int, ...], top: int) -> tuple[int, ...]:

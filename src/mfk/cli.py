@@ -29,7 +29,7 @@ from .geometry import face_lattice
 from .linalg import frac
 from .matroid import (LinearRealization, Matroid, from_matrix,
                       incidence_matrix)
-from .nested import building_set, compare_fans, max_building, min_building, \
+from .nested import BuildingSet, compare_fans, max_building, min_building, \
     nested_fan
 from .polytope import degeneration, facets, polytope
 from .reciprocal import reciprocal_generators
@@ -80,7 +80,7 @@ def _building_for(building: str, lattice: FlatLattice):
         return min_building(lattice)
     if building == "max":
         return max_building(lattice)
-    return _read(building, lambda flats: building_set(
+    return _read(building, lambda flats: BuildingSet(
         lattice, [frozenset(_integer(e, 1) for e in f) for f in flats]))
 
 

@@ -44,9 +44,9 @@ def quotient_coordinates(vec) -> tuple[int, ...]:
     return tuple(x - ints[-1] for x in ints[:-1])
 
 
-def _flat_vector(n: int, flat) -> tuple[int, ...]:
-    """Indicator vector in Z^n of a set of 1-based elements."""
-    return tuple(1 if i in flat else 0 for i in range(1, n + 1))
+def _flat_vector(n: int, flat: int) -> tuple[int, ...]:
+    """Indicator vector in Z^n of a mask."""
+    return tuple(flat >> i & 1 for i in range(n))
 
 
 # -- cones and fans ------------------------------------------------------------

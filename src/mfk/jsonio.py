@@ -1,8 +1,9 @@
 """JSON encodings of every artifact the command line emits.
 
-All element lists are 1-based and sorted; rationals travel as strings
-"p/q" (or plain integers); emission order is deterministic so identical
-inputs give identical bytes.
+All element lists are 1-based and sorted; flats, bases and building
+members arrive as masks, and ``_element_lists`` makes each one's list once.
+Rationals travel as strings "p/q" (or plain integers); emission order is
+deterministic so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -56,15 +57,19 @@ def _rational_str(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
-def _sorted_sets(sets) -> list[list[int]]:
-    return sorted(sorted(s) for s in sets)
+def _element_lists(masks) -> dict[int, list[int]]:
+    """The ascending element list of each mask: one list per mask, to be
+    reused wherever the mask occurs in an artifact."""
+    return {m: [i + 1 for i in range(m.bit_length()) if m >> i & 1]
+            for m in set(masks)}
 
 
 # -- matroids ----------------------------------------------------------------------
 
 
 def matroid_to_json(matroid: Matroid) -> dict:
-    return {"n": matroid.n, "bases": _sorted_sets(matroid.bases)}
+    return {"n": matroid.n,
+            "bases": sorted(_element_lists(matroid.base_masks).values())}
 
 
 def _integer(x, minimum=None) -> int:
@@ -99,13 +104,13 @@ def graph_from_json(data: dict) -> tuple[int, list[tuple[int, int]]]:
 
 
 def lattice_to_json(lattice: FlatLattice) -> dict:
-    from .bitset import from_mask
     index = {f: i for i, f in enumerate(lattice.flat_masks)}
+    flats = _element_lists(lattice.flat_masks)
     return {
-        "flats_by_rank": [[sorted(from_mask(f)) for f in level]
+        "flats_by_rank": [[flats[f] for f in level]
                           for level in lattice.by_rank],
         "covers": sorted([index[a], index[b]] for a, b in lattice.cover_pairs),
-        "moebius": [[sorted(from_mask(f)), lattice.moebius_mask(f)]
+        "moebius": [[flats[f], lattice.moebius_mask(f)]
                     for f in lattice.flat_masks],
     }
 
@@ -131,7 +136,7 @@ def facets_to_json(descriptions: list[FacetDescription]) -> dict:
             "flat": sorted(d.flat) if d.flat is not None else None,
             "element": d.element,
             "inner_normal": list(d.inner_normal),
-            "vertex_bases": _sorted_sets(d.vertex_bases),
+            "vertex_bases": sorted(map(sorted, d.vertex_bases)),
         })
     return {"facets": out}
 
@@ -163,16 +168,22 @@ def _fan_payload(fan: Fan) -> dict:
 
 def bergman_to_json(fan: BergmanFan) -> dict:
     data = _fan_payload(fan)
-    data["fine_cones"] = [[sorted(f) for f in chain]
+    flats = _element_lists(f for chain in fan.fine_chains for f in chain)
+    bases = _element_lists(fan.matroid.base_masks)
+    data["fine_cones"] = [[flats[f] for f in chain]
                           for chain in fan.fine_chains]
     data["coarse_groups"] = [sorted(g) for g in fan.groups]
-    data["group_bases"] = [_sorted_sets(b) for b in fan.group_bases]
+    data["group_bases"] = [sorted([bases[b] for b in group])
+                           for group in fan.group_bases]
     return data
 
 
 def nested_fan_to_json(fan: NestedFan) -> dict:
     data = _fan_payload(fan)
-    data["nested_sets"] = [_sorted_sets(s) for s in fan.nested_sets]
+    lists = _element_lists(fan.building.members)
+    members = [lists[g] for g in fan.building.members]
+    data["nested_sets"] = [sorted([members[k] for k in s])
+                           for s in fan.nested_sets]
     return data
 
 

@@ -1,19 +1,21 @@
 """Building sets, nested sets and their fans, and fan comparisons.
 
-Flats are frozensets of 1-based elements; a nested set is a frozenset of
-flats validated against its building set.  Every fan is a ``geometry.Fan``
-that names the maximal cones holding a weight, and refinement questions
-reduce to that one query, asked once per ray generator.
+A building set keeps its member flats as masks in one order, and a nested
+set is the ascending positions of its members in that order.  Every fan is
+a ``geometry.Fan`` that names the maximal cones holding a weight, and
+refinement questions reduce to that one query, asked once per ray
+generator.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-from itertools import permutations, product
+from functools import cache
+from itertools import compress, permutations, product
 from typing import NamedTuple
 
-from .bitset import from_mask, popcount, to_mask
-from .errors import DimensionMismatch, InvalidBuildingSet, ParameterOutOfRange
+from .bitset import from_mask, iter_bits, popcount, to_mask
+from .errors import (DimensionMismatch, InvalidBuildingSet, MfkError,
+                     ParameterOutOfRange)
 from .geometry import (Cone, Fan, RationalPolytope, _flat_vector, convex_hull,
                        quotient_ray)
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
@@ -25,64 +27,75 @@ from .polytope import require_weight_length
 
 
 class BuildingSet:
-    """A flat collection inducing product decompositions of lower intervals."""
+    """A flat collection inducing product decompositions of lower intervals.
 
-    def __init__(self, lattice: FlatLattice,
-                 members: frozenset[frozenset[int]]):
+    ``members`` holds the member masks by size and then by elements, and
+    ``position`` maps each to its index there.  The constructor takes sets
+    of elements and refuses, naming it as the refusal's ``witness``, the
+    first member outside [n], then the bottom flat as a member, then a
+    member that is not a flat, then a flat whose interval product fails.
+    """
+
+    def __init__(self, lattice: FlatLattice, members):
         self.lattice = lattice
-        self.members = members
+        members = [frozenset(m) for m in members]
+        outside = next((m for m in members
+                        if not m <= lattice.matroid.ground), None)
+        if outside is not None:
+            raise _carrying(outside, ParameterOutOfRange(
+                f"member {sorted(outside)} not inside [{lattice.matroid.n}]"))
+        masks = {to_mask(m) for m in members}
+        bad = next((m for m in masks if not lattice.is_flat_mask(m)), None)
+        if bad is not None and lattice.bottom not in masks:
+            raise _carrying(from_mask(bad), InvalidBuildingSet(
+                f"member {sorted(from_mask(bad))} is not a flat"))
+        self.members = tuple(sorted(masks, key=_size_then_elements))
+        self.position = {g: k for k, g in enumerate(self.members)}
         self._factors: dict[int, tuple[int, ...]] = {}
-
-    def member_masks(self) -> list[int]:
-        return sorted(to_mask(m) for m in self.members)
+        bottom = lattice.bottom
+        for flat in lattice.flat_masks:  # F(bottom) = () passes, a member not
+            parts, x = self.factors(flat), from_mask(flat)
+            if (flat == bottom and parts) or not interval_product_check(
+                    lattice, x, [from_mask(g) for g in parts]):
+                raise _carrying(x, InvalidBuildingSet(
+                    f"interval product fails at flat {sorted(x)}"))
 
     def sorted_members(self) -> list[frozenset[int]]:
-        lat = self.lattice
-        return sorted(self.members,
-                      key=lambda f: (lat.rank_in_lattice(to_mask(f)), sorted(f)))
-
-    @cached_property
-    def _mask_set(self) -> frozenset[int]:
-        return frozenset(map(to_mask, self.members))
+        """The members as sets of elements, in the order of ``members``."""
+        return [from_mask(g) for g in self.members]
 
     def factors(self, flat: int) -> tuple[int, ...]:
         """F(X) for the flat mask X: the members inside X that lie in no
         other such member, as ascending masks; ``(X,)`` for a member X.
         Each flat's answer is found by one scan and kept."""
-        if flat in self._mask_set:
+        if flat in self.position:
             return (flat,)
         found = self._factors.get(flat)
         if found is None:
-            inside = [g for g in self._mask_set if g & ~flat == 0]
+            inside = [g for g in self.members if g & ~flat == 0]
             found = self._factors[flat] = tuple(sorted(
                 g for g in inside
                 if not any(h != g and g & ~h == 0 for h in inside)))
         return found
 
 
+def _size_then_elements(mask: int) -> tuple[int, tuple[int, ...]]:
+    return popcount(mask), tuple(iter_bits(mask))
+
+
+def _carrying(witness: frozenset[int], refusal: MfkError) -> MfkError:
+    refusal.witness = witness
+    return refusal
+
+
 def building_set_counterexample(lattice: FlatLattice, members):
-    """A member outside the ground set or not a flat, or a flat where the
-    interval product property fails, or None."""
-    members = [frozenset(m) for m in members]
-    ground = lattice.matroid.ground
-    outside = next((m for m in members if not m <= ground), None)
-    if outside is not None:
-        return outside
-    member_masks = {to_mask(m) for m in members}
-    bottom = lattice.bottom
-    if bottom in member_masks:
-        return from_mask(bottom)
-    bad = next((m for m in member_masks if not lattice.is_flat_mask(m)), None)
-    if bad is not None:
-        return from_mask(bad)
-    candidate = BuildingSet(lattice=lattice, members=frozenset(members))
-    for flat in lattice.flat_masks:
-        if flat == bottom:
-            continue
-        if not interval_product_check(
-                lattice, from_mask(flat),
-                [from_mask(g) for g in candidate.factors(flat)]):
-            return from_mask(flat)
+    """The member outside the ground set or not a flat, or the flat where
+    the interval product property fails, for which ``BuildingSet`` refuses
+    the members; None when it takes them."""
+    try:
+        BuildingSet(lattice, members)
+    except (ParameterOutOfRange, InvalidBuildingSet) as refusal:
+        return refusal.witness
     return None
 
 
@@ -90,33 +103,15 @@ def is_building_set(lattice: FlatLattice, members) -> bool:
     return building_set_counterexample(lattice, members) is None
 
 
-def building_set(lattice: FlatLattice, members) -> BuildingSet:
-    """The validated building set; an element outside [n] is out of range,
-    and a member that is not a flat is named as such."""
-    members = [frozenset(m) for m in members]
-    witness = building_set_counterexample(lattice, members)
-    if witness is None:
-        return BuildingSet(lattice=lattice, members=frozenset(members))
-    if not witness <= lattice.matroid.ground:
-        raise ParameterOutOfRange(
-            f"member {sorted(witness)} not inside [{lattice.matroid.n}]")
-    if not lattice.is_flat_mask(to_mask(witness)):
-        raise InvalidBuildingSet(f"member {sorted(witness)} is not a flat")
-    raise InvalidBuildingSet(
-        f"interval product fails at flat {sorted(witness)}")
-
-
 def min_building(lattice: FlatLattice) -> BuildingSet:
     """The irreducible flats; the unique minimal building set."""
-    return BuildingSet(lattice=lattice,
-                       members=frozenset(irreducible_flats(lattice)))
+    return BuildingSet(lattice, irreducible_flats(lattice))
 
 
 def max_building(lattice: FlatLattice) -> BuildingSet:
     """All flats of positive rank; the unique maximal building set."""
-    members = frozenset(from_mask(f)
-                        for level in lattice.by_rank[1:] for f in level)
-    return BuildingSet(lattice=lattice, members=members)
+    return BuildingSet(lattice, (from_mask(f) for level in lattice.by_rank[1:]
+                                 for f in level))
 
 
 # -- nested sets -------------------------------------------------------------------
@@ -126,11 +121,10 @@ def is_nested(building: BuildingSet, subset) -> bool:
     """Is the subset a nested set of the building set?  Exactly when, below
     each chosen member and below the full flat, the maximal chosen members
     are F(X) for their union X, a flat (Feichtner-Kozlov 2004)."""
-    chosen = frozenset(map(frozenset, subset))
-    if not chosen <= building.members:
-        return False
     lattice = building.lattice
-    masks = [to_mask(g) for g in chosen]
+    masks = {lattice.flat_mask(g) for g in subset}
+    if not masks <= building.position.keys():
+        return False
     for upper in {*masks, lattice.top}:
         inside = [g for g in masks if g != upper and g & ~upper == 0]
         maximal = [g for g in inside
@@ -144,46 +138,43 @@ def is_nested(building: BuildingSet, subset) -> bool:
     return True
 
 
-def maximal_nested_sets(building: BuildingSet) -> list[frozenset[frozenset[int]]]:
-    """The maximal nested sets, in the order of their members' positions
-    in ``building.sorted_members()``.
+def maximal_nested_sets(building: BuildingSet) -> list[tuple[int, ...]]:
+    """The maximal nested sets, each as the ascending positions of its
+    members in ``building.members``, in lexicographic order.
 
     One below a flat X picks, for each G in F(X), G and a maximal nested
     set below a flat that G covers; the choices for the G are independent
     (Feichtner-Kozlov 2004).  Below the bottom there is only the empty set.
     """
-    lattice = building.lattice
+    lattice, position = building.lattice, building.position
 
     @cache
     def below(x: int) -> list[tuple[int, ...]]:
         if x == lattice.bottom:
             return [()]
-        choices = [[(g, *s) for h in lattice.lower_covers(g) for s in below(h)]
+        choices = [[(position[g], *s) for h in lattice.lower_covers(g)
+                    for s in below(h)]
                    for g in building.factors(x)]
         return [sum(parts, ()) for parts in product(*choices)]
 
-    ordered = [to_mask(m) for m in building.sorted_members()]
-    position = {g: k for k, g in enumerate(ordered)}
-    found = sorted(sorted(map(position.__getitem__, s))
-                   for s in below(lattice.top))
-    return [frozenset(from_mask(ordered[k]) for k in s) for s in found]
+    return sorted(tuple(sorted(s)) for s in below(lattice.top))
 
 
 # -- nested fans ------------------------------------------------------------------
 
 
 class NestedFan(Fan):
-    """One simplicial cone per maximal nested set, spanned by flat indicators."""
+    """One simplicial cone per maximal nested set, spanned by flat indicators.
+
+    ``nested_sets[i]`` is the nested set of ``cones[i]``, as the ascending
+    positions of its members in ``building.members``.
+    """
 
     def __init__(self, n: int, cones: tuple[Cone, ...], building: BuildingSet,
-                 nested_sets: tuple[frozenset[frozenset[int]], ...]):
+                 nested_sets: tuple[tuple[int, ...], ...]):
         super().__init__(n, cones)
         self.building = building
         self.nested_sets = nested_sets
-
-    @cached_property
-    def _cone_masks(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(map(to_mask, s)) for s in self.nested_sets)
 
     def contains(self, vec) -> bool:
         """Support membership: every superlevel set of ``w`` is a flat, and
@@ -193,13 +184,15 @@ class NestedFan(Fan):
     def cones_containing(self, vec) -> frozenset[int]:
         """The cones holding ``w``: those whose nested set holds N(w)."""
         nested = self._flag_nested(vec)
-        return frozenset(i for i, cone in enumerate(self._cone_masks)
-                         if nested is not None and nested <= cone)
+        if nested is None:
+            return frozenset()
+        return frozenset(compress(range(len(self.nested_sets)),
+                                  map(nested.issubset, self.nested_sets)))
 
     def _flag_nested(self, vec) -> set[int] | None:
-        """N(w), the union of F(X_j) over the superlevel sets X_j of ``w``,
-        or None when ``w`` lies outside the support; ``w`` lies in a cone
-        exactly when N(w) lies in its nested set.
+        """N(w), the union of F(X_j) over the superlevel sets X_j of ``w``
+        as member positions, or None when ``w`` lies outside the support;
+        ``w`` lies in a cone exactly when N(w) lies in its nested set.
 
         With a_1 > ... > a_k the values of ``w``, every X_j must be a flat,
         and ``w = a_k·1 + Σ_G c_G 1_G - D·1_L`` with c_G >= 0, L the loops
@@ -230,27 +223,22 @@ class NestedFan(Fan):
         if lattice.bottom and surplus and (
                 surplus > 0 or len(factors(lattice.top)) < 2):
             return None
-        return nested
+        return set(map(self.building.position.__getitem__, nested))
 
 
 def nested_fan(building: BuildingSet) -> NestedFan:
-    """Cone over the nested-set complex, one cone per maximal nested set.
+    """Cone over the nested-set complex, one cone per maximal nested set,
+    in the order of ``maximal_nested_sets``.
 
     Each member's ray is built once; the member whose indicator is
     constant (the ground set) is zero in the quotient and spans no ray.
     """
     n = building.lattice.matroid.n
     sets = maximal_nested_sets(building)
-    key = lambda s: sorted((len(f), sorted(f)) for f in s)
-    sets = sorted(sets, key=key)
-    ray_of = {}
-    for member in building.members:
-        ray = quotient_ray(_flat_vector(n, member))
-        if any(ray):
-            ray_of[member] = ray
-    cones = tuple(
-        Cone(rays=tuple(sorted({ray_of[f] for f in s if f in ray_of})))
-        for s in sets)
+    ray = [quotient_ray(_flat_vector(n, g)) for g in building.members]
+    ground = building.position.get(building.lattice.top)
+    cones = tuple(Cone(rays=tuple(sorted([ray[k] for k in s if k != ground])))
+                  for s in sets)
     return NestedFan(n=n, cones=cones, building=building,
                      nested_sets=tuple(sets))
 
@@ -326,17 +314,14 @@ def fans_equal_condition(lattice: FlatLattice) -> ConditionReport:
     Exactly when this holds, the minimal nested-set fan equals the coarse
     Bergman fan.
     """
-    irr = sorted(irreducible_flats(lattice),
-                 key=lambda f: (len(f), sorted(f)))
-    for y in irr:
-        ymask = to_mask(y)
+    for ymask in min_building(lattice).members:
         xs = sorted((f for f in lattice.flat_masks
                      if f & ~ymask == 0 and f != ymask),
-                    key=lambda m: (popcount(m), sorted(from_mask(m))))
+                    key=_size_then_elements)
         for xmask in xs:
             if not lattice.is_connected_minor(xmask, ymask):
-                return ConditionReport(holds=False,
-                                       witness=(from_mask(xmask), y))
+                return ConditionReport(holds=False, witness=(
+                    from_mask(xmask), from_mask(ymask)))
     return ConditionReport(holds=True, witness=None)
 
 
@@ -352,6 +337,6 @@ def dcp_weight_polytope(building: BuildingSet) -> RationalPolytope:
     for order in permutations(range(1, n + 1)):
         vertex = [0] * n
         for flat in building.members:
-            vertex[next(i for i in order if i in flat) - 1] += 1
+            vertex[next(i for i in order if flat >> i - 1 & 1) - 1] += 1
         vertices.add(tuple(vertex))
     return convex_hull(vertices)

@@ -78,8 +78,8 @@ def _extends(lattice, member_masks, chosen, new: int) -> bool:
 def all_nested_sets(building) -> list[frozenset[frozenset[int]]]:
     """Every nested set, the empty one included, in deterministic order."""
     lattice = building.lattice
-    member_masks = set(building.member_masks())
-    ordered = [to_mask(m) for m in building.sorted_members()]
+    member_masks = set(building.members)
+    ordered = building.members
     out: list[frozenset[frozenset[int]]] = []
 
     def grow(chosen, start):
@@ -99,3 +99,10 @@ def maximal_nested_sets(building) -> list:
     """The nested sets inside no other nested set, in enumeration order."""
     everything = all_nested_sets(building)
     return [s for s in everything if not any(s < t for t in everything)]
+
+
+def element_sets(building, nested_sets) -> list[frozenset[frozenset[int]]]:
+    """Nested sets given by the positions of their members in
+    ``building.members``, as sets of element sets."""
+    members = building.sorted_members()
+    return [frozenset(members[k] for k in s) for s in nested_sets]

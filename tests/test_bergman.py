@@ -16,7 +16,7 @@ from mfk.bergman import (AmoebaSample, amoeba_sample, bergman_fan,
                          bergman_membership, initial_subspace,
                          support_deviations)
 from mfk import bergman, geometry, linalg
-from mfk.bitset import to_mask
+from mfk.bitset import from_mask
 from mfk.corpus import corpus
 from mfk.complexes import reduced_homology_ranks
 from mfk.errors import (DimensionMismatch, LoopsPresent, ParameterOutOfRange,
@@ -111,7 +111,7 @@ def test_flag_rays_lie_in_their_coarse_cone(name):
     fan = bergman_fan(FlatLattice(corpus(name).matroid))
     for g, members in enumerate(fan.groups):
         for i in members:
-            for flat in fan.fine_chains[i]:
+            for flat in map(from_mask, fan.fine_chains[i]):
                 vec = tuple(1 if e in flat else 0
                             for e in range(1, fan.n + 1))
                 assert cone_contains(fan.cones[g], vec), (g, vec)
@@ -157,12 +157,12 @@ def test_bergman_groups_share_degeneration(dela3):
         for idx in members:
             chain = fan.fine_chains[idx]
             w = [0] * fan.n
-            for flat in chain:
+            for flat in map(from_mask, chain):
                 for i in flat:
                     w[i - 1] -= 1
             deg = degeneration(dela3.matroid, w)
             assert sorted(map(sorted, deg.matroid_u.bases)) == sorted(
-                map(sorted, fan.group_bases[g]))
+                map(sorted, map(from_mask, fan.group_bases[g])))
             assert deg.loop_free
 
 
@@ -574,7 +574,8 @@ def test_coarse_rays_are_the_flacets_of_the_flags(name):
     flacets = {f.flat for f in facets(m) if f.kind == "interior"}
     for cone, group in zip(fan.cones, fan.groups):
         expected = {_flat_vector(m.n, flat) for i in group
-                    for flat in fan.fine_chains[i] if flat in flacets}
+                    for flat in fan.fine_chains[i]
+                    if from_mask(flat) in flacets}
         assert cone.rays == tuple(sorted(expected))
 
 
@@ -599,11 +600,11 @@ def test_flag_groups_are_the_heaviest_bases(name, monkeypatch):
     monkeypatch.undo()
     seen = set()
     for members, bases in zip(fan.groups, fan.group_bases):
-        masks = {to_mask(b) for b in bases}
+        masks = set(bases)
         assert frozenset(masks) not in seen
         seen.add(frozenset(masks))
         for i in members:
-            w = [sum(e in flat for flat in fan.fine_chains[i])
+            w = [sum(e in flat for flat in map(from_mask, fan.fine_chains[i]))
                  for e in range(1, m.n + 1)]
             assert heaviest_bases(m, w) == masks
     assert sorted(i for members in fan.groups for i in members) == \

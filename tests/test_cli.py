@@ -652,6 +652,95 @@ def test_edge_inputs_keep_their_bytes(case, command, tmp_path, capsys):
     assert (status, digest[:16]) == _EDGE_DIGESTS[case][command]
 
 
+# sha256 of stdout for the fan subcommands, recorded while the fans still
+# kept their flats, flags and bases as sets of elements
+_FAN_DIGESTS = {
+    ("nested", "--corpus", "u23", "--building", "min"):
+        "599c5d1f86262c5604c4b344ee4b6f3fcf1392ff428d7410663689b5560a2b6d",
+    ("nested", "--corpus", "u23", "--building", "max"):
+        "599c5d1f86262c5604c4b344ee4b6f3fcf1392ff428d7410663689b5560a2b6d",
+    ("bergman", "--corpus", "u23"):
+        "23c59e5f7549ae0b84006b974625a4e249b629175b76cb68622fd6c84074b735",
+    ("compare-fans", "--corpus", "u23"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--corpus", "u24", "--building", "min"):
+        "081cf2f92525bc4518d64cb1ea254660c2f43ce316a5ae5ad6a060ffc885e973",
+    ("nested", "--corpus", "u24", "--building", "max"):
+        "081cf2f92525bc4518d64cb1ea254660c2f43ce316a5ae5ad6a060ffc885e973",
+    ("bergman", "--corpus", "u24"):
+        "d33bae597021e97d376e4ba27d62d9f92e48bdd5c7eaf4505a111bc2e661c845",
+    ("compare-fans", "--corpus", "u24"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--corpus", "delA3", "--building", "min"):
+        "e182f581f23fe41402b16ff0db2b56b3fdb32bcdfb8b5d7a5e9bf318deaef0c1",
+    ("nested", "--corpus", "delA3", "--building", "max"):
+        "cc8b24fe0ceedaf89b924c18bf97dd4e4cd2f7f2dbf8066e03633992884a16ba",
+    ("bergman", "--corpus", "delA3"):
+        "55e714fe130acf54653a366f3a43ac6f9139eecf1becc0304fd865d4a39d16d3",
+    ("compare-fans", "--corpus", "delA3"):
+        "e22b424bc43ff21866b2cd3e3c35819049b0140ecaaf8ff8c9d636dcd6e6232d",
+    ("nested", "--corpus", "braidK4", "--building", "min"):
+        "29eb063c0379e2a6aaf7f38cfb1faed9ea1baed599f885a92c52d38c3eac6f07",
+    ("nested", "--corpus", "braidK4", "--building", "max"):
+        "a772a01a8c7f295d21f072fdd04319aea9a70742be7bcaa2bae43be7e06b4e63",
+    ("bergman", "--corpus", "braidK4"):
+        "a4fbfee2b1a4481e2115f52319025da3bac96791426cf5e14e93346240b836a1",
+    ("compare-fans", "--corpus", "braidK4"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--corpus", "braidK5", "--building", "min"):
+        "bd390dcb3249d66a768dc200a841470554166c1763b7e69e4db1a96b617a6ebf",
+    ("nested", "--corpus", "braidK5", "--building", "max"):
+        "d1cb611645ad37ef32a3cbb9d1adc9e210172b93c942f282c9d8994274d8251b",
+    ("bergman", "--corpus", "braidK5"):
+        "b0eebf6b39880f7bc9e1b040df91bf959b8f7057251465e969f0270634cc81c7",
+    ("compare-fans", "--corpus", "braidK5"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--corpus", "boolean_3", "--building", "min"):
+        "a07ed89ecf8d64d3d696cc238c48cb2bf72846442c5eabde6212960adf5474df",
+    ("nested", "--corpus", "boolean_3", "--building", "max"):
+        "1ad8558eec35ec1fa727501b3d7acc83ba32f991ecc1bd8af2a312bf93fbfa6c",
+    ("bergman", "--corpus", "boolean_3"):
+        "d7b1604426b3d23e91f7b80ad8a6c8d5a7e02f89e205afc1b43141ede47ec7ce",
+    ("compare-fans", "--corpus", "boolean_3"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--corpus", "boolean_4", "--building", "min"):
+        "c988f3519f4ae3cf2a229158c133f730cdfe537b8551044b39b3746b396565d4",
+    ("nested", "--corpus", "boolean_4", "--building", "max"):
+        "695faad8e3ab4ff67c99089f9279d8294884fd242364b8a4b893d7f1761e7369",
+    ("bergman", "--corpus", "boolean_4"):
+        "103085d86c0aef3ecd45f5a733466feb42603d7bfe174d02742490c47f5c180d",
+    ("compare-fans", "--corpus", "boolean_4"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--corpus", "uniform_3_6", "--building", "min"):
+        "3a5f22b2a23e29c11287743f6137eb305d090c95c184b9ec789b6a36648d5589",
+    ("nested", "--corpus", "uniform_3_6", "--building", "max"):
+        "2650a1e103712cd24ab5b3bac9a7d61bfead93421f0e90667b72446f77771bdc",
+    ("bergman", "--corpus", "uniform_3_6"):
+        "8e4b5083dafb922b85ef690da5dec111611e3a2f70ece4607f03c8f96f77050d",
+    ("compare-fans", "--corpus", "uniform_3_6"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--uniform", "4", "9", "--building", "min"):
+        "0d8f62b70ce32a756d9eba1214c65a6bed9b87bd6e99c47a8ed0582e8faa1fec",
+    ("nested", "--uniform", "4", "9", "--building", "max"):
+        "399b45cfdff131499505268de23edee78061f782537cd3a0c1fa31e3b2820b34",
+    ("bergman", "--uniform", "4", "9"):
+        "5f1244b688036edd08bcbf3c67161ca9c945f8ef57b13f3feea3ff6c06c6c13e",
+    ("compare-fans", "--uniform", "4", "9"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+    ("nested", "--uniform", "5", "11", "--building", "max"):
+        "0aef06b7f2d68e77bc600da3ab5921c76b7bbf32d8f325dbc8eda2ee06fcc700",
+    ("bergman", "--corpus", "u24", "--grid", "3"):
+        "a78b2cbf6c6fd6b4a1b2bdd0fc683e586f7bd77a55a50ecb1b054d4079ab1634",
+}
+
+
+@pytest.mark.parametrize("args", list(_FAN_DIGESTS), ids=" ".join)
+def test_fan_artifacts_keep_their_bytes(args, capsys):
+    assert main(list(args)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _FAN_DIGESTS[args]
+
+
 @pytest.mark.parametrize("bare,spelled", [
     (["nested", "--corpus", "delA3"], ["--building", "min"]),
     (["amoeba", "--corpus", "u23"],

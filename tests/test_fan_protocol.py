@@ -291,7 +291,8 @@ def test_every_building_set_cone_rule_matches_lp(matroid):
                 continue
             building = BuildingSet(lattice=lattice,
                                    members=frozenset(members))
-            assert maximal_nested_sets(building) == \
+            assert nested_oracle.element_sets(
+                building, maximal_nested_sets(building)) == \
                 nested_oracle.maximal_nested_sets(building)
             fan = nested_fan(building)
             for w in grid:

@@ -9,7 +9,7 @@ import pytest
 import mfk
 import minkowski_oracle
 import nested_oracle
-from nested_oracle import all_nested_sets
+from nested_oracle import all_nested_sets, element_sets
 from theorem_checks import (NotAChain, NotLinearExtension, blocks_partition,
                             chain_to_nested, dcp_normal_refinement_check,
                             maximal_members_below, nested_chain_helpers,
@@ -21,16 +21,16 @@ from mfk.errors import (EmptyInterval, InvalidBuildingSet, LoopsPresent,
                         NotFlats, ParameterOutOfRange)
 from mfk.geometry import cone_unimodular, smith_normal_form, \
     quotient_coordinates
+from mfk.jsonio import bergman_to_json, dumps, nested_fan_to_json
 from mfk.lattice import FlatLattice, interval_product_check, order_complex
 from mfk.corpus import corpus
 from mfk.matroid import (Matroid, direct_sum, from_graph, from_matrix,
                          uniform)
-from mfk.nested import (BuildingSet, building_set,
-                        building_set_counterexample, compare_fans,
-                        dcp_weight_polytope, fans_equal_condition,
-                        is_building_set, is_nested, max_building,
-                        maximal_nested_sets, min_building, nested_fan, refines,
-                        supports_equal_on_generators)
+from mfk.nested import (BuildingSet, building_set_counterexample,
+                        compare_fans, dcp_weight_polytope,
+                        fans_equal_condition, is_building_set, is_nested,
+                        max_building, maximal_nested_sets, min_building,
+                        nested_fan, refines, supports_equal_on_generators)
 
 
 def _f(*elements):
@@ -46,23 +46,28 @@ def _pairs(complex_):
 
 
 def test_dela3_min_building_is_building(dela3_lattice):
+    # the members are kept by size and then by elements
     gmin = min_building(dela3_lattice)
-    assert sorted(map(sorted, gmin.members)) == [
-        [1], [1, 2, 3, 4, 5], [1, 2, 4], [1, 3, 5], [2], [3], [4], [5]]
-    assert is_building_set(dela3_lattice, gmin.members)
+    assert list(map(sorted, gmin.sorted_members())) == [
+        [1], [2], [3], [4], [5], [1, 2, 4], [1, 3, 5], [1, 2, 3, 4, 5]]
+    assert gmin.members == tuple(map(to_mask, gmin.sorted_members()))
+    assert all(gmin.position[g] == k for k, g in enumerate(gmin.members))
+    assert is_building_set(dela3_lattice, gmin.sorted_members())
 
 
 def test_all_flats_always_building(dela3_lattice, braid_k4_lattice):
     for lattice in (dela3_lattice, braid_k4_lattice):
-        assert is_building_set(lattice, max_building(lattice).members)
+        assert is_building_set(lattice,
+                               max_building(lattice).sorted_members())
 
 
 def test_dropping_a_line_breaks_building(dela3_lattice):
-    members = set(min_building(dela3_lattice).members) - {_f(1, 2, 4)}
+    members = set(min_building(dela3_lattice).sorted_members()) - {
+        _f(1, 2, 4)}
     witness = building_set_counterexample(dela3_lattice, members)
     assert witness == _f(1, 2, 4)
     with pytest.raises(InvalidBuildingSet):
-        building_set(dela3_lattice, members)
+        BuildingSet(dela3_lattice, members)
 
 
 def test_building_set_names_an_element_out_of_range(u24_lattice):
@@ -70,9 +75,9 @@ def test_building_set_names_an_element_out_of_range(u24_lattice):
     assert not is_building_set(u24_lattice, [_f(7)])
     with pytest.raises(ParameterOutOfRange, match=r"member \[7\] not inside "
                        r"\[4\]"):
-        building_set(u24_lattice, [_f(1), _f(7)])
+        BuildingSet(u24_lattice, [_f(1), _f(7)])
     with pytest.raises(ParameterOutOfRange, match=r"member \[0\]"):
-        building_set(u24_lattice, [_f(0)])
+        BuildingSet(u24_lattice, [_f(0)])
 
 
 def test_building_set_names_a_member_that_is_not_a_flat(u24_lattice,
@@ -82,10 +87,10 @@ def test_building_set_names_a_member_that_is_not_a_flat(u24_lattice,
         assert not is_building_set(lattice, [_f(1, 2)])
         with pytest.raises(InvalidBuildingSet,
                            match=r"^member \[1, 2\] is not a flat$"):
-            building_set(lattice, [_f(1), _f(1, 2)])
+            BuildingSet(lattice, [_f(1), _f(1, 2)])
     # the bottom flat is a flat, so it keeps the interval-product wording
     with pytest.raises(InvalidBuildingSet, match="fails at flat \\[\\]"):
-        building_set(u24_lattice, [_f()])
+        BuildingSet(u24_lattice, [_f()])
 
 
 # (call on U(2,4) with one element, its refusal or None for a False answer)
@@ -115,7 +120,7 @@ def test_an_element_outside_the_ground_set_gets_the_routine_s_answer(
 def test_boolean_min_max_building():
     lattice = FlatLattice(uniform(4, 4))
     gmin = min_building(lattice)
-    assert sorted(map(sorted, gmin.members)) == [[1], [2], [3], [4]]
+    assert sorted(map(sorted, gmin.sorted_members())) == [[1], [2], [3], [4]]
     gmax = max_building(lattice)
     assert len(gmax.members) == 15
 
@@ -123,8 +128,8 @@ def test_boolean_min_max_building():
 def test_buildings_between_min_and_max(dela3_lattice, braid_k4_lattice):
     # brute-force filter of everything between the extremes
     for lattice in (dela3_lattice, braid_k4_lattice):
-        gmin = min_building(lattice).members
-        gmax = max_building(lattice).members
+        gmin = set(min_building(lattice).sorted_members())
+        gmax = set(max_building(lattice).sorted_members())
         extra = sorted(gmax - gmin, key=sorted)
         valid = []
         for size in range(len(extra) + 1):
@@ -136,7 +141,7 @@ def test_buildings_between_min_and_max(dela3_lattice, braid_k4_lattice):
         # monotone refinement along inclusions of building sets, with a
         # common support
         matroid = lattice.matroid
-        fans = [nested_fan(building_set(lattice, v)) for v in valid]
+        fans = [nested_fan(BuildingSet(lattice, v)) for v in valid]
         for a, fa in zip(valid, fans):
             for b, fb in zip(valid, fans):
                 if a <= b:
@@ -193,7 +198,7 @@ def test_uniform_gmin_maximal_nested_count(d, n, count):
 
 def test_gmax_nested_sets_are_chains(dela3_lattice):
     gmax = max_building(dela3_lattice)
-    for s in maximal_nested_sets(gmax):
+    for s in element_sets(gmax, maximal_nested_sets(gmax)):
         ordered = sorted(s, key=len)
         assert all(a < b for a, b in zip(ordered, ordered[1:]))
 
@@ -365,12 +370,12 @@ _VALIDATION_PROBE = """
 from mfk.corpus import corpus
 from mfk.errors import MfkError
 from mfk.lattice import FlatLattice
-from mfk.nested import building_set
+from mfk.nested import BuildingSet
 from mfk.reciprocal import circuit_dependency
 lattice = FlatLattice(corpus("delA3").matroid)
 u24 = corpus("u24").realization
-for call in (lambda: building_set(lattice, [{1}, {7}]),  # 7 is outside [5]
-             lambda: building_set(lattice, [{1}, {1, 2}]),  # {1, 2} no flat
+for call in (lambda: BuildingSet(lattice, [{1}, {7}]),  # 7 is outside [5]
+             lambda: BuildingSet(lattice, [{1}, {1, 2}]),  # {1, 2} no flat
              lambda: circuit_dependency(u24, {1, 2}),
              lambda: circuit_dependency(u24, {1, 2, 3, 4})):
     try:
@@ -533,7 +538,7 @@ def test_dcp_polytope_matches_the_minkowski_chain_on_every_building_set(
     for building in _all_building_sets(matroid):
         assert dcp_weight_polytope(building) == \
             minkowski_oracle.dcp_weight_polytope(building), \
-            sorted(map(sorted, building.members))
+            sorted(map(sorted, building.sorted_members()))
 
 
 @pytest.mark.parametrize("which", [min_building, max_building])
@@ -584,14 +589,15 @@ def test_nested_chain_helpers_on_every_maximal_nested_set(dela3_lattice,
     for lattice in (dela3_lattice, braid_k4_lattice):
         n = lattice.matroid.n
         for building in (min_building(lattice), max_building(lattice)):
-            for nested in maximal_nested_sets(building):
+            for nested in element_sets(building,
+                                       maximal_nested_sets(building)):
                 chains = {i: sorted((x for x in nested if i in x), key=len)
                           for i in range(1, n + 1)}
                 chains = {i: c for i, c in chains.items() if c}
                 assert all(a < b for c in chains.values()
                            for a, b in zip(c, c[1:]))
                 index = {}
-                for flat in building.members:
+                for flat in building.sorted_members():
                     families = {i: set(chains.get(i, [])) for i in flat}
                     lowest = [i for i in sorted(flat)
                               if all(families[i] <= families[j]
@@ -623,7 +629,7 @@ def _building_sets_up_to_symmetry(lattice):
     Every building set contains the irreducible flats, so the candidates
     are min_building plus any set of other flats of positive rank.
     """
-    base = min_building(lattice).members
+    base = set(min_building(lattice).sorted_members())
     others = [from_mask(f) for level in lattice.by_rank[1:] for f in level
               if from_mask(f) not in base]
     images = [{f: _permuted(f, p) for f in lattice.flat_masks}
@@ -638,7 +644,7 @@ def _building_sets_up_to_symmetry(lattice):
             if orbit_key in seen or not is_building_set(lattice, members):
                 continue
             seen.add(orbit_key)
-            yield building_set(lattice, members)
+            yield BuildingSet(lattice, members)
 
 
 _SUPPORT_INPUTS = {
@@ -663,7 +669,8 @@ def test_nested_chain_helpers_accepts_every_nested_set(name):
     for building in _building_sets_up_to_symmetry(lattice):
         for nested in all_nested_sets(building):
             data = nested_chain_helpers(building, nested)
-            assert set(data.min_support_index) == building.members
+            assert set(data.min_support_index) == set(
+                building.sorted_members())
             for flat, i0 in data.min_support_index.items():
                 low = set(data.chains.get(i0, []))
                 assert i0 in flat
@@ -691,7 +698,9 @@ def test_maximal_nested_sets_match_the_oracle(name):
     # list and order; every member of a looped input holds the loops
     lattice = FlatLattice({**_SUPPORT_INPUTS, **_LOOPED_INPUTS}[name]())
     for building in _building_sets_up_to_symmetry(lattice):
-        assert maximal_nested_sets(building) == \
+        found = maximal_nested_sets(building)
+        assert all(list(s) == sorted(set(s)) for s in found)
+        assert element_sets(building, found) == \
             nested_oracle.maximal_nested_sets(building)
 
 
@@ -699,17 +708,32 @@ def test_nested_chain_helpers_refuses_crossing_supports():
     # with a loop, two incomparable nested flats share it, so S_3 branches
     m, _ = from_matrix([[1, 0, 0], [0, 1, 0]])
     lattice = FlatLattice(m)
-    building = building_set(lattice, [_f(1, 3), _f(2, 3)])
+    building = BuildingSet(lattice, [_f(1, 3), _f(2, 3)])
     with pytest.raises(NotAChain):
         nested_chain_helpers(building, [_f(1, 3), _f(2, 3)])
 
 
-def test_chain_to_nested_refuses_a_building_set_that_misses_the_chain():
-    # an unvalidated member set that is empty generates no chain
+def test_an_empty_member_set_is_refused_at_construction():
+    # an empty member set generates no chain, so it cannot be built
     m, _ = from_matrix([[1, 0, 1, 0], [0, 1, 1, 0]])
-    building = BuildingSet(lattice=FlatLattice(m), members=frozenset())
-    with pytest.raises(InvalidBuildingSet):
-        chain_to_nested(building, [_f(1, 4), _f(1, 2, 3, 4)])
+    with pytest.raises(InvalidBuildingSet,
+                       match=r"interval product fails at flat \[1, 4\]"):
+        BuildingSet(lattice=FlatLattice(m), members=frozenset())
+
+
+@pytest.mark.parametrize("members, flat", [
+    ([_f(1), _f(1, 2, 3)], [2]),
+    ([], [1]),
+])
+def test_building_set_refuses_members_that_miss_a_flat(members, flat):
+    # unvalidated, {1} and {1, 2, 3} listed two equal maximal nested sets
+    # of U(2,3) among three, and no members listed the empty set
+    lattice = FlatLattice(uniform(2, 3))
+    message = rf"interval product fails at flat \[{flat[0]}\]"
+    with pytest.raises(InvalidBuildingSet, match=message):
+        BuildingSet(lattice, members)
+    assert building_set_counterexample(lattice, members) == frozenset(flat)
+    assert not is_building_set(lattice, members)
 
 
 @pytest.mark.parametrize("matroid", [
@@ -722,13 +746,13 @@ def test_min_building_with_loops_is_a_building_set(matroid):
     # irreducible flats of the loop-free part, each with the loops added
     lattice = FlatLattice(matroid)
     building = min_building(lattice)
-    assert is_building_set(lattice, building.members)
+    assert is_building_set(lattice, building.sorted_members())
     loops = frozenset(matroid.loops())
     loop_free = matroid.restriction(matroid.ground - loops)
     relabel = dict(enumerate(sorted(matroid.ground - loops), start=1))
-    assert building.members == {
+    assert set(building.sorted_members()) == {
         frozenset(relabel[e] for e in f) | loops
-        for f in min_building(FlatLattice(loop_free)).members}
+        for f in min_building(FlatLattice(loop_free)).sorted_members()}
     top = from_mask(lattice.top)
     for chain in lattice.maximal_chains(lattice.bottom, lattice.top):
         nested, _ = chain_to_nested(
@@ -765,7 +789,7 @@ def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
     for building in buildings:
         enumerated = set(all_nested_sets(building))
         outsider = next((from_mask(f) for f in building.lattice.flat_masks
-                         if from_mask(f) not in building.members), None)
+                         if f not in building.position), None)
         candidates = building.sorted_members()
         if outsider is not None:
             candidates.append(outsider)
@@ -779,7 +803,7 @@ def test_is_nested_agrees_with_enumeration(dela3_lattice, braid_k4_lattice):
                                   *_CORPUS_BUILDINGS])
 def test_factors_match_the_member_scan(name):
     for building in _buildings(name):
-        masks = building.member_masks()
+        masks = building.members
         for flat in building.lattice.flat_masks[1:]:
             assert building.factors(flat) == \
                 tuple(sorted(maximal_members_below(masks, flat)))
@@ -800,7 +824,8 @@ def test_nested_answers_list_no_nested_sets(name, monkeypatch):
     monkeypatch.setattr(mfk.nested, "maximal_nested_sets", no_listing)
     weights = list(product(range(-1, 2), repeat=matroid.n))
     for building, fan in zip(buildings, fans):
-        assert all(is_nested(building, s) for s in fan.nested_sets)
+        assert all(is_nested(building, s)
+                   for s in element_sets(building, fan.nested_sets))
         for w in weights:
             assert fan.contains(w) == bool(fan.cones_containing(w))
 
@@ -843,6 +868,28 @@ def test_nested_paths_close_no_set_once_the_lattice_is_built(name,
     monkeypatch.setattr(FlatLattice, "join_mask", no_closure)
     for building in (min_building(lattice), max_building(lattice)):
         fan = nested_fan(building)
-        assert all(is_nested(building, s) for s in fan.nested_sets[:3])
+        assert all(is_nested(building, s)
+                   for s in element_sets(building, fan.nested_sets[:3]))
     assert compare_fans(nested_fan(min_building(lattice)),
                         bergman_fan(lattice)).refines_ab
+
+
+def test_fan_paths_make_no_element_set_once_the_building_sets_are_built(
+        monkeypatch):
+    # the fans keep flats, flags and bases as masks and nested sets as
+    # member positions; only the emitter lists elements, and by bit scans
+    lattice = FlatLattice(corpus("braidK5").matroid)
+    buildings = (min_building(lattice), max_building(lattice))
+
+    def no_element_set(*args, **kwargs):
+        raise AssertionError("a fan path made a set of elements")
+
+    for module in (mfk.bitset, mfk.nested, mfk.bergman):
+        monkeypatch.setattr(module, "from_mask", no_element_set,
+                            raising=False)
+    bfan = bergman_fan(lattice)
+    assert len(dumps(bergman_to_json(bfan))) > 0
+    for building in buildings:
+        nfan = nested_fan(building)
+        assert compare_fans(nfan, bfan).refines_ab
+        assert len(dumps(nested_fan_to_json(nfan))) > 0

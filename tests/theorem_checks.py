@@ -65,7 +65,9 @@ def dcp_normal_refinement_check(fan: NestedFan) -> bool:
     normal fan of the weight polytope.
     """
     n = fan.n
-    for nested in fan.nested_sets:
+    members = fan.building.sorted_members()
+    for positions in fan.nested_sets:
+        nested = [members[k] for k in positions]
         support: dict[int, frozenset] = {}
         for i in range(1, n + 1):
             support[i] = frozenset(x for x in nested if i in x)
@@ -73,7 +75,7 @@ def dcp_normal_refinement_check(fan: NestedFan) -> bool:
             {x: 1 + k for k, x in enumerate(sorted(nested, key=sorted))},
             {x: 7 + 3 * k for k, x in enumerate(sorted(nested, key=sorted))},
         ]
-        for flat in fan.building.members:
+        for flat in members:
             i0 = min(flat, key=lambda i: (len(support[i]), i))
             if not all(support[i0] <= support[i] for i in flat):
                 return False
@@ -101,16 +103,18 @@ def nested_complex(building: BuildingSet) -> SimplicialComplex:
     if matroid.n == 1 and matroid.rank_d == 0:
         raise LoopsPresent("the full flat of a single loop is its bottom "
                            "flat and lies in no nested set")
-    facets = maximal_nested_sets(building)
     vertices = tuple(building.sorted_members())
+    facets = [[vertices[k] for k in s] for s in maximal_nested_sets(building)]
     return SimplicialComplex.from_faces(vertices, facets)
 
 
 def nested_complex_reduced(building: BuildingSet) -> SimplicialComplex:
     """Nested sets not containing the full flat."""
     top = building.lattice.matroid.ground
-    facets = [s - {top} for s in maximal_nested_sets(building)]
-    vertices = tuple(m for m in building.sorted_members() if m != top)
+    members = building.sorted_members()
+    facets = [{members[k] for k in s} - {top}
+              for s in maximal_nested_sets(building)]
+    vertices = tuple(m for m in members if m != top)
     return SimplicialComplex.from_faces(vertices, facets)
 
 
@@ -200,7 +204,7 @@ def nested_chain_helpers(building: BuildingSet, nested_set) -> NestedChainData:
     minima = {i: si[0] for i, si in support.items()}
     # the minimal support family is unique inside every building member;
     # other flats may have several
-    members = set(building.member_masks())
+    members = building.position
     min_index: dict[frozenset[int], int] = {}
     for fmask in lattice.flat_masks:
         if not fmask or fmask not in members:
@@ -238,10 +242,9 @@ def chain_to_nested(building: BuildingSet, chain):
             raise NotAChain("chain must be strictly increasing")
     if not all(map(lattice.is_flat_mask, masks)):
         raise NotFlats("chain entries must be flats")
-    member_masks = set(building.member_masks())
     extension: list[int] = []
     for fmask in masks:
-        maximal = sorted(maximal_members_below(member_masks, fmask),
+        maximal = sorted(maximal_members_below(building.members, fmask),
                          key=lambda m: (popcount(m), sorted(from_mask(m))))
         for g in maximal:
             if g not in extension:
