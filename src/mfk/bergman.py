@@ -95,9 +95,11 @@ def bergman_fan(lattice: FlatLattice) -> BergmanFan:
         raise LoopsPresent("Bergman fan needs a loop-free matroid")
     ground, n = lattice.top, matroid.n
     flags = lattice.maximal_chains(lattice.bottom, ground)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, flag in enumerate(flags):
-        groups.setdefault(_flag_transversals(flag, ground), []).append(idx)
+    by_steps: dict[tuple[int, ...], list[int]] = {}
+    for idx, flag in enumerate(flags):  # nested masks: xor is set minus
+        steps = sorted(map(int.__xor__, flag + (ground,), (0,) + flag))
+        by_steps.setdefault(tuple(steps), []).append(idx)
+    groups = {_transversals(s): idxs for s, idxs in by_steps.items()}
     parts = [to_mask(c) for c in matroid.components().blocks]
     lifts = {f: f | ground & ~c for f in flacets(lattice)
              for c in parts if f & c}
@@ -115,8 +117,9 @@ def bergman_fan(lattice: FlatLattice) -> BergmanFan:
                       group_bases=tuple(order))
 
 
-def _flag_transversals(flag: tuple[int, ...], top: int) -> tuple[int, ...]:
-    """The bases of largest weight under the sum of the flag's indicators.
+def _transversals(steps: tuple[int, ...]) -> tuple[int, ...]:
+    """The bases of largest weight under the sum of a flag's indicators,
+    from the flag's steps F_k - F_{k-1}, which they determine as a set.
 
     With F_0 the empty set (no loops) and F_r = E, a basis B has weight
     sum_k |B & F_k| <= sum_k rk F_k, with equality exactly when B holds one
@@ -124,11 +127,8 @@ def _flag_transversals(flag: tuple[int, ...], top: int) -> tuple[int, ...]:
     since its k-th element lies outside F_{k-1}, the span of those before.
     """
     masks = [0]
-    below = 0
-    for f in flag + (top,):
-        masks = [m | 1 << (e - 1)
-                 for m in masks for e in iter_bits(f & ~below)]
-        below = f
+    for step in steps:
+        masks = [m | 1 << (e - 1) for m in masks for e in iter_bits(step)]
     return tuple(sorted(masks))
 
 

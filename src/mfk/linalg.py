@@ -10,8 +10,8 @@ return is an exact :class:`~fractions.Fraction`.  ``rank`` needs
 no division at all and also takes sparse rows (order-complex boundary
 matrices).  Smith normal form needs unimodular steps, which the kernel's
 gcd-normalised rows are not, so it reduces by Euclid on the corner in
-integers.  ``determinant`` is Bareiss' fraction-free elimination of a
-square integer matrix, in which every division is exact.  Only
+integers.  ``maximal_minors`` is one fraction-free Bareiss walk over the
+column subsets, in which every division is exact.  Only
 ``lp_feasible``'s simplex still computes in Fractions.
 """
 
@@ -170,33 +170,37 @@ def nullspace(matrix) -> list[list[Fraction]]:
     return basis
 
 
-def determinant(matrix) -> int:
-    """Determinant of a square integer matrix (1 for the 0 x 0 matrix).
-
-    Bareiss elimination: after step k every entry below and right of the
-    pivot is a (k+1) x (k+1) minor of the input, so dividing the 2 x 2
-    cross product by the previous pivot is exact.  A zero pivot is
-    replaced by a lower row with a nonzero entry in its column, each swap
-    flipping the sign; when there is none the determinant is 0.
+def maximal_minors(rows) -> dict[int, int]:
+    """The nonzero maximal minors of an integer matrix by column mask, the
+    column subsets in lexicographic order (``{0: 1}`` for no rows): one
+    depth-first Bareiss walk, each column prefix eliminated once.  A step
+    pivots on the first row left with a nonzero entry, moved to the front
+    past i rows (a sign flip when i is odd), and divides exactly by the
+    previous pivot: after k steps every entry left is a (k+1)-minor
+    (Sylvester).  A column zero in every row left is skipped.
     """
-    rows = [list(row) for row in matrix]
-    size = len(rows)
-    sign, previous = 1, 1
-    for k in range(size - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for row in rows[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, size):
-                row[j] = (pivot * row[j] - a * pivot_row[j]) // previous
-        previous = pivot
-    return sign * rows[-1][-1] if size else 1
+    minors = {}
+
+    def walk(rows, start, mask, sign, previous):
+        if not rows:
+            minors[mask] = sign * previous
+            return
+        for c in range(start, len(rows[0]) - len(rows) + 1):
+            i = 0 if rows[0][c] else next(
+                (i for i, row in enumerate(rows) if row[c]), None)
+            if i is not None:
+                top = rows[i]  # the pivot row, moved to the front
+                pivot = top[c]
+                rest = [list(row) for row in rows[:i] + rows[i + 1:]]
+                for row in rest:  # the columns up to c go stale
+                    a = row[c]
+                    for j in range(c + 1, len(row)):
+                        row[j] = (pivot * row[j] - a * top[j]) // previous
+                walk(rest, c + 1, mask | 1 << c,
+                     -sign if i & 1 else sign, pivot)
+
+    walk(list(rows), 0, 0, 1, 1)
+    return minors
 
 
 # -- Smith normal form --------------------------------------------------------------

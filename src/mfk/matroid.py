@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .bitset import (blocks, from_mask, full_mask, iter_bits, popcount,
                      to_mask)
 from .errors import CardinalityMismatch, ExchangeViolation, ParameterOutOfRange
-from .linalg import determinant, frac_matrix, primitive_integer, rref
+from .linalg import frac_matrix, maximal_minors, primitive_integer, rref
 
 DEFAULT_MAX_N = 20
 
@@ -234,10 +234,10 @@ class LinearRealization:
     ``plucker`` maps each basis (a column mask) to its maximal minor once
     every row is scaled by a positive factor to coprime integers: the
     Plücker coordinates of the row space up to one positive factor, which
-    keeps their signs and ratios.  The bases are exactly the d-subsets of
-    columns with a nonzero minor.  ``from_matrix`` fills it while finding
-    the bases; otherwise it is computed on first use.  Realizations are
-    equal when their matrices and matroids are.
+    keeps their signs and ratios; one Bareiss walk finds them all.  The
+    bases are the d-subsets of columns with a nonzero minor.  ``from_matrix``
+    fills it while finding the bases; otherwise it is computed on first use.
+    Realizations are equal when their matrices and matroids are.
     """
 
     def __init__(self, matrix: tuple[tuple[Fraction, ...], ...],
@@ -267,20 +267,14 @@ class LinearRealization:
 
     @cached_property
     def plucker(self) -> dict[int, int]:
-        return _nonzero_minors(self.matrix, self.ncols)
+        return _nonzero_minors(self.matrix)
 
 
-def _nonzero_minors(matrix, ncols: int) -> dict[int, int]:
+def _nonzero_minors(matrix) -> dict[int, int]:
     """The nonzero maximal minors of a full-row-rank matrix by column mask,
     with each row first scaled by a positive factor to coprime integers."""
-    rows = [primitive_integer(row, sign_first_positive=False)
-            for row in matrix]
-    minors = {}
-    for combo in combinations(range(ncols), len(rows)):
-        minor = determinant([[row[j] for j in combo] for row in rows])
-        if minor:
-            minors[sum(1 << j for j in combo)] = minor
-    return minors
+    return maximal_minors([primitive_integer(row, sign_first_positive=False)
+                           for row in matrix])
 
 
 # -- constructors -------------------------------------------------------------
@@ -317,17 +311,17 @@ def from_matrix(rows) -> tuple[Matroid, LinearRealization]:
     Zero columns become loops.  A matrix without full row rank is replaced
     by the nonzero rows of its RREF, so the realization has d rows, d the
     row rank.  The bases are the d-subsets of columns whose maximal minor
-    is nonzero, each minor one fraction-free determinant; the minors stay
-    on the realization as ``plucker``.
+    is nonzero, all the minors from one Bareiss walk over the column
+    subsets; they stay on the realization as ``plucker``.
     """
     mat = frac_matrix(rows)
     ncols = len(mat[0]) if mat else 0
-    _check_ground(ncols)  # before the C(ncols, d) determinants
+    _check_ground(ncols)  # before the walk over C(ncols, d) subsets
     red, pivots = rref(mat)
     d = len(pivots)
     if len(mat) != d:
         mat = red[:d]
-    minors = _nonzero_minors(mat, ncols)
+    minors = _nonzero_minors(mat)
     matroid = Matroid(ncols, minors.keys())
     realization = LinearRealization(
         matrix=tuple(tuple(row) for row in mat), matroid=matroid)

@@ -2,10 +2,11 @@
 ``mfk.linalg``.
 
 This is the elimination ``mfk.linalg`` used before its integer kernel,
-kept only to check that kernel; ``determinant`` checks the Bareiss
-determinant the same way, and ``primitive_integer`` the integer shortcut
-of its namesake.  Every entry is coerced to a ``Fraction``
-first, so the oracle is exact on ints, Fractions and ``'p/q'`` strings.
+kept only to check that kernel; ``determinant``, one elimination per
+column subset, checks the Bareiss walk of ``maximal_minors`` the same way,
+and ``primitive_integer`` the integer shortcut of its namesake.  Every
+entry is coerced to a ``Fraction`` first, so the oracle is exact on ints,
+Fractions and ``'p/q'`` strings.
 """
 
 from __future__ import annotations

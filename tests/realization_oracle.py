@@ -5,7 +5,8 @@ the maximal minors: the differential oracle for ``from_matrix`` and
 ``from_matrix`` ran one rank elimination per d-subset of columns, and each
 circuit's relation was a kernel vector of the columns on the circuit.  Both
 run here on the dense Fraction elimination of ``fraction_oracle``, so
-neither shares code with the Bareiss determinant they check.
+neither shares code with the Bareiss walk over column subsets
+(``maximal_minors``) that they check.
 """
 
 from __future__ import annotations

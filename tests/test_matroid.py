@@ -46,12 +46,12 @@ def test_ground_set_cap(monkeypatch):
 
 
 def test_from_graph_refuses_k7_before_any_minor(monkeypatch):
-    # 21 edges: the cap is checked before C(21, 6) determinants
-    def no_determinant(*args, **kwargs):
+    # 21 edges: the cap is checked before the walk over C(21, 6) subsets
+    def no_minors(*args, **kwargs):
         raise AssertionError("a minor was computed")
 
     monkeypatch.delenv("MFK_MAX_N", raising=False)
-    monkeypatch.setattr(mfk.matroid, "determinant", no_determinant)
+    monkeypatch.setattr(mfk.matroid, "maximal_minors", no_minors)
     with pytest.raises(ParameterOutOfRange) as err:
         from_graph(7, list(combinations(range(1, 8), 2)))
     with pytest.raises(ParameterOutOfRange) as cap:
@@ -94,6 +94,15 @@ def test_from_graph_k4_counts():
     m = from_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     assert m.rank_d == 3
     assert len(m.base_masks) == 16  # Cayley: 4^{4-2}
+
+
+@pytest.mark.parametrize("vertices", [6, 7])
+def test_from_graph_complete_graph_has_cayley_many_bases(monkeypatch,
+                                                         vertices):
+    monkeypatch.setenv("MFK_MAX_N", "21")  # K7 has 21 edges
+    m = from_graph(vertices, list(combinations(range(1, vertices + 1), 2)))
+    assert m.rank_d == vertices - 1
+    assert len(m.base_masks) == vertices ** (vertices - 2)  # Cayley
 
 
 def test_from_graph_edgeless():

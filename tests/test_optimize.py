@@ -20,6 +20,8 @@ Every error type of ``errors.py`` is raised by some other module, so none
 outlives its last raiser.  No module calls ``json.dumps`` or ``json.dump``:
 every artifact is written by ``jsonio.dumps``, which ``test_jsonio.py``
 checks byte for byte against ``json.dumps(sort_keys=True, indent=2)``.
+No module defines or imports a ``determinant``: every maximal minor comes
+from the one Bareiss walk of ``linalg.maximal_minors``.
 """
 
 import ast
@@ -101,6 +103,28 @@ def test_bergman_imports_no_lp_oracle():
     found = [site for root in ("mfk.geometry", "mfk.linalg")
              for site, names in _imports_of(root)
              if site.startswith("bergman.py:") and names & refused]
+    assert found == []
+
+
+def test_package_computes_no_minor_per_subset():
+    # the walk shares each column prefix; a per-subset determinant beside
+    # it would be a second path to the same minors
+    found = []
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in node.names
+                         for part in (alias.name.rpartition(".")[2],
+                                      alias.asname)}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                names = {node.id}
+            else:
+                continue
+            if "determinant" in names:
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

@@ -3,9 +3,11 @@ elimination routes.
 
 ``realization_oracle`` keeps the rank-per-subset base scan and the
 per-circuit kernel; here ``from_matrix`` (bases and realization) and
-``reciprocal_generators`` must agree with them, and ``determinant`` must
-agree with the Fraction elimination of ``fraction_oracle``.  A guard test
-runs ``reciprocal_generators`` with every elimination entry point refusing.
+``reciprocal_generators`` must agree with them.  ``maximal_minors``, the
+Bareiss walk over column subsets, must agree with one Fraction elimination
+of ``fraction_oracle`` per subset, and its minors must satisfy the
+three-term Plücker relations.  A guard test runs ``reciprocal_generators``
+with every elimination entry point refusing.
 """
 
 import sys
@@ -21,34 +23,63 @@ import realization_oracle
 from mfk import linalg
 from mfk.corpus import corpus
 from mfk.errors import NotACircuit
-from mfk.linalg import determinant, primitive_integer
+from mfk.linalg import maximal_minors, primitive_integer
 from mfk.matroid import from_matrix, incidence_matrix
 from mfk.reciprocal import circuit_dependency, reciprocal_generators
 
-# -- the Bareiss determinant ------------------------------------------------------------
+# -- the Bareiss walk over column subsets --------------------------------------------------
+
+
+def _minors_by_subset(rows):
+    """Every nonzero maximal minor by column mask, one Fraction elimination
+    per subset, the subsets in lexicographic order."""
+    ncols = len(rows[0]) if rows else 0
+    minors = {}
+    for combo in combinations(range(ncols), len(rows)):
+        minor = fraction_oracle.determinant(
+            [[row[j] for j in combo] for row in rows])
+        if minor:
+            minors[sum(1 << j for j in combo)] = minor
+    return minors
 
 
 @st.composite
-def _square_matrices(draw, max_size=6):
-    """Integer square matrices, some rows and columns forced to zero, some
-    rows repeated, so that zero pivots and singular inputs are common."""
-    size = draw(st.integers(0, max_size))
-    rows = [[draw(st.integers(-9, 9)) for _ in range(size)]
-            for _ in range(size)]
-    for j in draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=2)):
-        if size:
-            rows[0][j] = 0
-    if size > 1 and draw(st.booleans()):
-        rows[draw(st.integers(1, size - 1))] = list(rows[0])
+def _integer_matrices(draw, max_cols=9):
+    """Integer d x n matrices, d <= n <= 9, some with a zero row or column,
+    a repeated column or a dependent row, so that zero pivots, skipped
+    columns and rank deficiency are common."""
+    ncols = draw(st.integers(0, max_cols))
+    nrows = draw(st.integers(0, ncols))
+    rows = [[draw(st.integers(-9, 9)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if not rows or not ncols:
+        return rows
+    kind = draw(st.sampled_from(["generic", "zero column", "zero row",
+                                 "repeated column", "dependent row"]))
+    if kind == "zero column":
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    elif kind == "zero row":
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    elif kind == "repeated column" and ncols > 1:
+        i, j = draw(st.lists(st.integers(0, ncols - 1), min_size=2,
+                             max_size=2, unique=True))
+        for row in rows:
+            row[j] = row[i]
+    elif kind == "dependent row" and nrows > 1:
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
     return rows
 
 
 @settings(max_examples=400, deadline=None)
-@given(_square_matrices())
-def test_determinant_matches_the_fraction_elimination(matrix):
-    det = determinant(matrix)
-    assert type(det) is int
-    assert det == fraction_oracle.determinant(matrix)
+@given(_integer_matrices())
+def test_maximal_minors_match_the_fraction_elimination(rows):
+    minors = maximal_minors(rows)
+    assert all(type(x) is int for x in minors.values())
+    # the same minors in the same (lexicographic) order
+    assert list(minors.items()) == list(_minors_by_subset(rows).items())
 
 
 @pytest.mark.parametrize("matrix, expected", [
@@ -63,14 +94,43 @@ def test_determinant_matches_the_fraction_elimination(matrix):
     ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1),
 ])
 def test_determinant_of_hand_cases(matrix, expected):
-    assert determinant(matrix) == expected
+    # a square matrix has one maximal minor, its determinant
+    full = (1 << len(matrix)) - 1
+    assert maximal_minors(matrix) == ({full: expected} if expected else {})
     assert fraction_oracle.determinant(matrix) == expected
 
 
-def test_determinant_leaves_its_input_alone():
+def test_maximal_minors_of_a_wide_matrix():
+    # column 0 takes the second row as its pivot (a sign flip); after
+    # column 1, column 2 is zero in the row left; column 3 is zero in both
+    rows = [[0, 1, 2, 0], [1, 2, 4, 0]]
+    assert list(maximal_minors(rows).items()) == [(0b0011, -1), (0b0101, -2)]
+    assert maximal_minors([[1, 2, 3], [2, 4, 6]]) == {}  # rank 1
+
+
+def test_maximal_minors_leave_their_input_alone():
     matrix = [[0, 2], [3, 1]]
-    assert determinant(matrix) == -6
+    assert maximal_minors(matrix) == {0b11: -6}
     assert matrix == [[0, 2], [3, 1]]
+
+
+def _three_term_relations(plucker, nrows, ncols):
+    """Every p_{Sij} p_{Skl} - p_{Sik} p_{Sjl} + p_{Sil} p_{Sjk}, with
+    |S| = d - 2, i < j < k < l outside S, and p_{Sab} the minor of the
+    columns S (ascending), a, b in that order."""
+    def p(rest, a, b):
+        mask = sum(1 << s for s in rest) | 1 << a | 1 << b
+        flips = sum(s > a for s in rest) + sum(s > b for s in rest)
+        return (-1) ** flips * plucker.get(mask, 0)
+
+    if nrows < 2:
+        return
+    for rest in combinations(range(ncols), nrows - 2):
+        others = [c for c in range(ncols) if c not in rest]
+        for i, j, k, l in combinations(others, 4):
+            yield (p(rest, i, j) * p(rest, k, l)
+                   - p(rest, i, k) * p(rest, j, l)
+                   + p(rest, i, l) * p(rest, j, k))
 
 
 _CORPUS = ["u23", "u24", "delA3", "braidK4", "braidK5",
@@ -79,22 +139,34 @@ _CORPUS = ["u23", "u24", "delA3", "braidK4", "braidK5",
 
 
 @pytest.mark.parametrize("name", _CORPUS)
+def test_corpus_plucker_satisfies_the_three_term_relations(name):
+    real = corpus(name).realization
+    relations = list(_three_term_relations(real.plucker, real.nrows,
+                                           real.ncols))
+    assert relations == [0] * len(relations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices(max_cols=8))
+def test_maximal_minors_satisfy_the_three_term_relations(rows):
+    ncols = len(rows[0]) if rows else 0
+    relations = list(_three_term_relations(maximal_minors(rows), len(rows),
+                                           ncols))
+    assert relations == [0] * len(relations)
+
+
+@pytest.mark.parametrize("name", _CORPUS)
 def test_corpus_minors_vanish_exactly_off_the_bases(name):
     real = corpus(name).realization
     rows = [primitive_integer(row, sign_first_positive=False)
             for row in real.matrix]
-    bases = set(real.matroid.base_masks)
-    nonzero = {}
-    for combo in combinations(range(real.ncols), real.nrows):
-        mask = sum(1 << j for j in combo)
-        minor = determinant([[row[j] for j in combo] for row in rows])
-        exact = fraction_oracle.determinant(
-            [[row[j] for j in combo] for row in real.matrix])
-        assert (minor > 0) == (exact > 0) and (minor < 0) == (exact < 0)
-        assert bool(minor) == (mask in bases), combo
-        if minor:
-            nonzero[mask] = minor
-    assert real.plucker == nonzero
+    minors = _minors_by_subset(rows)
+    assert set(minors) == set(real.matroid.base_masks)
+    assert list(real.plucker.items()) == list(minors.items())
+    # positive row factors keep the sign of every minor
+    exact = _minors_by_subset(real.matrix)
+    assert {mask: x > 0 for mask, x in exact.items()} == \
+        {mask: x > 0 for mask, x in minors.items()}
 
 
 # -- bases and realization -----------------------------------------------------------------
