@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
@@ -223,11 +225,16 @@ def face_lattice(polytope: RationalPolytope) -> FaceLattice:
     full = frozenset(range(len(verts)))
     if polytope.dim == 0:
         return FaceLattice(faces_by_dim=((full,),), f_vector=(1,))
-    facet_sets = []
-    for normal, offset in polytope.facets:
-        on = frozenset(i for i, v in enumerate(verts)
-                       if sum(normal[c] * v[c] for c in range(len(v))) == offset)
-        facet_sets.append(on)
+    # each vertex as integer numerators over one denominator: v lies on
+    # normal . x = p/q exactly when (normal . nums) * q == p * den
+    scaled = []
+    for v in verts:
+        den = lcm(*(x.denominator for x in v))
+        scaled.append(([x.numerator * (den // x.denominator) for x in v], den))
+    facet_sets = [frozenset(i for i, (nums, den) in enumerate(scaled)
+                            if sum(map(mul, normal, nums)) * offset.denominator
+                            == offset.numerator * den)
+                  for normal, offset in polytope.facets]
     faces = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from .bergman import AmoebaSample, BergmanFan
@@ -22,6 +23,7 @@ from .polytope import Degeneration, FacetDescription
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
+_ARRAYS = frozenset({list, tuple})
 
 
 @cache
@@ -30,6 +32,21 @@ def _level(depth: int) -> tuple:
     return inner, outer, "," + inner, c_make_encoder(
         None, JSONEncoder().default, encode_basestring_ascii, None, ": ",
         "," + inner, False, False, True)
+
+
+@cache
+def _block(depth: int, m: int) -> tuple:
+    """For m levels of lists opened at ``depth``: the C encoder of the
+    leaves' depth, the text that opens and closes the m levels, and each
+    (pattern, joint) that turns the encoder's ``]]sep[[`` between siblings
+    into indented text, deepest first."""
+    leaf = depth + m - 1
+    opens = ["[" + _level(depth + i)[0] for i in range(m)]  # outermost first
+    closes = [_level(leaf - i)[1] + "]" for i in range(m)]  # innermost first
+    joints = [("]" * j + _level(leaf)[2] + "[" * j, "".join(closes[:j])
+               + _level(leaf - j)[2] + "".join(opens[m - j:]))
+              for j in range(m - 1, 0, -1)]
+    return _level(leaf)[3], "".join(opens), "".join(closes), joints
 
 
 def dumps(artifact) -> str:
@@ -41,14 +58,24 @@ def dumps(artifact) -> str:
 def _dumps(o, depth: int) -> str:
     if not isinstance(o, (list, tuple, dict)) or not o:
         return "".join(_level(0)[3](o, 0))  # the C encoder returns chunks
-    inner, outer, sep, scalars = _level(depth)
+    inner, outer, sep, _ = _level(depth)
     if isinstance(o, dict):
         return "{" + inner + sep.join([
             encode_basestring_ascii(k) + ": " + _dumps(o[k], depth + 1)
             for k in sorted(o)]) + outer + "}"
-    body = ("".join(scalars(o, 0))[1:-1] if set(map(type, o)) <= _SCALARS
-            else sep.join([_dumps(x, depth + 1) for x in o]))
-    return "[" + inner + body + outer + "]"
+    # a block: m levels of non-empty lists over scalars, the C encoder's
+    # one text for all of it; a raw newline there is always a separator
+    m, level = 1, o
+    while (kinds := set(map(type, level))) <= _ARRAYS and all(level):
+        m, level = m + 1, list(chain.from_iterable(level))
+    if not kinds <= _SCALARS:
+        return "[" + inner + sep.join([_dumps(x, depth + 1) for x in o]) \
+            + outer + "]"
+    encoder, head, tail, joints = _block(depth, m)
+    text = "".join(encoder(o, 0))[m:-m]
+    for pattern, joint in joints:
+        text = text.replace(pattern, joint)
+    return head + text + tail
 
 
 def _rational_str(x: Fraction):
@@ -196,11 +223,11 @@ def comparison_to_json(cmp: FanComparison) -> dict:
 
 
 def circuits_to_json(generators) -> dict:
-    keyed = sorted(((sorted(g.circuit), g) for g in generators),
-                   key=lambda pair: pair[0])
+    # distinct circuits, so the pairs sort by their circuits alone
+    keyed = sorted((sorted(g.circuit), g.coefficients) for g in generators)
     return {"generators": [
-        {"circuit": c, "coefficients": [[i, g.coefficients[i]] for i in c],
-         "degree": g.degree()} for c, g in keyed]}
+        {"circuit": c, "coefficients": [[i, coefficients[i]] for i in c],
+         "degree": len(c) - 1} for c, coefficients in keyed]}
 
 
 def amoeba_to_json(sample: AmoebaSample, deviations: list[float],

@@ -9,8 +9,8 @@ generator.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import compress, permutations, product
+from functools import cache, cached_property
+from itertools import permutations, product
 from typing import NamedTuple
 
 from .bitset import from_mask, iter_bits, popcount, to_mask
@@ -186,8 +186,18 @@ class NestedFan(Fan):
         nested = self._flag_nested(vec)
         if nested is None:
             return frozenset()
-        return frozenset(compress(range(len(self.nested_sets)),
-                                  map(nested.issubset, self.nested_sets)))
+        every, holders = self._cone_index
+        return every.intersection(*map(holders.__getitem__, nested))
+
+    @cached_property
+    def _cone_index(self) -> tuple[frozenset[int], list[set[int]]]:
+        """Every cone, and the cones whose nested set holds each member
+        position; built on the first query."""
+        holders = [set() for _ in self.building.members]
+        for i, s in enumerate(self.nested_sets):
+            for k in s:
+                holders[k].add(i)
+        return frozenset(range(len(self.nested_sets))), holders
 
     def _flag_nested(self, vec) -> set[int] | None:
         """N(w), the union of F(X_j) over the superlevel sets X_j of ``w``

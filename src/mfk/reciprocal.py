@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import NamedTuple
 
-from .bitset import from_mask, iter_bits, popcount, to_mask
+from .bitset import iter_bits, to_mask
 from .errors import LoopsPresent, NotACircuit
-from .linalg import primitive_integer, rank as matrix_rank
+from .linalg import rank as matrix_rank
 from .matroid import LinearRealization
 
 
@@ -65,7 +66,7 @@ def _dependency(realization: LinearRealization,
     """
     matroid = realization.matroid
     support = circuit
-    if popcount(circuit) <= matroid.rank_d:
+    if circuit.bit_count() <= matroid.rank_d:
         rest = circuit & (circuit - 1)  # C without its least element
         support |= next(b for b in matroid.base_masks if rest & ~b == 0)
     plucker = realization.plucker
@@ -74,18 +75,23 @@ def _dependency(realization: LinearRealization,
     for e in elems:
         bit = 1 << (e - 1)
         minor = plucker[support & ~bit]
-        coefficients.append(-minor if popcount(support & (bit - 1)) % 2
+        coefficients.append(-minor if (support & (bit - 1)).bit_count() & 1
                             else minor)
-    return dict(zip(elems, primitive_integer(coefficients)))
+    # every S - e is a basis, so no coefficient is zero: content 1, the
+    # first one positive
+    g = gcd(*coefficients) if coefficients[0] > 0 else -gcd(*coefficients)
+    return {e: c // g for e, c in zip(elems, coefficients)}
 
 
 def reciprocal_generators(realization: LinearRealization) -> list[CircuitPolynomial]:
     """One circuit polynomial per circuit of the realization's matroid."""
     if realization.matroid.loops():
         raise LoopsPresent("reciprocal generators need a loop-free realization")
-    return [CircuitPolynomial(circuit=from_mask(c),
-                              coefficients=_dependency(realization, c))
-            for c in realization.matroid.circuit_masks]
+    relations = (_dependency(realization, c)
+                 for c in realization.matroid.circuit_masks)
+    return [CircuitPolynomial(circuit=frozenset(coefficients),
+                              coefficients=coefficients)
+            for coefficients in relations]
 
 
 def minimal_generator_count(generators, degree: int) -> int:

@@ -206,6 +206,48 @@ def test_a_long_amoeba_artifact_has_the_bytes_of_json_dumps(
     assert capsys.readouterr().out == _reference(emitted[0]) + "\n"
 
 
+# m levels of non-empty lists or tuples over scalars: one C-encoder text,
+# then one replacement per level between siblings
+def _blocks(depth):
+    inner = st.one_of(st.sampled_from(["", *_AWKWARD]), _INTS, _FLOATS,
+                      st.booleans(), st.none())
+    for _ in range(depth):
+        lists = st.lists(inner, min_size=1, max_size=4)
+        inner = st.one_of(lists, lists.map(tuple))
+    return inner
+
+
+_BLOCKS = st.integers(2, 4).flatmap(_blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_BLOCKS, _BLOCKS.map(lambda b: {"a": [b, "]"], "b": b}),
+                 st.lists(_BLOCKS, min_size=1, max_size=3)))
+def test_dumps_on_blocks_has_the_bytes_of_json_dumps(value):
+    assert dumps(value) == _reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    # ragged depth
+    [[1, 2], [[3]]], [[[1]], [[2], 3]], [[["]"]], ["]"]], [[1], 2],
+    # an empty container inside
+    [[1], []], [[[1], []], [[2]]], [[[]]], [(), [1]],
+    # a dict inside
+    [[1], {"a": [1]}], [[[1]], [{"a": 1}]], [[{}]], [[{"a": [[1]]}]],
+], ids=repr)
+def test_dumps_on_near_blocks_falls_back_to_the_same_bytes(value):
+    assert dumps(value) == _reference(value)
+
+
+# 60,000 pairs make 300,000 pieces: the C encoder returns several chunks,
+# and the replacements run on their join
+@pytest.mark.parametrize("wrap", ["bare", "in_dict"])
+def test_dumps_on_a_long_block_of_pairs(wrap):
+    pairs = [[i, i / 7] for i in range(60_000)]
+    value = pairs if wrap == "bare" else {"pairs": pairs, "n": len(pairs)}
+    assert dumps(value) == _reference(value)
+
+
 @pytest.mark.parametrize("value", [
     Fraction(1, 2), {1, 2}, [Fraction(1, 2)], [1, {1}], {"a": {1}},
     {"a": [1, 2.0, Fraction(1)]}, [[b"1"]],

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, permutations, product
@@ -828,6 +829,25 @@ def test_nested_answers_list_no_nested_sets(name, monkeypatch):
                    for s in element_sets(building, fan.nested_sets))
         for w in weights:
             assert fan.contains(w) == bool(fan.cones_containing(w))
+
+
+def test_cones_containing_is_the_subset_rule_on_braid_k5():
+    # the member-position index against N(w) <= nested set, cone by cone
+    lattice = FlatLattice(corpus("braidK5").matroid)
+    rng = random.Random(5)
+    weights = list(bergman_fan(lattice).rays())
+    weights += [[rng.randrange(-2, 3) for _ in range(10)] for _ in range(200)]
+    for building in (min_building(lattice), max_building(lattice)):
+        fan = nested_fan(building)
+        inside = 0
+        for w in weights:
+            nested = fan._flag_nested(w)
+            expected = (set() if nested is None else
+                        {i for i, s in enumerate(fan.nested_sets)
+                         if nested.issubset(s)})
+            assert fan.cones_containing(w) == expected, w
+            inside += bool(expected)
+        assert inside >= 25  # every Bergman ray lies in the support
 
 
 # acceptance criterion 05 makes the same check on every U_{d,n} with

@@ -162,6 +162,15 @@ def test_face_lattice_matches_the_oracle_on_random_hulls(points):
     assert face_lattice(p) == poset_oracle.face_lattice(p)
 
 
+# rational vertices give facet offsets p/q with q > 1
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 3),
+                min_size=1, max_size=6))
+def test_face_lattice_matches_the_oracle_on_rational_hulls(points):
+    p = convex_hull(points)
+    assert face_lattice(p) == poset_oracle.face_lattice(p)
+
+
 def test_face_lattice_makes_no_rank_call(monkeypatch):
     hull = _HULLS["octahedron"]()
     braid = polytope(corpus("braidK4").matroid)
