@@ -5,13 +5,11 @@ from .matroid import (ComponentPartition, LinearRealization, Matroid,
 from .lattice import (FlatLattice, MoebiusTable, interval_product_check,
                       irreducible_flats, moebius, order_complex)
 from .complexes import SimplicialComplex, reduced_homology_ranks
-from .geometry import (Cone, Fan, FaceLattice, RationalPolytope,
-                       cone_contains, cone_unimodular, convex_hull,
-                       face_lattice, quotient_ray, quotient_rep,
-                       smith_normal_form)
-from .polytope import (ConstancyChain, Degeneration, FacetDescription,
-                       constancy_chain, degeneration, face_matroid, facets,
-                       polytope)
+from .geometry import (Fan, FaceLattice, RationalPolytope, cone_contains,
+                       cone_unimodular, convex_hull, face_lattice,
+                       quotient_ray, quotient_rep, smith_normal_form)
+from .polytope import (Degeneration, FacetDescription, degeneration,
+                       face_matroid, facets, polytope)
 from .bergman import (AmoebaSample, BergmanFan, amoeba_sample, bergman_fan,
                       bergman_membership, initial_subspace, support_deviations)
 from .reciprocal import (CircuitPolynomial, minimal_generator_count,

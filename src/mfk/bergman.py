@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .bitset import full_mask, iter_bits, to_mask
 from .errors import LoopsPresent, ParameterOutOfRange, SingularSample
-from .geometry import Cone, Fan, _flat_vector
+from .geometry import Fan, _flat_vector
 from .lattice import FlatLattice
 from .linalg import frac, rref
 from .matroid import LinearRealization, Matroid, from_matrix
@@ -49,15 +49,16 @@ class BergmanFan(Fan):
     ``fine_chains[i]`` is a maximal chain of proper flats, as masks from
     the bottom up; ``groups[g]`` lists the fine indices whose interior
     weights share one degeneration base-set ``group_bases[g]``, ascending
-    basis masks; ``cones[g]`` carries the irredundant ray generators of the
+    basis masks; ``cones[g]`` indexes the irredundant ray generators of the
     union, the coarse cone of the group.
     """
 
-    def __init__(self, n: int, cones: tuple[Cone, ...], matroid: Matroid,
+    def __init__(self, n: int, rays: tuple[tuple[int, ...], ...],
+                 cones: tuple[tuple[int, ...], ...], matroid: Matroid,
                  fine_chains: tuple[tuple[int, ...], ...],
                  groups: tuple[tuple[int, ...], ...],
                  group_bases: tuple[tuple[int, ...], ...]):
-        super().__init__(n, cones)
+        super().__init__(n, rays, cones)
         self.matroid = matroid
         self.fine_chains = fine_chains
         self.groups = groups
@@ -88,7 +89,8 @@ def bergman_fan(lattice: FlatLattice) -> BergmanFan:
     its group's flags (Feichtner-Sturmfels 2005).  A coarse cone of a direct
     sum is the product of its components' cones, each holding the line of
     its component C: modulo 1 the co-components E - C span those lines, and
-    a flacet F of C spans the ray of the flat F + (E - C).
+    a flacet F of C spans the ray of the flat F + (E - C).  Each ray flat
+    is a proper nonempty subset of E, so its indicator is its ray.
     """
     matroid = lattice.matroid
     if matroid.loops():
@@ -105,13 +107,16 @@ def bergman_fan(lattice: FlatLattice) -> BergmanFan:
              for c in parts if f & c}
     co_components = {ground & ~c for c in parts} - {0}
     order = sorted(groups, key=lambda bs: (len(groups[bs]), bs))
-    cones = []
-    for bases in order:
-        ray_flats = co_components.union(
-            lifts[f] for i in groups[bases] for f in flags[i] if f in lifts)
-        cones.append(Cone(rays=tuple(sorted(
-            _flat_vector(n, f) for f in ray_flats))))
-    return BergmanFan(n=n, cones=tuple(cones), matroid=matroid,
+    cone_flats = [co_components.union(
+        lifts[f] for i in groups[bases] for f in flags[i] if f in lifts)
+        for bases in order]
+    ray = {f: _flat_vector(n, f) for f in set().union(*cone_flats)}
+    ray_flats = sorted(ray, key=ray.__getitem__)
+    index = dict(zip(ray_flats, range(len(ray_flats))))
+    return BergmanFan(n=n, rays=tuple(map(ray.__getitem__, ray_flats)),
+                      cones=tuple(tuple(sorted(map(index.__getitem__, flats)))
+                                  for flats in cone_flats),
+                      matroid=matroid,
                       fine_chains=tuple(flags),
                       groups=tuple(tuple(groups[bs]) for bs in order),
                       group_bases=tuple(order))
@@ -283,9 +288,10 @@ def support_deviations(sample: AmoebaSample, fan: BergmanFan) -> list[float]:
 
     targets = -np.array(sample.points)
     nearest = np.linalg.norm(targets, axis=1)
+    rays = np.array(fan.rays, dtype=float)
     for cone in fan.cones:
-        if cone.rays:
-            mat = np.array([[float(x) for x in r] for r in cone.rays]).T
+        if cone:
+            mat = rays[list(cone)].T
             nearest = _cone_distances(
                 targets, nearest, mat - mat.mean(axis=0, keepdims=True))
     return [float(x) for x in nearest]

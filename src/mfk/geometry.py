@@ -54,43 +54,31 @@ def _flat_vector(n: int, flat: int) -> tuple[int, ...]:
 # -- cones and fans ------------------------------------------------------------
 
 
-class Cone(NamedTuple):
-    """Rational cone in the quotient, given by primitive ray generators."""
-
-    rays: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def over(vectors) -> "Cone":
-        rays = sorted({quotient_ray(v) for v in vectors
-                       if any(quotient_rep(v))})
-        return Cone(rays=tuple(rays))
-
-
-def cone_contains(cone: Cone, vec) -> bool:
-    """Test oracle: is vec a nonnegative combination of rays modulo e?"""
+def cone_contains(rays, vec) -> bool:
+    """Test oracle: is vec a nonnegative combination of the rays modulo e?"""
     target = [frac(x) for x in vec]
     n = len(target)
-    if not cone.rays:
+    if not rays:
         return len(set(target)) <= 1
-    if n != len(cone.rays[0]):
+    if n != len(rays[0]):
         raise DimensionMismatch(
-            f"vector has {n} entries, the cone's rays {len(cone.rays[0])}")
-    a_eq = [[frac(r[i]) for r in cone.rays] + [Fraction(1)]
-            for i in range(n)]
-    return lp_feasible(a_eq, target, num_nonneg=len(cone.rays)) is not None
+            f"vector has {n} entries, the cone's rays {len(rays[0])}")
+    a_eq = [[frac(r[i]) for r in rays] + [Fraction(1)] for i in range(n)]
+    return lp_feasible(a_eq, target, num_nonneg=len(rays)) is not None
 
 
 def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
-    """Test oracle (LP greedy): drop generators in the cone of the others.
+    """Test oracle (LP greedy): the distinct primitive rays of the vectors
+    nonzero modulo e, ascending, less those in the cone of the others.
 
     One pass suffices: once a ray survives against the current generator
     set, later removals only shrink that set.
     """
-    rays = Cone.over(vectors).rays
+    rays = sorted({quotient_ray(v) for v in vectors if any(quotient_rep(v))})
     keep = list(rays)
     for r in rays:
         rest = [s for s in keep if s != r]
-        if rest and cone_contains(Cone(rays=tuple(rest)), r):
+        if rest and cone_contains(rest, r):
             keep.remove(r)
     return tuple(keep)
 
@@ -98,25 +86,27 @@ def irredundant_rays(vectors) -> tuple[tuple[int, ...], ...]:
 class Fan:
     """A fan given by its maximal cones; face closure is left implicit.
 
-    Each kind of fan answers ``contains(w)`` for its support and
-    ``cones_containing(w)``, the maximal cones holding w, for comparisons.
+    ``rays`` holds the distinct primitive ray generators in ascending
+    order, and ``cones[i]`` the ascending indices into ``rays`` of the
+    i-th maximal cone.  Each kind of fan answers ``contains(w)`` for its
+    support and ``cones_containing(w)``, the maximal cones holding w, for
+    comparisons.
     """
 
-    def __init__(self, n: int, cones: tuple[Cone, ...]):
+    def __init__(self, n: int, rays: tuple[tuple[int, ...], ...],
+                 cones: tuple[tuple[int, ...], ...]):
         self.n = n
+        self.rays = rays
         self.cones = cones
 
-    def rays(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({r for c in self.cones for r in c.rays}))
 
-
-def cone_unimodular(cone: Cone, n: int) -> bool:
+def cone_unimodular(rays, n: int) -> bool:
     """Simplicial with ray classes extendable to a lattice basis of Z^n/Z·e."""
-    if not cone.rays:
+    if not rays:
         return True
-    coords = [quotient_coordinates(r) for r in cone.rays]
+    coords = [quotient_coordinates(r) for r in rays]
     factors = smith_normal_form(coords)
-    return len(factors) == len(cone.rays) and all(f == 1 for f in factors)
+    return len(factors) == len(rays) and all(f == 1 for f in factors)
 
 
 # -- rational polytopes ---------------------------------------------------------

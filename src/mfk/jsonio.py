@@ -1,7 +1,9 @@
 """JSON encodings of every artifact the command line emits.
 
-All element lists are 1-based and sorted; flats, bases and building
-members arrive as masks, and ``_element_lists`` makes each one's list once.
+All element lists are 1-based and sorted; flats, bases, building
+members and degeneration chains arrive as masks, and ``_element_lists``
+makes each one's list once.  A fan's rays arrive once, ascending, and its
+cones as ascending indices into them, so they are written as they are.
 Rationals travel as strings "p/q" (or plain integers); emission order is
 deterministic so identical inputs give identical bytes.
 """
@@ -172,8 +174,9 @@ def facets_to_json(descriptions: list[FacetDescription]) -> dict:
 
 
 def degeneration_to_json(deg: Degeneration) -> dict:
+    chain = _element_lists(deg.chain)
     return {
-        "chain": [sorted(s) for s in deg.chain.sets],
+        "chain": [chain[m] for m in deg.chain],
         "matroid_u": matroid_to_json(deg.matroid_u),
         "loop_free": deg.loop_free,
     }
@@ -183,14 +186,8 @@ def degeneration_to_json(deg: Degeneration) -> dict:
 
 
 def _fan_payload(fan: Fan) -> dict:
-    rays = fan.rays()
-    index = {r: i for i, r in enumerate(rays)}
-    return {
-        "n": fan.n,
-        "rays": [list(r) for r in rays],
-        "maximal_cones": sorted(sorted(index[r] for r in c.rays)
-                                for c in fan.cones),
-    }
+    return {"n": fan.n, "rays": [list(r) for r in fan.rays],
+            "maximal_cones": sorted(map(list, fan.cones))}
 
 
 def bergman_to_json(fan: BergmanFan) -> dict:

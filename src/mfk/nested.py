@@ -16,8 +16,7 @@ from typing import NamedTuple
 from .bitset import from_mask, iter_bits, popcount, to_mask
 from .errors import (DimensionMismatch, InvalidBuildingSet, MfkError,
                      ParameterOutOfRange)
-from .geometry import (Cone, Fan, RationalPolytope, _flat_vector, convex_hull,
-                       quotient_ray)
+from .geometry import Fan, RationalPolytope, _flat_vector, convex_hull
 from .lattice import FlatLattice, interval_product_check, irreducible_flats
 from .linalg import frac
 from .polytope import require_weight_length
@@ -170,9 +169,10 @@ class NestedFan(Fan):
     positions of its members in ``building.members``.
     """
 
-    def __init__(self, n: int, cones: tuple[Cone, ...], building: BuildingSet,
+    def __init__(self, n: int, rays: tuple[tuple[int, ...], ...],
+                 cones: tuple[tuple[int, ...], ...], building: BuildingSet,
                  nested_sets: tuple[tuple[int, ...], ...]):
-        super().__init__(n, cones)
+        super().__init__(n, rays, cones)
         self.building = building
         self.nested_sets = nested_sets
 
@@ -240,17 +240,22 @@ def nested_fan(building: BuildingSet) -> NestedFan:
     """Cone over the nested-set complex, one cone per maximal nested set,
     in the order of ``maximal_nested_sets``.
 
-    Each member's ray is built once; the member whose indicator is
-    constant (the ground set) is zero in the quotient and spans no ray.
+    Each member's ray, its indicator, is built once; the member whose
+    indicator is constant (the ground set) is zero in the quotient and
+    spans no ray.  Every other indicator has a 0 and a 1, so it is already
+    primitive, and distinct members give distinct rays.
     """
     n = building.lattice.matroid.n
     sets = maximal_nested_sets(building)
-    ray = [quotient_ray(_flat_vector(n, g)) for g in building.members]
     ground = building.position.get(building.lattice.top)
-    cones = tuple(Cone(rays=tuple(sorted([ray[k] for k in s if k != ground])))
+    ray = {k: _flat_vector(n, g) for k, g in enumerate(building.members)
+           if k != ground}
+    order = sorted(ray, key=ray.__getitem__)
+    index = dict(zip(order, range(len(order))))
+    cones = tuple(tuple(sorted([index[k] for k in s if k != ground]))
                   for s in sets)
-    return NestedFan(n=n, cones=cones, building=building,
-                     nested_sets=tuple(sets))
+    return NestedFan(n=n, rays=tuple(map(ray.__getitem__, order)),
+                     cones=cones, building=building, nested_sets=tuple(sets))
 
 
 # -- fan comparison ----------------------------------------------------------------
@@ -262,18 +267,19 @@ def _require_same_ground(fan_a: Fan, fan_b: Fan) -> None:
             f"fans on {fan_a.n} and {fan_b.n} elements cannot be compared")
 
 
-def _uncovered_cone(fan_a: Fan, fan_b: Fan) -> Cone | None:
-    """First maximal cone of fan_a inside no single maximal cone of fan_b.
+def _uncovered_cone(fan_a: Fan, fan_b: Fan) -> list[tuple[int, ...]] | None:
+    """The rays of the first maximal cone of fan_a inside no single
+    maximal cone of fan_b.
 
     A cone lies inside another exactly when all its rays do: it is covered
     when the cones of fan_b holding its rays, each ray asked once, meet.
     """
     _require_same_ground(fan_a, fan_b)
-    holders = {r: fan_b.cones_containing(r) for r in fan_a.rays()}
+    holders = [fan_b.cones_containing(r) for r in fan_a.rays]
     every = frozenset(range(len(fan_b.cones)))
     for cone in fan_a.cones:
-        if not every.intersection(*map(holders.__getitem__, cone.rays)):
-            return cone
+        if not every.intersection(*map(holders.__getitem__, cone)):
+            return [fan_a.rays[i] for i in cone]
     return None
 
 
@@ -285,8 +291,8 @@ def refines(fan_a: Fan, fan_b: Fan) -> bool:
 def supports_equal_on_generators(fan_a: Fan, fan_b: Fan) -> bool:
     """Symmetric containment of all ray generators in the opposite support."""
     _require_same_ground(fan_a, fan_b)
-    return (all(fan_b.contains(r) for r in fan_a.rays())
-            and all(fan_a.contains(r) for r in fan_b.rays()))
+    return (all(fan_b.contains(r) for r in fan_a.rays)
+            and all(fan_a.contains(r) for r in fan_b.rays))
 
 
 class FanComparison(NamedTuple):
@@ -301,11 +307,10 @@ def compare_fans(fan_a: Fan, fan_b: Fan) -> FanComparison:
     uncovered_ab = _uncovered_cone(fan_a, fan_b)
     uncovered_ba = _uncovered_cone(fan_b, fan_a)
     witness = None
-    for cone, direction in ((uncovered_ab, "a into b"),
+    for rays, direction in ((uncovered_ab, "a into b"),
                             (uncovered_ba, "b into a")):
-        if cone is not None:
-            witness = (f"cone with rays {list(cone.rays)} "
-                       f"not contained ({direction})")
+        if rays is not None:
+            witness = f"cone with rays {rays} not contained ({direction})"
             break
     return FanComparison(refines_ab=uncovered_ab is None,
                          refines_ba=uncovered_ba is None,

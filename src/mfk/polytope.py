@@ -55,15 +55,6 @@ def polytope(matroid: Matroid) -> RationalPolytope:
                             dim=n - len(components))
 
 
-class ConstancyChain(NamedTuple):
-    """Ascending sublevel sets of a weight vector, ending at the full set."""
-
-    sets: tuple[frozenset[int], ...]
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(to_mask(s) for s in self.sets)
-
-
 def sublevel_masks(u) -> list[int]:
     """Masks of the sublevel sets of a weight, ascending.
 
@@ -81,16 +72,12 @@ def sublevel_masks(u) -> list[int]:
     return masks
 
 
-def constancy_chain(u) -> ConstancyChain:
-    """The unique chain on which the weight is constant per difference block."""
-    return ConstancyChain(sets=tuple(from_mask(m) for m in sublevel_masks(u)))
-
-
 class Degeneration(NamedTuple):
-    """The matroid of the face minimizing a weight vector."""
+    """The matroid of the face minimizing a weight vector, with the masks
+    of the weight's sublevel sets, ascending and ending at the full set."""
 
     matroid_u: Matroid
-    chain: ConstancyChain
+    chain: tuple[int, ...]
     loop_free: bool
 
 
@@ -124,16 +111,14 @@ def heaviest_bases(matroid: Matroid, w) -> set[int]:
 
 
 def degeneration(matroid: Matroid, u) -> Degeneration:
-    """The bases of minimal ``u``-weight, with the constancy chain of ``u``."""
+    """The bases of minimal ``u``-weight, with the sublevel masks of ``u``."""
     u = list(u)
     require_weight_length(matroid, u)
     if matroid.n == 0:
-        return Degeneration(matroid_u=matroid,
-                            chain=ConstancyChain(sets=(frozenset(),)),
-                            loop_free=True)
+        return Degeneration(matroid_u=matroid, chain=(0,), loop_free=True)
     matroid_u = Matroid(matroid.n, heaviest_bases(matroid,
                                                   [-frac(x) for x in u]))
-    return Degeneration(matroid_u=matroid_u, chain=constancy_chain(u),
+    return Degeneration(matroid_u=matroid_u, chain=tuple(sublevel_masks(u)),
                         loop_free=not matroid_u.loops())
 
 

@@ -63,8 +63,8 @@ def support_deviations(sample, fan) -> list[float]:
 
     cones = []
     for cone in fan.cones:
-        if cone.rays:
-            mat = np.array([[float(x) for x in r] for r in cone.rays]).T
+        if cone:
+            mat = np.array([[float(x) for x in fan.rays[i]] for i in cone]).T
             mat = mat - mat.mean(axis=0, keepdims=True)
             cones.append(mat)
         else:
@@ -104,8 +104,8 @@ def exact_support_deviations(sample, fan) -> list[float]:
     exact normal equations on every independent ray set of every cone."""
     faces = []
     for cone in fan.cones:
-        if cone.rays:
-            rays = [[Fraction(x) for x in r] for r in cone.rays]
+        if cone:
+            rays = [[Fraction(x) for x in fan.rays[i]] for i in cone]
             rays = [[x - sum(r) / len(r) for x in r] for r in rays]
             faces.extend(_independent_sets(rays))
     out = []

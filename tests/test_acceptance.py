@@ -59,7 +59,7 @@ def test_criterion_02_dela3_facet_classification():
 def test_criterion_03_u24_bergman_rays():
     matroid = uniform(2, 4)
     fan = bergman_fan(FlatLattice(matroid))
-    rays = fan.rays()
+    rays = fan.rays
     # The proper nonempty flats of U_{2,4} are the four singletons, so the
     # coarse rays are the flat indicators e_1, ..., e_4; the classes
     # (0,1,1,1), ... are -e_i and lie outside the support.
@@ -81,10 +81,10 @@ def test_criterion_04_dela3_gmin_and_extra_ray():
         [1], [1, 2, 3, 4, 5], [1, 2, 4], [1, 3, 5], [2], [3], [4], [5]]
     nfan = nested_fan(min_building(lattice))
     bfan = bergman_fan(lattice)
-    extra = set(nfan.rays()) - set(bfan.rays())
-    rays_ok = (len(nfan.rays()) == len(bfan.rays()) + 1
+    extra = set(nfan.rays) - set(bfan.rays)
+    rays_ok = (len(nfan.rays) == len(bfan.rays) + 1
                and extra == {(1, 0, 0, 0, 0)}
-               and set(bfan.rays()) <= set(nfan.rays()))
+               and set(bfan.rays) <= set(nfan.rays))
     _report(4, gmin_ok and rays_ok,
             f"G_min as stated: {gmin_ok}; nested fan adds exactly the ray "
             f"for flat {{1}}: {rays_ok}")
@@ -157,7 +157,7 @@ def test_criterion_07_unimodularity():
             fan = nested_fan(building)
             for cone in fan.cones:
                 factors = smith_normal_form(
-                    [quotient_coordinates(r) for r in cone.rays])
+                    [quotient_coordinates(fan.rays[i]) for i in cone])
                 checked += 1
                 if any(f != 1 for f in factors):
                     ok = False

@@ -731,12 +731,41 @@ _FAN_DIGESTS = {
         "0aef06b7f2d68e77bc600da3ab5921c76b7bbf32d8f325dbc8eda2ee06fcc700",
     ("bergman", "--corpus", "u24", "--grid", "3"):
         "a78b2cbf6c6fd6b4a1b2bdd0fc683e586f7bd77a55a50ecb1b054d4079ab1634",
+    # fans that differ, with the witness "cone with rays [(0, 1, 1, 1, 1,
+    # 0), (1, 1, 0, 0, 0, 1)] not contained (b into a)"
+    ("bergman", "--matrix", "3x6"):
+        "7e16cab8308b4417f0120393a04ff4f97af396bcecec6ddf4974cc988ffc9f7b",
+    ("nested", "--matrix", "3x6", "--building", "max"):
+        "517b72fd1e2ac244accfb63ce1d718a88b395300db34c829f096477952464c8c",
+    ("compare-fans", "--matrix", "3x6"):
+        "4712dd9c2729a3a55e30b387a1a0d5c65987e1909b23d27811e8b498bdd81da5",
+    # a disconnected matroid, whose Bergman rays include co-components
+    ("bergman", "--matrix", "U23+U11"):
+        "4dd5b96956a509c71985e11d6a11e6fa4ad7eab892d927b2d39bff7822d9b0f2",
+    ("nested", "--matrix", "U23+U11", "--building", "max"):
+        "448ed7760c098ac930af7d0515194bd8ceb5836363967c2cd849caec9aea9b2e",
+    ("compare-fans", "--matrix", "U23+U11"):
+        "bd4808be3904715ecc9f29737c2751f47b39e646d8443947ff2c9ef21f8d95c7",
+}
+
+# the matrices the --matrix entries of _FAN_DIGESTS name
+_FAN_MATRICES = {
+    "3x6": {"rows": 3, "cols": 6,
+            "entries": [[0, 0, 1, 1, -1, 0], [0, -1, -1, 0, -1, 1],
+                        [1, -1, -1, 0, -1, -1]]},
+    "U23+U11": _U23_PLUS_U11,
 }
 
 
 @pytest.mark.parametrize("args", list(_FAN_DIGESTS), ids=" ".join)
-def test_fan_artifacts_keep_their_bytes(args, capsys):
-    assert main(list(args)) == 0
+def test_fan_artifacts_keep_their_bytes(args, tmp_path, capsys):
+    argv = list(args)
+    if "--matrix" in argv:
+        k = argv.index("--matrix") + 1
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(_FAN_MATRICES[argv[k]]))
+        argv[k] = str(path)
+    assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _FAN_DIGESTS[args]
 

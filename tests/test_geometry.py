@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from minkowski_oracle import minkowski_sum
 from mfk.errors import DimensionMismatch
-from mfk.geometry import (Cone, Fan, cone_contains, cone_unimodular,
-                          convex_hull, face_lattice, irredundant_rays,
+from mfk.geometry import (Fan, cone_contains, cone_unimodular, convex_hull,
+                          face_lattice, irredundant_rays,
                           quotient_coordinates, quotient_ray, quotient_rep,
                           smith_normal_form)
 from mfk.linalg import lp_feasible
@@ -198,43 +198,43 @@ def test_quotient_rep_canonical():
 
 
 def test_cone_contains_sum_of_generators():
-    c = Cone.over([(1, 0, 0, 0), (1, 1, 0, 1)])
+    c = [(1, 0, 0, 0), (1, 1, 0, 1)]
     assert cone_contains(c, (2, 1, 0, 1))
 
 
 def test_cone_contains_zero_class():
-    c = Cone.over([(1, 0, 0)])
+    c = [(1, 0, 0)]
     assert cone_contains(c, (0, 0, 0))
     assert cone_contains(c, (7, 7, 7))
 
 
 def test_cone_contains_respects_quotient():
     # (0,1,1,1) is the class of -e_1 and is not in the ray of e_1
-    c = Cone.over([(1, 0, 0, 0)])
+    c = [(1, 0, 0, 0)]
     assert cone_contains(c, (3, 0, 0, 0))
     assert not cone_contains(c, (0, 1, 1, 1))
 
 
 def test_antipodal_ray_not_contained():
     # in Z^2/Z(1,1), e_1 and e_2 are opposite rays
-    c = Cone.over([(0, 1)])
+    c = [(0, 1)]
     assert not cone_contains(c, (1, 0))
     assert cone_contains(c, (0, 5))
 
 
 @pytest.mark.parametrize("w", [(1, 0), (1, 0, 0, 0, 0, 0)])
 def test_cone_contains_refuses_a_vector_of_another_length(w):
-    c = Cone.over([(1, 0, 0, 0), (1, 1, 0, 1)])
+    c = [(1, 0, 0, 0), (1, 1, 0, 1)]
     with pytest.raises(DimensionMismatch):
         cone_contains(c, w)
 
 
 def test_cone_subset():
     # a cone lies inside another exactly when all its generators do
-    big = Cone.over([(1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 1, 0)])
-    small = Cone.over([(1, 0, 0, 0), (2, 1, 1, 1)])
-    assert all(cone_contains(big, r) for r in small.rays)
-    assert not all(cone_contains(small, r) for r in big.rays)
+    big = irredundant_rays([(1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 1, 0)])
+    small = irredundant_rays([(1, 0, 0, 0), (2, 1, 1, 1)])
+    assert all(cone_contains(big, r) for r in small)
+    assert not all(cone_contains(small, r) for r in big)
 
 
 def test_irredundant_rays_drops_interior():
@@ -244,25 +244,34 @@ def test_irredundant_rays_drops_interior():
     assert rays == ((1, 0, 1, 0, 1), (1, 1, 0, 1, 0))
 
 
+def test_irredundant_rays_normalises_its_vectors():
+    # each vector becomes its primitive ray, min coordinate 0; the zero
+    # class spans nothing and repeats collapse
+    assert irredundant_rays([(1, 1, 0), (2, 2, 0), (0, 0, 0), (3, 3, 3),
+                             (5, 3, 3)]) == ((1, 0, 0), (1, 1, 0))
+    assert irredundant_rays([(4, 4)]) == ()
+
+
 def test_cone_unimodular():
-    assert cone_unimodular(Cone.over([(1, 0, 0), (1, 1, 0)]), 3)
-    assert not cone_unimodular(Cone.over([(2, 0, 0, 2), (0, 2, 2, 0)]), 4)
+    assert cone_unimodular([(1, 0, 0), (1, 1, 0)], 3)
+    assert not cone_unimodular([(0, 1, 1, 0), (1, 0, 0, 1)], 4)
 
 
 def test_cone_unimodular_refuses_a_fractional_ray():
     # int() would truncate 3/2 to the lattice vector e_1
     with pytest.raises(ValueError):
-        cone_unimodular(Cone(rays=((Fraction(3, 2), 0, 0),)), 3)
+        cone_unimodular([(Fraction(3, 2), 0, 0)], 3)
 
 
 def test_fan_rays_and_contains():
     # a bare Fan has no membership rule; the LP decides its cones
-    fan = Fan(n=4, cones=(Cone.over([(1, 0, 0, 0)]),
-                          Cone.over([(0, 1, 0, 0), (0, 1, 1, 0)])))
-    assert len(fan.rays()) == 3
+    fan = Fan(n=4, rays=((0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0)),
+              cones=((2,), (0, 1)))
+    assert len(fan.rays) == 3
     assert not hasattr(fan, "contains")
-    assert any(cone_contains(c, (0, 2, 1, 0)) for c in fan.cones)
-    assert not any(cone_contains(c, (0, 0, 0, 1)) for c in fan.cones)
+    cones = [[fan.rays[i] for i in c] for c in fan.cones]
+    assert any(cone_contains(c, (0, 2, 1, 0)) for c in cones)
+    assert not any(cone_contains(c, (0, 0, 0, 1)) for c in cones)
 
 
 def test_lp_feasible_basic():
@@ -285,7 +294,7 @@ def test_lp_feasible_exact_fractions():
 
 
 def test_zero_cone_holds_exactly_the_constant_vectors():
-    zero = Cone(rays=())
+    zero = ()
     assert not cone_contains(zero, (Fraction(1, 2), 0, 0))
     assert not cone_contains(zero, (1, 0, 0))
     assert cone_contains(zero, (Fraction(1, 2),) * 3)

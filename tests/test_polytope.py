@@ -14,8 +14,8 @@ from mfk.errors import (DimensionMismatch, Disconnected, LoopsPresent,
 from mfk.geometry import convex_hull, face_lattice
 from mfk.jsonio import polytope_to_json
 from mfk.matroid import direct_sum, from_bases, from_matrix, uniform
-from mfk.polytope import (constancy_chain, degeneration, face_matroid, facets,
-                          indicator_vertex, polytope)
+from mfk.polytope import (degeneration, face_matroid, facets,
+                          indicator_vertex, polytope, sublevel_masks)
 from theorem_checks import dual_reflection_check
 
 
@@ -58,17 +58,18 @@ def test_polytope_dim_additive_over_sums():
 
 
 def test_constancy_chain_examples():
-    assert [sorted(s) for s in constancy_chain([0, 0, 0, 0]).sets] == \
-        [[1, 2, 3, 4]]
-    assert [sorted(s) for s in constancy_chain([1, 0, 0, 0]).sets] == \
-        [[2, 3, 4], [1, 2, 3, 4]]
-    assert [sorted(s) for s in constancy_chain([3, 1, 2, 1]).sets] == \
-        [[2, 4], [2, 3, 4], [1, 2, 3, 4]]
+    # the constancy chain of a weight is its ascending sublevel masks, bit
+    # i - 1 for element i
+    assert sublevel_masks([0, 0, 0, 0]) == [0b1111]
+    assert sublevel_masks([1, 0, 0, 0]) == [0b1110, 0b1111]
+    assert sublevel_masks([3, 1, 2, 1]) == [0b1010, 0b1110, 0b1111]
+    assert degeneration(uniform(2, 4), [3, 1, 2, 1]).chain == (
+        0b1010, 0b1110, 0b1111)
 
 
 def test_constancy_chain_rational_ties():
-    chain = constancy_chain([Fraction(1, 2), Fraction(2, 4), Fraction(0)])
-    assert [sorted(s) for s in chain.sets] == [[3], [1, 2, 3]]
+    chain = sublevel_masks([Fraction(1, 2), Fraction(2, 4), Fraction(0)])
+    assert chain == [0b100, 0b111]
 
 
 def test_degeneration_u24_loop(u24):
@@ -107,7 +108,7 @@ def test_degeneration_loop_free_iff_chain_of_flats(u24, dela3):
         boundary_mask = 0
         for w in product((-1, 0, 1), repeat=m.n):
             deg = degeneration(m, w)
-            chain_flats = all(m.closure(s) == s for s in deg.chain.sets)
+            chain_flats = all(m.closure_mask(s) == s for s in deg.chain)
             assert deg.loop_free == (not deg.matroid_u.loops())
             assert chain_flats == deg.loop_free
             # face lies off the simplex boundary iff every element is used
@@ -123,7 +124,7 @@ def test_degeneration_component_count_bound(dela3):
     m = dela3.matroid
     for w in [(1, 0, 0, 0, 0), (2, 1, 0, 1, 0), (3, 2, 1, 0, 0)]:
         deg = degeneration(m, w)
-        k = len(deg.chain.sets)
+        k = len(deg.chain)
         kappa = deg.matroid_u.components().kappa
         assert kappa >= k
 
@@ -136,7 +137,7 @@ def test_degeneration_codimension_when_tight(dela3):
     vertex_index = {v: i for i, v in enumerate(hull.vertices)}
     for w in product((-1, 0, 1), repeat=5):
         deg = degeneration(m, w)
-        k = len(deg.chain.sets)
+        k = len(deg.chain)
         kappa = deg.matroid_u.components().kappa
         if kappa != k:
             continue
@@ -332,7 +333,7 @@ def _interval_minor_sum(m, chain):
 
     block_bases = []
     prev_mask = anchor = 0
-    for mask in chain.masks():
+    for mask in chain:
         level = [b for b in restriction_bases(mask) if b & prev_mask == anchor]
         block_bases.append(sorted({b & ~prev_mask for b in level}))
         anchor = level[0]
@@ -364,7 +365,7 @@ def test_degeneration_is_direct_sum_of_interval_minors(name):
         deg = degeneration(m, w)
         assert list(deg.matroid_u.base_masks) == \
             _interval_minor_sum(m, deg.chain), w
-        chain_flats = all(m.closure_mask(s) == s for s in deg.chain.masks())
+        chain_flats = all(m.closure_mask(s) == s for s in deg.chain)
         assert deg.loop_free == chain_flats == (not deg.matroid_u.loops())
 
 

@@ -28,7 +28,7 @@ from mfk.bitset import from_mask
 from mfk.corpus import corpus
 from mfk.lattice import FlatLattice
 from mfk.matroid import Matroid, direct_sum, from_matrix, uniform
-from mfk.polytope import constancy_chain
+from mfk.polytope import sublevel_masks
 
 _LOOP = Matroid(1, [0])
 _COLOOP = uniform(1, 1)
@@ -138,9 +138,10 @@ def test_cones_containing_is_the_single_cone_rule(name):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=7))
 def test_constancy_chain_on_ints_matches_fractions(weights):
-    assert (constancy_chain(weights)
-            == constancy_chain([Fraction(x) for x in weights])
-            == constancy_chain([f"{x}/1" for x in weights]))
+    # the constancy chain of a weight is its ascending sublevel masks
+    assert (sublevel_masks(weights)
+            == sublevel_masks([Fraction(x) for x in weights])
+            == sublevel_masks([f"{x}/1" for x in weights]))
 
 
 def test_bergman_membership_on_ints_matches_fractions():

@@ -14,12 +14,12 @@ import pytest
 from mfk.bergman import AmoebaSample
 from mfk.complexes import SimplicialComplex
 from mfk.corpus import CorpusEntry, corpus
-from mfk.geometry import Cone, FaceLattice, RationalPolytope
+from mfk.geometry import FaceLattice, RationalPolytope
 from mfk.lattice import MoebiusTable
 from mfk.matroid import (ComponentPartition, LinearRealization, from_matrix,
                          uniform)
 from mfk.nested import ConditionReport, FanComparison
-from mfk.polytope import ConstancyChain, Degeneration, FacetDescription
+from mfk.polytope import Degeneration, FacetDescription
 from mfk.reciprocal import CircuitPolynomial
 from theorem_checks import NestedChainData
 
@@ -37,7 +37,6 @@ _RECORDS = [
     (SimplicialComplex, {"vertices": (1, 2), "facets": (_f(1, 2),)}, True),
     (CorpusEntry, {"name": "u23", "description": "three lines",
                    "matroid": _U23, "realization": _REALIZATION}, True),
-    (Cone, {"rays": ((0, 1, 1), (1, 0, 0))}, True),
     (RationalPolytope, {"vertices": ((Fraction(0),), (Fraction(1, 2),)),
                         "facets": (((1,), Fraction(1, 2)),
                                    ((-1,), Fraction(0))),
@@ -52,10 +51,8 @@ _RECORDS = [
     (ConditionReport, {"holds": False, "witness": (_f(), _f(1, 2))}, True),
     (NestedChainData, {"chains": {1: [_f(1)]}, "minima": {1: _f(1)},
                        "min_support_index": {_f(1): 1}}, False),
-    (ConstancyChain, {"sets": (_f(2), _f(1, 2, 3))}, True),
-    (Degeneration, {"matroid_u": _U23,
-                    "chain": ConstancyChain(sets=(_f(1, 2, 3),)),
-                    "loop_free": True}, True),
+    (Degeneration, {"matroid_u": _U23, "chain": (2, 7), "loop_free": True},
+     True),
     (FacetDescription, {"kind": "interior", "flat": _f(1), "element": None,
                         "inner_normal": (1, 0, 0),
                         "vertex_bases": (_f(1, 2), _f(1, 3))}, True),
@@ -97,13 +94,10 @@ def test_record_value_equality_and_hash(record, fields, hashable):
 
 
 def test_record_methods_survive_as_tuples():
-    assert Cone.over([(1, 1, 0), (2, 2, 0), (0, 0, 0)]) == Cone(
-        rays=((1, 1, 0),))
     assert RationalPolytope(vertices=((Fraction(1), Fraction(2)),),
                             facets=(), dim=0).ambient == 2
     complex_ = SimplicialComplex.from_faces((1, 2, 3), [{1, 2}, {2, 3}, {2}])
     assert complex_.f_vector() == (3, 2)
-    assert ConstancyChain(sets=(_f(1), _f(1, 2))).masks() == (1, 3)
     poly = CircuitPolynomial(circuit=_f(1, 2, 3),
                              coefficients={1: 1, 2: -1, 3: 1})
     assert poly.degree() == 2
